@@ -8,6 +8,7 @@ provider is a hashed bag of words: fully deterministic, no model downloads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -29,7 +30,6 @@ __all__ = [
     "EmbeddingProvider",
     "HashedBagOfWordsProvider",
     "RemoteEmbeddingProvider",
-    "embed",
     "cosine",
     "OntologyIndex",
     "stem_token",
@@ -170,8 +170,11 @@ def stem_token(token: str) -> str:
     return token
 
 
+_WORD = re.compile(r"\w+")
+
+
 def tokenize(text: str) -> list[str]:
-    return [stem_token(t) for t in re.findall(r"\w+", text.lower())]
+    return [stem_token(t) for t in _WORD.findall(text.lower())]
 
 
 class EmbeddingProvider(Protocol):
@@ -197,14 +200,22 @@ class HashedBagOfWordsProvider:
             raise ValueError("dimension must be positive")
         self.name = name
         self.dimension = dimension
+        # Lowercased raw token -> bucket of its stem, so each distinct token
+        # is stemmed and hashed once per provider.
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        tokens = tokenize(text)
-        if not tokens:
+        buckets = []
+        for token in _WORD.findall(text.lower()):
+            bucket = self._buckets.get(token)
+            if bucket is None:
+                bucket = self._buckets[token] = _bucket(stem_token(token), self.dimension)
+            buckets.append(bucket)
+        if not buckets:
             raise ValidationError("cannot embed empty or whitespace-only text")
-        vector = np.zeros(self.dimension, dtype=np.float64)
-        for token in tokens:
-            vector[_bucket(token, self.dimension)] += 1.0
+        # Counts are exact integers, so the vector is the same bytes whatever
+        # order the tokens are counted in.
+        vector = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
         return vector / np.linalg.norm(vector)
 
 
@@ -223,8 +234,9 @@ class RemoteEmbeddingProvider:
         self.name = name
         self.endpoint = endpoint
         self.dimension = dimension
-        self._timeout_ms = timeout_ms
-        self._transport = transport or _default_transport
+        self._transport = transport or functools.partial(
+            _default_transport, timeout_s=timeout_ms / 1000
+        )
 
     def embed(self, text: str) -> np.ndarray:
         if not text.strip():
@@ -240,27 +252,24 @@ class RemoteEmbeddingProvider:
                 f"embedding provider {self.name!r} returned shape {raw.shape}, "
                 f"expected ({self.dimension},)"
             )
+        if not np.isfinite(raw).all():
+            raise BackendError(f"embedding provider {self.name!r} returned a non-finite vector")
         norm = np.linalg.norm(raw)
         if norm == 0:
             raise BackendError(f"embedding provider {self.name!r} returned a zero vector")
         return raw / norm
 
 
-def _default_transport(url: str, payload: dict) -> dict:
+def _default_transport(url: str, payload: dict, *, timeout_s: float) -> dict:
     import os
 
     import requests
 
     token = os.environ.get("PHENOTAG_EMBED_TOKEN")
     headers = {"Authorization": f"Bearer {token}"} if token else {}
-    response = requests.post(url, json=payload, timeout=30, headers=headers)
+    response = requests.post(url, json=payload, timeout=timeout_s, headers=headers)
     response.raise_for_status()
     return response.json()
-
-
-def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
-    """Embed ``text`` into a unit vector via ``provider``."""
-    return provider.embed(text)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -292,10 +301,15 @@ class OntologyIndex:
             document = build_rag_document(concept)
             rows.append(provider.embed(document.body))
             self._concept_ids.append(concept.concept_id)
+        self._row_of = {concept_id: row for row, concept_id in enumerate(self._concept_ids)}
         self._matrix = np.vstack(rows) if rows else np.zeros((0, provider.dimension))
 
     def vector_for(self, concept_id: ConceptId) -> np.ndarray:
-        return self._matrix[self._concept_ids.index(concept_id)].copy()
+        try:
+            row = self._row_of[concept_id]
+        except KeyError:
+            raise KeyError(f"unknown concept {concept_id}") from None
+        return self._matrix[row].copy()
 
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;
@@ -306,8 +320,7 @@ class OntologyIndex:
             raise ValidationError("empty retrieval query")
         query = self.provider.embed(query_text)
         scores = self._matrix @ query
-        ranked = sorted(
-            zip(self._concept_ids, scores.tolist()),
-            key=lambda pair: (-pair[1], pair[0].render()),
-        )
-        return ranked[:k]
+        # Rows follow store.concepts(), which is ascending id rendering, so a
+        # stable sort on -score ranks exactly as sorting on (-score, id) would.
+        top = np.argsort(-scores, kind="stable")[:k].tolist()
+        return [(self._concept_ids[row], float(scores[row])) for row in top]

@@ -1,9 +1,15 @@
 import json
 
 import pytest
+from hypothesis import settings
 
 from phenotag.corpus import ConceptId
 from phenotag.ontology import OntologyConcept, OntologyStore, tokenize
+
+# Property tests replay the same examples on every run and have no time
+# limit per example: tier-1 results must not depend on machine load.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 _PREFIXES = (
     "bronch", "cardi", "derm", "gastr", "hepat",

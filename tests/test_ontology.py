@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from phenotag.corpus import ConceptId
 from phenotag.errors import BackendError, ValidationError
@@ -13,10 +14,11 @@ from phenotag.ontology import (
     OntologyStore,
     RemoteEmbeddingProvider,
     build_rag_document,
+    _bucket,
     cosine,
-    embed,
     load_ontology,
     stem_token,
+    tokenize,
 )
 
 from conftest import make_concepts, concepts_to_jsonl
@@ -81,26 +83,26 @@ def test_rag_document_injective_on_id(store10):
 
 def test_fallback_embedding_deterministic():
     provider = HashedBagOfWordsProvider()
-    a = embed("child has asthma", provider)
-    b = embed("child has asthma", provider)
+    a = provider.embed("child has asthma")
+    b = provider.embed("child has asthma")
     assert np.array_equal(a, b)
 
 
 def test_fallback_embedding_unit_norm():
     provider = HashedBagOfWordsProvider()
     for text in ("asthma", "a b c d e", "repeated repeated tokens"):
-        assert abs(np.linalg.norm(embed(text, provider)) - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(provider.embed(text)) - 1.0) <= 1e-9
 
 
 def test_fallback_embedding_order_invariant():
     provider = HashedBagOfWordsProvider()
-    assert np.array_equal(embed("a b", provider), embed("b a", provider))
+    assert np.array_equal(provider.embed("a b"), provider.embed("b a"))
 
 
 def test_embed_rejects_empty_text():
     provider = HashedBagOfWordsProvider()
     with pytest.raises(ValidationError):
-        embed("   ", provider)
+        provider.embed("   ")
 
 
 def test_remote_provider_wire_and_failure():
@@ -121,6 +123,35 @@ def test_remote_provider_wire_and_failure():
     failing = RemoteEmbeddingProvider("pubmed", "http://emb.local/v1", 2, transport=broken)
     with pytest.raises(BackendError, match="pubmed"):
         failing.embed("asthma")
+
+
+def test_remote_provider_default_transport_honours_timeout(monkeypatch):
+    seen = []
+
+    class Response:
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return {"vectors": [[3.0, 4.0]]}
+
+    def post(url, json, timeout, headers):
+        seen.append((url, json, timeout))
+        return Response()
+
+    monkeypatch.setattr("requests.post", post)
+    provider = RemoteEmbeddingProvider("jina", "http://emb.local/v1", 2, timeout_ms=2_500)
+    assert np.allclose(provider.embed("asthma"), [0.6, 0.8])
+    assert seen == [("http://emb.local/v1", {"texts": ["asthma"]}, 2.5)]
+
+
+@pytest.mark.parametrize("vector", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 0.0]])
+def test_remote_provider_rejects_non_finite_vector(vector):
+    provider = RemoteEmbeddingProvider(
+        "jina", "http://emb.local/v1", 2, transport=lambda url, payload: {"vectors": [vector]}
+    )
+    with pytest.raises(BackendError, match="non-finite"):
+        provider.embed("asthma")
 
 
 # --- cosine -----------------------------------------------------------------
@@ -146,7 +177,7 @@ def test_cosine_dimension_mismatch():
 def test_fallback_self_similarity_is_one():
     provider = HashedBagOfWordsProvider()
     for text in ("asthma", "the child has a cough", "x y z"):
-        v = embed(text, provider)
+        v = provider.embed(text)
         assert abs(cosine(v, v) - 1.0) <= 1e-9
 
 
@@ -219,6 +250,12 @@ def test_top_k_input_validation(store10):
         index.top_k("  ", 3)
 
 
+def test_vector_for_unknown_id_raises_key_error(store10):
+    index = OntologyIndex(store10, HashedBagOfWordsProvider())
+    with pytest.raises(KeyError, match="mesh:D999999"):
+        index.vector_for(ConceptId("D999999"))
+
+
 def test_rebuild_yields_identical_vectors(store10):
     provider = HashedBagOfWordsProvider()
     first = OntologyIndex(store10, provider)
@@ -226,6 +263,88 @@ def test_rebuild_yields_identical_vectors(store10):
     for concept in store10.concepts():
         assert np.array_equal(first.vector_for(concept.concept_id),
                               second.vector_for(concept.concept_id))
+
+
+# --- properties against the seed implementation -----------------------------
+
+def seed_embed(text, dimension):
+    """The seed's fallback embedding: one float increment per stemmed token."""
+    tokens = tokenize(text)
+    if not tokens:
+        raise ValidationError("cannot embed empty or whitespace-only text")
+    vector = np.zeros(dimension, dtype=np.float64)
+    for token in tokens:
+        vector[_bucket(token, dimension)] += 1.0
+    return vector / np.linalg.norm(vector)
+
+
+def seed_top_k(store, query_text, k, dimension=256):
+    """The seed's top_k: score every concept, then sort (-score, id) tuples."""
+    concepts = store.concepts()
+    matrix = np.vstack([seed_embed(build_rag_document(c).body, dimension) for c in concepts])
+    scores = matrix @ seed_embed(query_text, dimension)
+    ranked = sorted(
+        zip([c.concept_id for c in concepts], scores.tolist()),
+        key=lambda pair: (-pair[1], pair[0].render()),
+    )
+    return ranked[:k]
+
+
+_DISEASE_WORDS = ("asthma", "eczema", "gout", "rash", "chronic")
+_EMBED_WORDS = _DISEASE_WORDS + (
+    "Asthma", "ASTHMA", "wheezing", "Wheezes", "allergies", "classes", "illness",
+    "the", "of", "x", "_", "42", "naïve", "ÉCZEMA",
+)
+_SEPARATORS = (" ", "  ", ", ", "-", "\n", "'")
+
+_word_texts = st.lists(
+    st.tuples(st.sampled_from(_EMBED_WORDS), st.sampled_from(_SEPARATORS)), max_size=12
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+_phrases = st.lists(st.sampled_from(_DISEASE_WORDS), min_size=1, max_size=3).map(" ".join)
+
+
+@st.composite
+def _tied_stores(draw):
+    """Stores whose concepts share a few documents, so exact score ties
+    (duplicate documents, rows sharing no word with the query) are common.
+    Ids vary in width, so render order differs from numeric order."""
+    documents = draw(st.lists(
+        st.tuples(_phrases, st.sampled_from(("", "skin", "airway disease")),
+                  st.lists(_phrases, max_size=2).map(tuple)),
+        min_size=1, max_size=3,
+    ))
+    size = draw(st.integers(1, 40))  # past 16 rows, NumPy's default sort is no longer stable
+    numbers = draw(st.lists(st.integers(1, 99_999), min_size=size, max_size=size, unique=True))
+    return OntologyStore(
+        OntologyConcept(ConceptId(f"D{number}"), *draw(st.sampled_from(documents)))
+        for number in numbers
+    )
+
+
+@given(texts=st.lists(st.one_of(_word_texts, st.text(max_size=30)), min_size=1, max_size=8),
+       dimension=st.sampled_from((1, 7, 256)))
+def test_embed_matches_seed_loop_bytes(texts, dimension):
+    warm = HashedBagOfWordsProvider(dimension=dimension)
+    for text in texts:
+        fresh = HashedBagOfWordsProvider(dimension=dimension)
+        try:
+            expected = seed_embed(text, dimension).tobytes()
+        except ValidationError:
+            for provider in (warm, fresh):
+                with pytest.raises(ValidationError):
+                    provider.embed(text)
+            continue
+        assert warm.embed(text).tobytes() == expected
+        assert fresh.embed(text).tobytes() == expected
+
+
+@given(store=_tied_stores(), query=st.lists(
+    st.sampled_from(_DISEASE_WORDS + ("migraine", "fever")), min_size=1, max_size=4
+).map(" ".join), data=st.data())
+def test_top_k_matches_seed_sorted_ranking(store, query, data):
+    index = OntologyIndex(store, HashedBagOfWordsProvider())
+    k = data.draw(st.integers(1, len(store) + 2), label="k")
+    assert index.top_k(query, k) == seed_top_k(store, query, k)
 
 
 # --- lookup_exact -----------------------------------------------------------
