@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
@@ -32,7 +31,6 @@ __all__ = [
     "NerBackend",
     "HttpNerBackend",
     "MockNerBackend",
-    "mock_backend",
     "submitted_text",
     "parse_backend_response",
     "annotate_batch",
@@ -125,58 +123,63 @@ _TOKEN = re.compile(r"\w+")
 class MockNerBackend:
     """Deterministic lexicon-driven backend speaking the same wire contract.
 
-    Annotates by case-insensitive longest-match whole-token scan; multiword
-    lexicon terms match across single spaces.
+    Annotates by case-insensitive longest-match whole-token scan. Text is cut
+    into ``\\w+`` tokens, so a multiword term matches across any run of
+    non-word characters between its words: "asthma episodes" hits both
+    "Asthma, episodes" and "asthma\\n\\nepisodes". A term must be lowercase
+    and non-empty, and each of its whitespace-separated words must be all
+    word characters; any other term could never match and is rejected.
     """
 
     def __init__(self, lexicon: Mapping[str, ConceptId]):
         if not lexicon:
             raise ValueError("mock lexicon must be non-empty")
-        self._terms: list[tuple[tuple[str, ...], ConceptId]] = []
+        # Word tuple -> rendered id; of two terms that split alike, the first keeps it.
+        self._ids: dict[tuple[str, ...], str] = {}
+        lengths: dict[str, set[int]] = {}
         for term, concept in lexicon.items():
-            if not term or term != term.lower():
+            words = tuple(term.split())
+            if not words or term != term.lower():
                 raise ValueError(f"lexicon terms must be non-empty lowercase, got {term!r}")
-            self._terms.append((tuple(term.split()), concept))
-        # Longest token sequence first so "asthma episodes" beats "asthma".
-        self._terms.sort(key=lambda item: (-len(item[0]), item[0]))
+            if not all(_TOKEN.fullmatch(word) for word in words):
+                raise ValueError(
+                    f"lexicon term {term!r} can never match: its words must be word characters only"
+                )
+            self._ids.setdefault(words, concept.render())
+            lengths.setdefault(words[0], set()).add(len(words))
+        # Longest term first at each start word, so "asthma episodes" beats "asthma".
+        self._lengths = {first: sorted(ns, reverse=True) for first, ns in lengths.items()}
 
     def submit(self, texts: Sequence[str]) -> dict:
         return {"results": [{"annotations": self._scan(text)} for text in texts]}
 
     def _scan(self, text: str) -> list[dict]:
-        tokens = [(m.group(0).lower(), m.start(), m.end()) for m in _TOKEN.finditer(text)]
+        tokens = list(_TOKEN.finditer(text))
+        words = [token.group(0).lower() for token in tokens]
         annotations: list[dict] = []
         i = 0
-        while i < len(tokens):
-            match = self._match_at(tokens, i)
-            if match is None:
+        while i < len(words):
+            for length in self._lengths.get(words[i], ()):
+                if i + length > len(words):
+                    continue
+                concept_id = self._ids.get(tuple(words[i : i + length]))
+                if concept_id is not None:
+                    break
+            else:
                 i += 1
                 continue
-            length, concept = match
-            begin = tokens[i][1]
-            end = tokens[i + length - 1][2]
+            begin = tokens[i].start()
+            end = tokens[i + length - 1].end()
             annotations.append(
                 {
                     "mention": text[begin:end],
                     "span": {"begin": begin, "end": end},
                     "obj": "disease",
-                    "id": [concept.render()],
+                    "id": [concept_id],
                 }
             )
             i += length
         return annotations
-
-    def _match_at(self, tokens, i):
-        for term_tokens, concept in self._terms:
-            if i + len(term_tokens) > len(tokens):
-                continue
-            if all(tokens[i + j][0] == term_tokens[j] for j in range(len(term_tokens))):
-                return len(term_tokens), concept
-        return None
-
-
-def mock_backend(lexicon: Mapping[str, ConceptId]) -> MockNerBackend:
-    return MockNerBackend(lexicon)
 
 
 def submitted_text(record: SurveyRecord) -> tuple[str, int]:
@@ -273,12 +276,12 @@ def _process_chunk(
     joins = [join for _, join in submissions]
     attempts = 1 + config.retry_budget
     payload = None
-    last_error: Exception | None = None
+    last_error: BackendError | None = None
     for _ in range(attempts):
         try:
             payload = backend.submit(texts)
             break
-        except Exception as exc:
+        except BackendError as exc:
             last_error = exc
     if payload is None:
         reason = f"backend unreachable after {attempts} attempts: {last_error}"
@@ -367,33 +370,3 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"line {lineno}: bad prediction record: {exc}") from exc
     return outcomes
-
-
-class InflightProbe:
-    """Wraps a backend and records the high-water mark of concurrent calls.
-
-    Test instrumentation for the bounded-window invariant.
-    """
-
-    def __init__(self, inner: NerBackend, delay_s: float = 0.0):
-        self._inner = inner
-        self._delay_s = delay_s
-        self._lock = threading.Lock()
-        self._active = 0
-        self.high_water = 0
-        self.calls = 0
-
-    def submit(self, texts: Sequence[str]) -> dict:
-        import time
-
-        with self._lock:
-            self._active += 1
-            self.calls += 1
-            self.high_water = max(self.high_water, self._active)
-        try:
-            if self._delay_s:
-                time.sleep(self._delay_s)
-            return self._inner.submit(texts)
-        finally:
-            with self._lock:
-                self._active -= 1

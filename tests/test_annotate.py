@@ -1,18 +1,18 @@
 import json
+import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from phenotag.annotate import (
     AnnotationOutcome,
     BackendConfig,
     HttpNerBackend,
-    InflightProbe,
     MockNerBackend,
     annotate_batch,
-    mock_backend,
     parse_backend_response,
     submitted_text,
 )
@@ -73,7 +73,7 @@ def test_parse_mention_mismatch_is_error():
 # --- mock backend -----------------------------------------------------------
 
 def test_mock_longest_match_wins():
-    backend = mock_backend({"asthma": ASTHMA, "asthma episodes": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA, "asthma episodes": ASTHMA})
     result = backend.submit(["asthma episodes daily"])
     (ann,) = result["results"][0]["annotations"]
     assert (ann["span"]["begin"], ann["span"]["end"]) == (0, 15)
@@ -81,18 +81,18 @@ def test_mock_longest_match_wins():
 
 
 def test_mock_no_term_no_annotations():
-    backend = mock_backend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA})
     assert backend.submit(["feeling fine"])["results"][0]["annotations"] == []
 
 
 def test_mock_deterministic():
-    backend = mock_backend({"asthma": ASTHMA, "eczema": ConceptId("D004485")})
+    backend = MockNerBackend({"asthma": ASTHMA, "eczema": ConceptId("D004485")})
     text = "eczema then asthma then eczema"
     assert backend.submit([text]) == backend.submit([text])
 
 
 def test_mock_is_case_insensitive_whole_token():
-    backend = mock_backend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA})
     result = backend.submit(["ASTHMA but not asthmatic"])
     anns = result["results"][0]["annotations"]
     assert len(anns) == 1
@@ -101,9 +101,102 @@ def test_mock_is_case_insensitive_whole_token():
 
 def test_mock_rejects_bad_lexicon():
     with pytest.raises(ValueError):
-        mock_backend({})
+        MockNerBackend({})
     with pytest.raises(ValueError):
-        mock_backend({"Asthma": ASTHMA})
+        MockNerBackend({"Asthma": ASTHMA})
+
+
+def test_mock_rejects_whitespace_only_term():
+    # split() gives no words: a term of length 0 would never advance the scan
+    with pytest.raises(ValueError, match="non-empty lowercase"):
+        MockNerBackend({"asthma": ASTHMA, "   ": ASTHMA})
+
+
+@pytest.mark.parametrize("term", ["crohn's disease", "covid-19"])
+def test_mock_rejects_term_with_non_word_characters(term):
+    with pytest.raises(ValueError, match=term):
+        MockNerBackend({"asthma": ASTHMA, term: ASTHMA})
+
+
+def test_mock_multiword_term_spans_any_non_word_run():
+    backend = MockNerBackend({"asthma episodes": ASTHMA})
+    texts = ["asthma episodes", "Asthma, episodes", "asthma\n\nepisodes", "asthma-episodes"]
+    results = backend.submit(texts)["results"]
+    assert [[a["mention"] for a in r["annotations"]] for r in results] == [[t] for t in texts]
+
+
+def seed_match_at(terms, tokens, i):
+    for term_tokens, concept in terms:
+        if i + len(term_tokens) > len(tokens):
+            continue
+        if all(tokens[i + j][0] == term_tokens[j] for j in range(len(term_tokens))):
+            return len(term_tokens), concept
+    return None
+
+
+def seed_scan(lexicon, text):
+    """The seed's scan, kept as an oracle: every term tried at every token."""
+    terms = [(tuple(term.split()), concept) for term, concept in lexicon.items()]
+    terms.sort(key=lambda item: (-len(item[0]), item[0]))
+    tokens = [(m.group(0).lower(), m.start(), m.end()) for m in re.finditer(r"\w+", text)]
+    annotations = []
+    i = 0
+    while i < len(tokens):
+        match = seed_match_at(terms, tokens, i)
+        if match is None:
+            i += 1
+            continue
+        length, concept = match
+        begin = tokens[i][1]
+        end = tokens[i + length - 1][2]
+        annotations.append(
+            {
+                "mention": text[begin:end],
+                "span": {"begin": begin, "end": end},
+                "obj": "disease",
+                "id": [concept.render()],
+            }
+        )
+        i += length
+    return annotations
+
+
+_LEXICON_WORDS = ("asthma", "chronic", "a", "b", "eczema", "x1")
+_TEXT_WORDS = _LEXICON_WORDS + ("asthmatic", "and", "")
+
+
+@st.composite
+def _lexicons(draw):
+    """Few words and few phrases, so terms share first words, are prefixes
+    of each other and often split to the same tuple ("a  b" / "a b")."""
+    phrases = draw(st.lists(
+        st.lists(st.sampled_from(_LEXICON_WORDS), min_size=1, max_size=3), min_size=1, max_size=4
+    ))
+    entries = draw(st.lists(
+        st.tuples(st.sampled_from(phrases), st.sampled_from((" ", "  ", "\t")), st.integers(1, 9)),
+        min_size=1, max_size=8,
+    ))
+    return {sep.join(words): ConceptId(f"D{number:06d}") for words, sep, number in entries}
+
+
+def _texts(pieces):
+    """Pieces in mixed case with mixed separators; the last piece ends the text."""
+    parts = st.lists(st.tuples(
+        st.sampled_from(pieces),
+        st.sampled_from((str.lower, str.upper, str.title)),
+        st.sampled_from((" ", ", ", "\n", "-", "  ")),
+    ), max_size=10)
+    return parts.map(lambda ps: "".join(case(piece) + sep for piece, case, sep in ps[:-1])
+                     + "".join(case(piece) for piece, case, _ in ps[-1:]))
+
+
+@given(data=st.data())
+def test_mock_scan_matches_seed_scan(data):
+    lexicon = data.draw(_lexicons(), label="lexicon")
+    texts = data.draw(st.lists(_texts(tuple(lexicon) + _TEXT_WORDS), min_size=1, max_size=4),
+                      label="texts")
+    results = MockNerBackend(lexicon).submit(texts)["results"]
+    assert [r["annotations"] for r in results] == [seed_scan(lexicon, t) for t in texts]
 
 
 # --- submitted_text ---------------------------------------------------------
@@ -123,12 +216,12 @@ def test_submitted_text_empty_question_sends_answer_alone():
 # --- annotate_batch ---------------------------------------------------------
 
 def test_empty_record_list():
-    backend = mock_backend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA})
     assert annotate_batch([], backend, BackendConfig()) == []
 
 
 def test_lexicon_annotation_span_hand_counted():
-    backend = mock_backend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA})
     outcomes = annotate_batch([record("r1", "child has asthma")], backend, BackendConfig())
     (outcome,) = outcomes
     assert outcome.status == "ok"
@@ -149,7 +242,7 @@ class ErrorOnTextBackend:
 
 
 def test_failure_isolation_ok_failed_ok():
-    inner = mock_backend({"asthma": ASTHMA})
+    inner = MockNerBackend({"asthma": ASTHMA})
     backend = ErrorOnTextBackend(inner, poison="BROKEN")
     records = [record("r1", "has asthma"), record("r2", "BROKEN"), record("r3", "no issues")]
     outcomes = annotate_batch(records, backend, BackendConfig(batch_size=1, retry_budget=1))
@@ -173,17 +266,31 @@ class FlakyBackend:
 
 
 def test_retry_budget_consumed_then_success():
-    backend = FlakyBackend(mock_backend({"asthma": ASTHMA}), failures_before_success=2)
+    backend = FlakyBackend(MockNerBackend({"asthma": ASTHMA}), failures_before_success=2)
     outcomes = annotate_batch([record("r1", "has asthma")], backend, BackendConfig(retry_budget=2))
     assert outcomes[0].status == "ok"
     assert backend.attempts == 3
 
 
 def test_retry_budget_exhausted_fails_record():
-    backend = FlakyBackend(mock_backend({"asthma": ASTHMA}), failures_before_success=5)
+    backend = FlakyBackend(MockNerBackend({"asthma": ASTHMA}), failures_before_success=5)
     outcomes = annotate_batch([record("r1", "has asthma")], backend, BackendConfig(retry_budget=1))
     assert outcomes[0].status == "failed"
     assert backend.attempts == 2
+
+
+def test_programming_error_is_not_retried():
+    class Buggy:
+        calls = 0
+
+        def submit(self, texts):
+            self.calls += 1
+            raise TypeError("bug in backend")
+
+    backend = Buggy()
+    with pytest.raises(TypeError, match="bug in backend"):
+        annotate_batch([record("r1", "has asthma")], backend, BackendConfig(retry_budget=2))
+    assert backend.calls == 1
 
 
 class JitterBackend:
@@ -204,15 +311,40 @@ class JitterBackend:
 
 def test_output_order_matches_input_order_under_concurrency():
     records = [record(f"r{i:02d}", f"case {i} asthma") for i in range(16)]
-    backend = JitterBackend(mock_backend({"asthma": ASTHMA}))
+    backend = JitterBackend(MockNerBackend({"asthma": ASTHMA}))
     outcomes = annotate_batch(records, backend, BackendConfig(batch_size=1, max_inflight=8))
     assert [o.record_id for o in outcomes] == [r.record_id for r in records]
     assert all(o.status == "ok" for o in outcomes)
 
 
+class InflightProbe:
+    """Wraps a backend and records the high-water mark of concurrent calls."""
+
+    def __init__(self, inner, delay_s=0.0):
+        self._inner = inner
+        self._delay_s = delay_s
+        self._lock = threading.Lock()
+        self._active = 0
+        self.high_water = 0
+        self.calls = 0
+
+    def submit(self, texts):
+        with self._lock:
+            self._active += 1
+            self.calls += 1
+            self.high_water = max(self.high_water, self._active)
+        try:
+            if self._delay_s:
+                time.sleep(self._delay_s)
+            return self._inner.submit(texts)
+        finally:
+            with self._lock:
+                self._active -= 1
+
+
 def test_max_inflight_never_exceeded():
     records = [record(f"r{i:02d}", "has asthma") for i in range(12)]
-    probe = InflightProbe(mock_backend({"asthma": ASTHMA}), delay_s=0.01)
+    probe = InflightProbe(MockNerBackend({"asthma": ASTHMA}), delay_s=0.01)
     annotate_batch(records, probe, BackendConfig(batch_size=1, max_inflight=3))
     assert probe.calls == 12
     assert probe.high_water <= 3
@@ -260,7 +392,7 @@ def test_misaligned_results_fail_whole_chunk():
 def test_question_join_recorded_and_round_trips():
     from phenotag.annotate import read_outcomes, write_outcomes
 
-    backend = mock_backend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA})
     records = [
         record("r1", "has asthma", question="Any conditions?"),
         record("r2", "has asthma"),
@@ -273,7 +405,7 @@ def test_question_join_recorded_and_round_trips():
 
 
 def test_all_annotations_carry_backend_source():
-    backend = mock_backend({"asthma": ASTHMA, "eczema": ConceptId("D004485")})
+    backend = MockNerBackend({"asthma": ASTHMA, "eczema": ConceptId("D004485")})
     records = [record(f"r{i}", "asthma and eczema here") for i in range(4)]
     for outcome in annotate_batch(records, backend, BackendConfig(batch_size=2)):
         assert outcome.annotations
