@@ -16,14 +16,18 @@ record never aborts the batch.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .corpus import ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, TextSpan
+from .corpus import (
+    ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, TextSpan, read_jsonl,
+)
 from .errors import BackendError, ValidationError
+from .transport import call_with_retry, post_json
 
 __all__ = [
     "BackendConfig",
@@ -95,26 +99,13 @@ class HttpNerBackend:
     ):
         self.endpoint = endpoint
         self.timeout_ms = timeout_ms
-        self._transport = transport or _post_json
+        self._transport = transport or functools.partial(post_json, token_env="PHENOTAG_NER_TOKEN")
 
     def submit(self, texts: Sequence[str]) -> dict:
         try:
             return self._transport(self.endpoint, {"texts": list(texts)}, self.timeout_ms / 1000.0)
         except Exception as exc:
             raise BackendError(f"NER backend at {self.endpoint} failed: {exc}") from exc
-
-
-def _post_json(url: str, payload: dict, timeout_s: float) -> dict:
-    import os
-
-    import requests
-
-    # Secrets travel in the environment only, never in config files.
-    token = os.environ.get("PHENOTAG_NER_TOKEN")
-    headers = {"Authorization": f"Bearer {token}"} if token else {}
-    response = requests.post(url, json=payload, timeout=timeout_s, headers=headers)
-    response.raise_for_status()
-    return response.json()
 
 
 _TOKEN = re.compile(r"\w+")
@@ -275,16 +266,10 @@ def _process_chunk(
     texts = [text for text, _ in submissions]
     joins = [join for _, join in submissions]
     attempts = 1 + config.retry_budget
-    payload = None
-    last_error: BackendError | None = None
-    for _ in range(attempts):
-        try:
-            payload = backend.submit(texts)
-            break
-        except BackendError as exc:
-            last_error = exc
-    if payload is None:
-        reason = f"backend unreachable after {attempts} attempts: {last_error}"
+    try:
+        payload = call_with_retry(lambda: backend.submit(texts), attempts)
+    except BackendError as exc:
+        reason = f"backend unreachable after {attempts} attempts: {exc}"
         return [
             AnnotationOutcome(record.record_id, text, "failed", error=reason, question_join=join)
             for record, text, join in zip(chunk, texts, joins)
@@ -340,33 +325,26 @@ def write_outcomes(outcomes: Sequence[AnnotationOutcome]) -> list[str]:
 
 def read_outcomes(lines) -> list[AnnotationOutcome]:
     """Parse a predictions file back into outcomes."""
-    outcomes = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            annotations = tuple(
-                NormalizedAnnotation(
-                    record_id=obj["record_id"],
-                    span=TextSpan(int(a["begin"]), int(a["end"])),
-                    surface=a["surface"],
-                    concept=ConceptId.parse(a["concept"]),
-                    source=Source.NER_BACKEND,
-                    confidence=a.get("confidence"),
-                )
-                for a in obj.get("annotations", [])
+
+    def parse(_lineno: int, obj) -> AnnotationOutcome:
+        annotations = tuple(
+            NormalizedAnnotation(
+                record_id=obj["record_id"],
+                span=TextSpan(int(a["begin"]), int(a["end"])),
+                surface=a["surface"],
+                concept=ConceptId.parse(a["concept"]),
+                source=Source.NER_BACKEND,
+                confidence=a.get("confidence"),
             )
-            outcomes.append(
-                AnnotationOutcome(
-                    record_id=obj["record_id"],
-                    text=obj["text"],
-                    status=obj["status"],
-                    annotations=annotations,
-                    error=obj.get("error"),
-                    question_join=int(obj.get("question_join", 0)),
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"line {lineno}: bad prediction record: {exc}") from exc
-    return outcomes
+            for a in obj.get("annotations", [])
+        )
+        return AnnotationOutcome(
+            record_id=obj["record_id"],
+            text=obj["text"],
+            status=obj["status"],
+            annotations=annotations,
+            error=obj.get("error"),
+            question_join=int(obj.get("question_join", 0)),
+        )
+
+    return read_jsonl(lines, "prediction record", parse)

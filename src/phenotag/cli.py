@@ -34,17 +34,10 @@ from .corpus import (
     import_doccano,
     load_records,
     normalize_text,
+    read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .evaluate import (
-    CotRow,
-    EmbeddingRow,
-    FinetunedRow,
-    FlagsRow,
-    NerNenRow,
-    RagFsiRow,
-    ReportBundle,
-    ZeroShotRow,
     alignment_accuracy,
     alignment_confusions,
     alignment_stats,
@@ -55,7 +48,6 @@ from .evaluate import (
     mean_coherence,
     mean_rouge,
     read_verdicts,
-    render_report,
     write_verdicts,
 )
 from .ontology import HashedBagOfWordsProvider, RemoteEmbeddingProvider, load_ontology
@@ -71,6 +63,17 @@ from .orchestrate import (
     load_example_pool,
     raft_to_jsonl,
     run_strategy,
+)
+from .report import (
+    CotRow,
+    EmbeddingRow,
+    FinetunedRow,
+    FlagsRow,
+    NerNenRow,
+    RagFsiRow,
+    ReportBundle,
+    ZeroShotRow,
+    render_report,
 )
 
 EXIT_VALIDATION = 1
@@ -189,14 +192,14 @@ def ingest(config_path: str, records_option: str | None) -> None:
 
 def _load_mock_lexicon(path: Path) -> dict[str, ConceptId]:
     lexicon: dict[str, ConceptId] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            lexicon[obj["term"]] = ConceptId.parse(obj["concept_id"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"line {lineno}: bad lexicon entry: {exc}") from exc
+
+    def add(_lineno: int, obj) -> None:
+        term = obj["term"]
+        if term in lexicon:
+            raise ValidationError(f"duplicate term {term!r}")
+        lexicon[term] = ConceptId.parse(obj["concept_id"])
+
+    read_jsonl(path.read_text(encoding="utf-8").splitlines(), "lexicon entry", add)
     return lexicon
 
 
@@ -424,16 +427,11 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
 # ---------------------------------------------------------------------------
 
 def _load_summaries(path: Path) -> list[tuple[str, str]]:
-    pairs = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            pairs.append((obj["candidate"], obj["reference"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"line {lineno}: bad summary pair: {exc}") from exc
-    return pairs
+    return read_jsonl(
+        path.read_text(encoding="utf-8").splitlines(),
+        "summary pair",
+        lambda _, obj: (obj["candidate"], obj["reference"]),
+    )
 
 
 def _read_verdict_file(path: Path, texts):
@@ -628,17 +626,11 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
         ontology_path = cfg.require_path("paths", "ontology")
         store = load_ontology(ontology_path)
         questions_path = _resolve(questions_option, cfg, "raft", "questions")
-        questions = []
-        for lineno, line in enumerate(
-            questions_path.read_text(encoding="utf-8").splitlines(), 1
-        ):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                questions.append((obj["question"], ConceptId.parse(obj["concept_id"])))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"line {lineno}: bad question record: {exc}") from exc
+        questions = read_jsonl(
+            questions_path.read_text(encoding="utf-8").splitlines(),
+            "question record",
+            lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
+        )
         seed = derive_seed(seed_option if seed_option is not None else cfg.seed, "raft")
         provider = _embedding_provider(cfg)
         datapoints = build_raft_dataset(

@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import ValidationError
 
@@ -36,6 +36,7 @@ __all__ = [
     "PreprocessConfig",
     "NormalizedText",
     "Corpus",
+    "read_jsonl",
     "ingest_records",
     "load_records",
     "normalize_text",
@@ -241,6 +242,34 @@ class Corpus:
 
 
 # ---------------------------------------------------------------------------
+# Line-delimited JSON
+# ---------------------------------------------------------------------------
+
+T = TypeVar("T")
+
+
+def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
+    """Decode each non-blank line as JSON and return ``parse(lineno, obj)``
+    for each, in file order; line numbers count blank lines too.
+
+    A line that is not JSON, or that ``parse`` rejects with a
+    ValidationError, KeyError, TypeError, ValueError or IndexError, raises
+    ValidationError("line N: bad <what>: ...").
+    """
+    items = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            items.append(parse(lineno, json.loads(line)))
+        except KeyError as exc:
+            raise ValidationError(f"line {lineno}: bad {what}: missing key {exc}") from exc
+        except (ValidationError, TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"line {lineno}: bad {what}: {exc}") from exc
+    return items
+
+
+# ---------------------------------------------------------------------------
 # Record ingestion
 # ---------------------------------------------------------------------------
 
@@ -256,56 +285,41 @@ def ingest_records(
     ``expects_keywords`` is given, the flag is derived by a case-insensitive
     keyword scan of the question text.
     """
-    records: list[SurveyRecord] = []
     seen: set[str] = set()
     keywords = tuple(k.lower() for k in expects_keywords)
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: malformed record: {exc.msg}") from exc
+
+    def parse(_lineno: int, obj) -> SurveyRecord:
         if not isinstance(obj, dict):
-            raise ValidationError(f"line {lineno}: record must be an object")
-        try:
-            record_id = obj["record_id"]
-            question_text = obj["question_text"]
-            answer_text = obj["answer_text"]
-            raw_field_type = obj["field_type"]
-        except KeyError as exc:
-            raise ValidationError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
+            raise ValidationError("record must be an object")
+        record_id = obj["record_id"]
+        question_text = obj["question_text"]
+        answer_text = obj["answer_text"]
+        raw_field_type = obj["field_type"]
         if not isinstance(record_id, str) or not record_id:
-            raise ValidationError(f"line {lineno}: record_id must be a non-empty string")
+            raise ValidationError("record_id must be a non-empty string")
         if record_id in seen:
             raise ValidationError(f"duplicate record_id {record_id!r}")
-        try:
-            field_type = FieldType(raw_field_type)
-        except ValueError:
-            raise ValidationError(
-                f"line {lineno}: unknown field_type {raw_field_type!r}"
-            ) from None
+        field_type = FieldType(raw_field_type)
         preceding = obj.get("preceding_questions", [])
         if not isinstance(preceding, list) or not all(isinstance(q, str) for q in preceding):
-            raise ValidationError(f"line {lineno}: preceding_questions must be a list of strings")
+            raise ValidationError("preceding_questions must be a list of strings")
         if "expects_disease" in obj:
             expects = obj["expects_disease"]
             if not isinstance(expects, bool):
-                raise ValidationError(f"line {lineno}: expects_disease must be a boolean")
+                raise ValidationError("expects_disease must be a boolean")
         else:
             expects = any(k in question_text.lower() for k in keywords)
         seen.add(record_id)
-        records.append(
-            SurveyRecord(
-                record_id=record_id,
-                question_text=str(question_text),
-                answer_text=str(answer_text),
-                field_type=field_type,
-                preceding_questions=tuple(preceding),
-                expects_disease=expects,
-            )
+        return SurveyRecord(
+            record_id=record_id,
+            question_text=str(question_text),
+            answer_text=str(answer_text),
+            field_type=field_type,
+            preceding_questions=tuple(preceding),
+            expects_disease=expects,
         )
-    return Corpus(records)
+
+    return Corpus(read_jsonl(lines, "record", parse))
 
 
 def load_records(path: str | Path, expects_keywords: Sequence[str] = ()) -> Corpus:
@@ -623,48 +637,42 @@ def import_doccano(lines: Iterable[str]) -> tuple[AnnotationSet, dict[str, str]]
     with an optional "record_id"; ids are synthesized from the line number
     when absent so files straight out of Doccano still load.
     """
-    annotations: list[NormalizedAnnotation] = []
     texts: dict[str, str] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: malformed Doccano line: {exc.msg}") from exc
+
+    def parse(lineno: int, obj) -> list[NormalizedAnnotation]:
         if not isinstance(obj, dict) or "text" not in obj:
-            raise ValidationError(f"line {lineno}: expected an object with a 'text' key")
+            raise ValidationError("expected an object with a 'text' key")
         text = obj["text"]
         if not isinstance(text, str):
-            raise ValidationError(f"line {lineno}: 'text' must be a string")
+            raise ValidationError("'text' must be a string")
         record_id = obj.get("record_id", f"line-{lineno:06d}")
         if record_id in texts:
-            raise ValidationError(f"line {lineno}: duplicate record_id {record_id!r}")
+            raise ValidationError(f"duplicate record_id {record_id!r}")
         texts[record_id] = text
+        annotations = []
         for entry in obj.get("label", []):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise ValidationError(f"line {lineno}: label entries must be [begin, end, label]")
+                raise ValidationError("label entries must be [begin, end, label]")
             begin, end, label = entry
             try:
                 span = TextSpan(int(begin), int(end))
                 span.check_bounds(text)
             except (ValueError, TypeError) as exc:
-                raise ValidationError(f"line {lineno}: span out of bounds: {exc}") from exc
-            try:
-                concept = ConceptId.parse(str(label))
-            except ValueError as exc:
-                raise ValidationError(f"line {lineno}: {exc}") from exc
+                raise ValidationError(f"span out of bounds: {exc}") from exc
             annotations.append(
                 NormalizedAnnotation(
                     record_id=record_id,
                     span=span,
                     surface=text[span.begin : span.end],
-                    concept=concept,
+                    concept=ConceptId.parse(str(label)),
                     source=Source.HUMAN,
                 )
             )
+        return annotations
+
+    per_line = read_jsonl(lines, "Doccano line", parse)
     try:
-        return AnnotationSet(annotations), texts
+        return AnnotationSet(a for annotations in per_line for a in annotations), texts
     except ValidationError as exc:
         raise ValidationError(f"duplicate spans in import: {exc}") from exc
 

@@ -20,23 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import AnnotationSet, ConceptId, NormalizedAnnotation, Source, TextSpan
+from .corpus import AnnotationSet, ConceptId, NormalizedAnnotation, Source, TextSpan, read_jsonl
 from .errors import ValidationError
 from .ontology import EmbeddingProvider, cosine
 from .orchestrate import LlmVerdict, VerdictKind
-
-from .report import (  # noqa: F401  (re-exported: reporting is part of this surface)
-    AlignmentStats,
-    CotRow,
-    EmbeddingRow,
-    FinetunedRow,
-    FlagsRow,
-    NerNenRow,
-    RagFsiRow,
-    ReportBundle,
-    ZeroShotRow,
-    render_report,
-)
+from .report import AlignmentStats
 
 __all__ = [
     "ConfusionCounts",
@@ -58,16 +46,6 @@ __all__ = [
     "normalised_performance",
     "write_verdicts",
     "read_verdicts",
-    "render_report",
-    "ReportBundle",
-    "AlignmentStats",
-    "NerNenRow",
-    "ZeroShotRow",
-    "FinetunedRow",
-    "RagFsiRow",
-    "FlagsRow",
-    "CotRow",
-    "EmbeddingRow",
 ]
 
 
@@ -273,19 +251,56 @@ class AlignmentReport:
     gt_alignment_accuracy: float
 
 
-def _gold_concept_at(
-    gold: AnnotationSet, annotation: NormalizedAnnotation
-) -> ConceptId | None:
-    for entry in gold.for_record(annotation.record_id):
-        if entry.span == annotation.span:
-            return entry.concept
-    return None
-
-
 def _final_concept(verdict: LlmVerdict, annotation: NormalizedAnnotation) -> ConceptId:
     if verdict.kind is VerdictKind.DISAGREE and verdict.proposal is not None:
         return verdict.proposal
     return annotation.concept
+
+
+def _align(
+    verdicts: Sequence[LlmVerdict],
+    backend_annotations: Sequence[NormalizedAnnotation],
+    gold: AnnotationSet,
+) -> tuple[ConfusionCounts, ConfusionCounts, int]:
+    """One walk over the verdict/annotation pairs: the BERN2 and GT
+    confusion counts, plus how many final concepts equal gold."""
+    if len(verdicts) != len(backend_annotations):
+        raise ValidationError(
+            f"{len(verdicts)} verdicts for {len(backend_annotations)} annotations"
+        )
+    gold_at: dict[tuple[str, TextSpan], ConceptId] = {}
+    for entry in gold:  # of two gold entries at one span, the first counts
+        gold_at.setdefault((entry.record_id, entry.span), entry.concept)
+    bern2: Counter = Counter()
+    gt: Counter = Counter()
+    gt_correct = 0
+    for verdict, annotation in zip(verdicts, backend_annotations):
+        gold_concept = gold_at.get((annotation.record_id, annotation.span))
+        if gold_concept is not None and annotation.concept == gold_concept:
+            bern2["tp" if verdict.kind is VerdictKind.AGREE else "fn"] += 1
+        else:
+            bern2["tn" if verdict.kind is VerdictKind.DISAGREE else "fp"] += 1
+        parsed = verdict.kind is not VerdictKind.UNPARSEABLE
+        final = _final_concept(verdict, annotation)
+        correct = parsed and gold_concept is not None and final == gold_concept
+        gt_correct += correct
+        if parsed and not final.is_none:
+            # A correct non-NONE final concept equals gold, so gold is positive too.
+            gt["tp" if correct else "fp"] += 1
+        elif gold_concept is not None and not gold_concept.is_none:
+            gt["fn"] += 1
+        else:
+            gt["tn"] += 1
+    return ConfusionCounts(**bern2), ConfusionCounts(**gt), gt_correct
+
+
+def _alignment_report(bern2: ConfusionCounts, gt_correct: int, count: int) -> AlignmentReport:
+    if not count:
+        raise ValidationError("empty evaluation: no verdicts to align")
+    return AlignmentReport(
+        bern2_alignment_accuracy=(bern2.tp + bern2.tn) / count,
+        gt_alignment_accuracy=gt_correct / count,
+    )
 
 
 def alignment_accuracy(
@@ -298,29 +313,8 @@ def alignment_accuracy(
     GT alignment: the post-verdict concept equals gold. Unparseable verdicts
     count as incorrect in both; a backend mention with no exact-span gold
     counterpart has no gold concept and can never satisfy GT alignment."""
-    if len(verdicts) != len(backend_annotations):
-        raise ValidationError(
-            f"{len(verdicts)} verdicts for {len(backend_annotations)} annotations"
-        )
-    if not verdicts:
-        raise ValidationError("empty evaluation: no verdicts to align")
-    bern2_correct = 0
-    gt_correct = 0
-    for verdict, annotation in zip(verdicts, backend_annotations):
-        gold_concept = _gold_concept_at(gold, annotation)
-        backend_matches = gold_concept is not None and annotation.concept == gold_concept
-        if verdict.kind is VerdictKind.AGREE:
-            bern2_correct += backend_matches
-        elif verdict.kind is VerdictKind.DISAGREE:
-            bern2_correct += not backend_matches
-        if verdict.kind is not VerdictKind.UNPARSEABLE:
-            if gold_concept is not None and _final_concept(verdict, annotation) == gold_concept:
-                gt_correct += 1
-    count = len(verdicts)
-    return AlignmentReport(
-        bern2_alignment_accuracy=bern2_correct / count,
-        gt_alignment_accuracy=gt_correct / count,
-    )
+    bern2, _, gt_correct = _align(verdicts, backend_annotations, gold)
+    return _alignment_report(bern2, gt_correct, len(verdicts))
 
 
 def alignment_confusions(
@@ -336,57 +330,19 @@ def alignment_confusions(
     agreement required for a true positive. Unparseable verdicts count
     against whichever class they failed.
     """
-    b_tp = b_fp = b_tn = b_fn = 0
-    g_tp = g_fp = g_tn = g_fn = 0
-    for verdict, annotation in zip(verdicts, backend_annotations):
-        gold_concept = _gold_concept_at(gold, annotation)
-        backend_matches = gold_concept is not None and annotation.concept == gold_concept
-        if verdict.kind is VerdictKind.AGREE:
-            if backend_matches:
-                b_tp += 1
-            else:
-                b_fp += 1
-        elif verdict.kind is VerdictKind.DISAGREE:
-            if backend_matches:
-                b_fn += 1
-            else:
-                b_tn += 1
-        else:
-            if backend_matches:
-                b_fn += 1
-            else:
-                b_fp += 1
-        final = _final_concept(verdict, annotation)
-        asserts_concept = verdict.kind is not VerdictKind.UNPARSEABLE and not final.is_none
-        gold_positive = gold_concept is not None and not gold_concept.is_none
-        correct = (
-            verdict.kind is not VerdictKind.UNPARSEABLE
-            and gold_concept is not None
-            and final == gold_concept
-        )
-        if asserts_concept and gold_positive and correct:
-            g_tp += 1
-        elif asserts_concept:
-            g_fp += 1
-        elif gold_positive:
-            g_fn += 1
-        else:
-            g_tn += 1
-    return (
-        ConfusionCounts(b_tp, b_tn, b_fp, b_fn),
-        ConfusionCounts(g_tp, g_tn, g_fp, g_fn),
-    )
+    bern2, gt, _ = _align(verdicts, backend_annotations, gold)
+    return bern2, gt
 
 
 def alignment_stats(
     verdicts: Sequence[LlmVerdict],
     backend_annotations: Sequence[NormalizedAnnotation],
     gold: AnnotationSet,
-) -> tuple["AlignmentStats", "AlignmentStats"]:
-    """F1/P/R from alignment_confusions plus accuracies straight from
-    alignment_accuracy, so the A column always matches the headline rate."""
-    report = alignment_accuracy(verdicts, backend_annotations, gold)
-    bern2_counts, gt_counts = alignment_confusions(verdicts, backend_annotations, gold)
+) -> tuple[AlignmentStats, AlignmentStats]:
+    """F1/P/R from the alignment confusions plus the alignment_accuracy
+    rates, so the A column always matches the headline rate."""
+    bern2_counts, gt_counts, gt_correct = _align(verdicts, backend_annotations, gold)
+    report = _alignment_report(bern2_counts, gt_correct, len(verdicts))
     bern2_metrics = compute_metrics(bern2_counts)
     gt_metrics = compute_metrics(gt_counts)
     return (
@@ -458,37 +414,27 @@ def read_verdicts(
     Surfaces are recovered from ``texts`` when available; raw model text is
     not persisted in this format.
     """
-    verdicts: list[LlmVerdict] = []
-    annotations: list[NormalizedAnnotation] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            span = TextSpan(int(obj["span"][0]), int(obj["span"][1]))
-            concept = ConceptId.parse(obj["backend_concept"])
-            kind = VerdictKind(obj["kind"])
-            proposal = ConceptId.parse(obj["proposal"]) if obj.get("proposal") else None
-            verdict = LlmVerdict(
-                kind=kind,
-                raw_text="",
-                proposal=proposal,
-                hallucinated=bool(obj.get("hallucinated", False)),
-            )
-            record_id = obj["record_id"]
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ValidationError(f"line {lineno}: bad verdict record: {exc}") from exc
+
+    def parse(_lineno: int, obj) -> tuple[LlmVerdict, NormalizedAnnotation]:
+        span = TextSpan(int(obj["span"][0]), int(obj["span"][1]))
+        record_id = obj["record_id"]
         surface = ""
         if texts and record_id in texts and span.end <= len(texts[record_id]):
             surface = texts[record_id][span.begin : span.end]
-        annotations.append(
-            NormalizedAnnotation(
-                record_id=record_id,
-                span=span,
-                surface=surface,
-                concept=concept,
-                source=Source.NER_BACKEND,
-            )
+        annotation = NormalizedAnnotation(
+            record_id=record_id,
+            span=span,
+            surface=surface,
+            concept=ConceptId.parse(obj["backend_concept"]),
+            source=Source.NER_BACKEND,
         )
-        verdicts.append(verdict)
-    return verdicts, annotations
+        verdict = LlmVerdict(
+            kind=VerdictKind(obj["kind"]),
+            raw_text="",
+            proposal=ConceptId.parse(obj["proposal"]) if obj.get("proposal") else None,
+            hallucinated=bool(obj.get("hallucinated", False)),
+        )
+        return verdict, annotation
+
+    pairs = read_jsonl(lines, "verdict record", parse)
+    return [verdict for verdict, _ in pairs], [annotation for _, annotation in pairs]

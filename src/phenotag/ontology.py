@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,8 +17,9 @@ from typing import Callable, Iterable, Protocol
 
 import numpy as np
 
-from .corpus import ConceptId
+from .corpus import ConceptId, read_jsonl
 from .errors import BackendError, ValidationError
+from .transport import post_json
 
 __all__ = [
     "OntologyConcept",
@@ -121,27 +121,16 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
         lines: Iterable[str] = Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = source
-    concepts = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"line {lineno}: malformed concept: {exc.msg}") from exc
-        try:
-            concept = OntologyConcept(
-                concept_id=ConceptId.parse(str(obj["concept_id"])),
-                preferred_name=str(obj.get("preferred_name") or ""),
-                description=str(obj.get("description", "")),
-                synonyms=tuple(str(s) for s in obj.get("synonyms", [])),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"line {lineno}: missing key {exc.args[0]!r}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"line {lineno}: {exc}") from exc
-        concepts.append(concept)
-    return OntologyStore(concepts)
+    return OntologyStore(read_jsonl(
+        lines,
+        "concept",
+        lambda _, obj: OntologyConcept(
+            concept_id=ConceptId.parse(str(obj["concept_id"])),
+            preferred_name=str(obj.get("preferred_name") or ""),
+            description=str(obj.get("description", "")),
+            synonyms=tuple(str(s) for s in obj.get("synonyms", [])),
+        ),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +224,7 @@ class RemoteEmbeddingProvider:
         self.endpoint = endpoint
         self.dimension = dimension
         self._transport = transport or functools.partial(
-            _default_transport, timeout_s=timeout_ms / 1000
+            post_json, timeout_s=timeout_ms / 1000, token_env="PHENOTAG_EMBED_TOKEN"
         )
 
     def embed(self, text: str) -> np.ndarray:
@@ -258,18 +247,6 @@ class RemoteEmbeddingProvider:
         if norm == 0:
             raise BackendError(f"embedding provider {self.name!r} returned a zero vector")
         return raw / norm
-
-
-def _default_transport(url: str, payload: dict, *, timeout_s: float) -> dict:
-    import os
-
-    import requests
-
-    token = os.environ.get("PHENOTAG_EMBED_TOKEN")
-    headers = {"Authorization": f"Bearer {token}"} if token else {}
-    response = requests.post(url, json=payload, timeout=timeout_s, headers=headers)
-    response.raise_for_status()
-    return response.json()
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -14,6 +14,7 @@ strong scaffold plus few-shot examples.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 import re
@@ -24,9 +25,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from .corpus import ConceptId, Corpus, NormalizedAnnotation, SurveyRecord
+from .corpus import ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, read_jsonl
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument, build_rag_document
+from .transport import call_with_retry, post_json
 
 __all__ = [
     "Strategy",
@@ -332,23 +334,16 @@ def select_few_shot(
 
 
 def load_example_pool(path: str | Path) -> list[FewShotExample]:
-    pool = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            pool.append(
-                FewShotExample(
-                    question=obj["question"],
-                    mention=obj["mention"],
-                    concept=obj["concept"],
-                    verdict=obj["verdict"],
-                )
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"line {lineno}: bad few-shot example: {exc}") from exc
-    return pool
+    return read_jsonl(
+        Path(path).read_text(encoding="utf-8").splitlines(),
+        "few-shot example",
+        lambda _, obj: FewShotExample(
+            question=obj["question"],
+            mention=obj["mention"],
+            concept=obj["concept"],
+            verdict=obj["verdict"],
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +377,8 @@ class ScriptedLlmBackend:
         for rule in rules:
             if "response" not in rule:
                 raise ValidationError("scripted rule missing 'response'")
+            if not isinstance(rule["response"], str):
+                raise ValidationError("scripted rule 'response' must be a string")
             if "regex" in rule:
                 self._rules.append((re.compile(rule["regex"], re.DOTALL), rule["response"]))
             elif "contains" in rule:
@@ -393,15 +390,8 @@ class ScriptedLlmBackend:
 
     @classmethod
     def from_file(cls, path: str | Path, name: str = "scripted") -> "ScriptedLlmBackend":
-        rules = []
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                rules.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"line {lineno}: bad scripted rule: {exc.msg}") from exc
-        return cls(rules, name=name)
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return cls(read_jsonl(lines, "scripted rule", lambda _, rule: rule), name=name)
 
     def complete(self, prompt: str, params: LlmParams) -> str:
         self.calls.append(prompt)
@@ -427,7 +417,7 @@ class HttpLlmBackend:
         self.name = name
         self.endpoint = endpoint
         self.timeout_ms = timeout_ms
-        self._transport = transport or _post_json
+        self._transport = transport or functools.partial(post_json, token_env="PHENOTAG_LLM_TOKEN")
 
     def complete(self, prompt: str, params: LlmParams) -> str:
         payload = {
@@ -440,18 +430,6 @@ class HttpLlmBackend:
             return str(response["text"])
         except Exception as exc:
             raise BackendError(f"LLM backend {self.name!r} failed: {exc}") from exc
-
-
-def _post_json(url: str, payload: dict, timeout_s: float) -> dict:
-    import os
-
-    import requests
-
-    token = os.environ.get("PHENOTAG_LLM_TOKEN")
-    headers = {"Authorization": f"Bearer {token}"} if token else {}
-    response = requests.post(url, json=payload, timeout=timeout_s, headers=headers)
-    response.raise_for_status()
-    return response.json()
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +454,9 @@ def run_strategy(
 ) -> list[tuple[NormalizedAnnotation, LlmVerdict]]:
     """Judge every backend annotation with the configured strategy.
 
-    Output order equals annotation order. An LLM failure that survives its
+    Output order equals annotation order. A BackendError that survives its
     retries records an Unparseable verdict with the error detail and the
-    run continues.
+    run continues; any other exception from the LLM propagates at once.
     """
     examples: tuple[FewShotExample, ...] = ()
     if spec.fsi_enabled:
@@ -509,18 +487,10 @@ def run_strategy(
         prompt = build_prompt(spec, ctx, templates)
         if prompt_sink is not None:
             prompt_sink(annotation, prompt)
-        text = None
-        last_error: Exception | None = None
-        for _ in range(1 + retry_budget):
-            try:
-                text = llm.complete(prompt, params)
-                break
-            except Exception as exc:
-                last_error = exc
-        if text is None:
-            verdict = LlmVerdict(
-                VerdictKind.UNPARSEABLE, raw_text=f"<llm error: {last_error}>"
-            )
+        try:
+            text = call_with_retry(lambda: llm.complete(prompt, params), 1 + retry_budget)
+        except BackendError as exc:
+            verdict = LlmVerdict(VerdictKind.UNPARSEABLE, raw_text=f"<llm error: {exc}>")
         else:
             verdict = parse_verdict(text)
         return annotation, flag_hallucination(verdict, store)

@@ -72,6 +72,17 @@ def test_annotate_mock_lexicon_flag(workspace, tmp_path):
     assert result.exit_code == 0
 
 
+def test_annotate_duplicate_lexicon_term_exits_1(workspace):
+    root, config = workspace
+    lexicon = root / "mock_lexicon.jsonl"
+    duplicate = json.dumps({"term": "asthma", "concept_id": "mesh:D000002"})
+    lexicon.write_text(lexicon.read_text() + duplicate + "\n")
+    result = invoke("annotate", "-c", config)
+    assert result.exit_code == 1
+    assert "line 5" in result.stderr and "duplicate term 'asthma'" in result.stderr
+    assert not (root / "out" / "predictions.jsonl").exists()
+
+
 def test_annotate_no_backend_exits_1(workspace):
     root, config = workspace
     config_text = config.read_text().replace("mock_lexicon = mock_lexicon.jsonl\n", "")

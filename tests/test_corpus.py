@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from click.testing import CliRunner
 
+from phenotag import cli
+from phenotag.annotate import read_outcomes
 from phenotag.corpus import (
     AnnotationSet,
     ConceptId,
@@ -21,6 +24,11 @@ from phenotag.corpus import (
     stratified_sample,
 )
 from phenotag.errors import ValidationError
+from phenotag.evaluate import read_verdicts
+from phenotag.ontology import load_ontology
+from phenotag.orchestrate import ScriptedLlmBackend, load_example_pool
+
+from conftest import write_e2e_workspace
 
 
 def record_line(record_id, field_type="binary", question="Any asthma?", answer="yes",
@@ -265,6 +273,12 @@ def test_import_rejects_duplicate_human_spans():
         import_doccano([line])
 
 
+def test_import_synthesized_ids_count_blank_lines():
+    line = json.dumps({"text": "has asthma", "label": []})
+    _, texts = import_doccano(["", line])
+    assert list(texts) == ["line-000002"]
+
+
 def three_record_fixture():
     texts = {
         "r1": "child has asthma and eczema",
@@ -352,3 +366,75 @@ def test_text_span_validation():
     TextSpan(0, 1).check_bounds("a")
     with pytest.raises(ValueError):
         TextSpan(0, 2).check_bounds("a")
+
+
+# --- JSONL readers ------------------------------------------------------------
+
+def _error(call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    return str(info.value)
+
+
+def _file_reader(load):
+    def read(tmp_path, lines):
+        path = tmp_path / "input.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return _error(lambda: load(path))
+
+    return read
+
+
+def _raft_questions(tmp_path, lines):
+    config = write_e2e_workspace(tmp_path)
+    path = tmp_path / "questions.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(cli.main, ["raft", "-c", str(config), "--questions", str(path)])
+    assert result.exit_code == 1
+    return result.stderr
+
+
+# Every JSONL reader: a valid first line for it, and how to run it.
+_READERS = {
+    "records": (
+        json.loads(record_line("r1")),
+        lambda tmp_path, lines: _error(lambda: ingest_records(lines)),
+    ),
+    "doccano": (
+        {"text": "has asthma", "label": []},
+        lambda tmp_path, lines: _error(lambda: import_doccano(lines)),
+    ),
+    "predictions": (
+        {"record_id": "r1", "text": "t", "status": "ok"},
+        lambda tmp_path, lines: _error(lambda: read_outcomes(lines)),
+    ),
+    "ontology": (
+        {"concept_id": "mesh:D000001", "preferred_name": "asthma"},
+        lambda tmp_path, lines: _error(lambda: load_ontology(lines)),
+    ),
+    "example pool": (
+        {"question": "q", "mention": "m", "concept": "c", "verdict": "AGREE"},
+        _file_reader(load_example_pool),
+    ),
+    "scripted rules": (
+        {"contains": "", "response": "AGREE"},
+        _file_reader(ScriptedLlmBackend.from_file),
+    ),
+    "verdicts": (
+        {"record_id": "r1", "span": [0, 1], "backend_concept": "NONE", "kind": "agree"},
+        lambda tmp_path, lines: _error(lambda: read_verdicts(lines)),
+    ),
+    "mock lexicon": (
+        {"term": "asthma", "concept_id": "mesh:D001249"},
+        _file_reader(cli._load_mock_lexicon),
+    ),
+    "summaries": ({"candidate": "a", "reference": "b"}, _file_reader(cli._load_summaries)),
+    "raft questions": ({"question": "q?", "concept_id": "mesh:D000001"}, _raft_questions),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_reader_names_malformed_line_after_blank_line(tmp_path, reader):
+    first, read = _READERS[reader]
+    message = read(tmp_path, [json.dumps(first), "", "{not json"])
+    assert message.removeprefix("error: ").startswith("line 3: ")

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from phenotag.corpus import (
     AnnotationSet,
@@ -16,6 +17,7 @@ from phenotag.evaluate import (
     ConceptAccuracy,
     ConfusionCounts,
     alignment_accuracy,
+    alignment_confusions,
     alignment_stats,
     compute_metrics,
     hallucination_rate,
@@ -353,6 +355,142 @@ def test_alignment_stats_accuracy_matches_alignment_accuracy():
     assert bern2.accuracy == pytest.approx(report.bern2_alignment_accuracy)
     assert gt.accuracy == pytest.approx(report.gt_alignment_accuracy)
     assert bern2.precision is not None and gt.f1 is not None
+
+
+def test_alignment_confusions_length_mismatch_is_error():
+    with pytest.raises(ValidationError, match="1 verdicts for 2"):
+        alignment_confusions([agree()], [pred("r1", 0, 6), pred("r2", 0, 6)], AnnotationSet())
+
+
+def test_alignment_confusions_empty_is_zero_counts():
+    assert alignment_confusions([], [], AnnotationSet()) == (ConfusionCounts(), ConfusionCounts())
+
+
+# The two alignment walks as they were before they were merged into one:
+# the property below holds the merged walk to them exactly.
+
+def seed_gold_concept_at(gold_set, annotation):
+    for entry in gold_set.for_record(annotation.record_id):
+        if entry.span == annotation.span:
+            return entry.concept
+    return None
+
+
+def seed_final_concept(verdict, annotation):
+    if verdict.kind is VerdictKind.DISAGREE and verdict.proposal is not None:
+        return verdict.proposal
+    return annotation.concept
+
+
+def seed_alignment_accuracy(verdicts, backend_annotations, gold_set):
+    bern2_correct = 0
+    gt_correct = 0
+    for verdict, annotation in zip(verdicts, backend_annotations):
+        gold_concept = seed_gold_concept_at(gold_set, annotation)
+        backend_matches = gold_concept is not None and annotation.concept == gold_concept
+        if verdict.kind is VerdictKind.AGREE:
+            bern2_correct += backend_matches
+        elif verdict.kind is VerdictKind.DISAGREE:
+            bern2_correct += not backend_matches
+        if verdict.kind is not VerdictKind.UNPARSEABLE:
+            if gold_concept is not None and seed_final_concept(verdict, annotation) == gold_concept:
+                gt_correct += 1
+    count = len(verdicts)
+    return AlignmentReport(
+        bern2_alignment_accuracy=bern2_correct / count,
+        gt_alignment_accuracy=gt_correct / count,
+    )
+
+
+def seed_alignment_confusions(verdicts, backend_annotations, gold_set):
+    b_tp = b_fp = b_tn = b_fn = 0
+    g_tp = g_fp = g_tn = g_fn = 0
+    for verdict, annotation in zip(verdicts, backend_annotations):
+        gold_concept = seed_gold_concept_at(gold_set, annotation)
+        backend_matches = gold_concept is not None and annotation.concept == gold_concept
+        if verdict.kind is VerdictKind.AGREE:
+            if backend_matches:
+                b_tp += 1
+            else:
+                b_fp += 1
+        elif verdict.kind is VerdictKind.DISAGREE:
+            if backend_matches:
+                b_fn += 1
+            else:
+                b_tn += 1
+        else:
+            if backend_matches:
+                b_fn += 1
+            else:
+                b_fp += 1
+        final = seed_final_concept(verdict, annotation)
+        asserts_concept = verdict.kind is not VerdictKind.UNPARSEABLE and not final.is_none
+        gold_positive = gold_concept is not None and not gold_concept.is_none
+        correct = (
+            verdict.kind is not VerdictKind.UNPARSEABLE
+            and gold_concept is not None
+            and final == gold_concept
+        )
+        if asserts_concept and gold_positive and correct:
+            g_tp += 1
+        elif asserts_concept:
+            g_fp += 1
+        elif gold_positive:
+            g_fn += 1
+        else:
+            g_tn += 1
+    return (
+        ConfusionCounts(b_tp, b_tn, b_fp, b_fn),
+        ConfusionCounts(g_tp, g_tn, g_fp, g_fn),
+    )
+
+
+_CONCEPTS = (ASTHMA, ECZEMA, DIABETES, NONE_CONCEPT)
+# A few records and overlapping spans, so annotations often share a gold
+# span, often have none, and a record often holds several gold spans.
+_ENTRY = st.tuples(
+    st.sampled_from(("r1", "r2", "r3")),
+    st.sampled_from((TextSpan(0, 3), TextSpan(0, 6), TextSpan(4, 6), TextSpan(2, 9))),
+    st.sampled_from(_CONCEPTS),
+)
+_VERDICT = st.one_of(
+    st.just(agree()),
+    st.just(unparseable()),
+    st.just(disagree()),
+    st.sampled_from(_CONCEPTS).map(
+        lambda c: LlmVerdict(VerdictKind.DISAGREE, raw_text="", proposal=c)
+    ),
+)
+
+
+@given(
+    gold_entries=st.lists(_ENTRY, max_size=8),
+    judged=st.lists(st.tuples(_ENTRY, _VERDICT), max_size=10),
+)
+def test_alignment_walk_matches_seed_walks(gold_entries, judged):
+    # Model-sourced gold may repeat a span; the first entry at a span counts.
+    gold_set = AnnotationSet(
+        NormalizedAnnotation(rid, span, "", concept, Source.NER_BACKEND)
+        for rid, span, concept in gold_entries
+    )
+    annotations = [pred(rid, span.begin, span.end, concept) for (rid, span, concept), _ in judged]
+    verdicts = [verdict for _, verdict in judged]
+    confusions = seed_alignment_confusions(verdicts, annotations, gold_set)
+    assert alignment_confusions(verdicts, annotations, gold_set) == confusions
+    if not verdicts:
+        with pytest.raises(ValidationError, match="empty"):
+            alignment_stats(verdicts, annotations, gold_set)
+        return
+    expected = seed_alignment_accuracy(verdicts, annotations, gold_set)
+    assert alignment_accuracy(verdicts, annotations, gold_set) == expected
+    bern2, gt = alignment_stats(verdicts, annotations, gold_set)
+    assert bern2.accuracy == expected.bern2_alignment_accuracy
+    assert gt.accuracy == expected.gt_alignment_accuracy
+    for stats, counts in ((bern2, confusions[0]), (gt, confusions[1])):
+        metrics = compute_metrics(counts)
+        assert (stats.f1, stats.precision, stats.recall) == (
+            metrics.f1, metrics.precision, metrics.recall
+        )
 
 
 # --- hallucination rate -----------------------------------------------------------

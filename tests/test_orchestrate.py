@@ -357,6 +357,35 @@ def test_llm_failure_becomes_unparseable_and_run_continues(store10):
     assert "llm error" in results[1][1].raw_text
 
 
+@pytest.mark.parametrize("max_inflight", [1, 2])
+def test_llm_programming_error_is_not_retried(store10, max_inflight):
+    corpus, annotations = corpus_with_annotations(store10, 2)
+
+    class Buggy:
+        name = "buggy"
+
+        def __init__(self):
+            self.prompts = []
+
+        def complete(self, prompt, params):
+            self.prompts.append(prompt)
+            raise TypeError("bug in backend")
+
+    llm = Buggy()
+    with pytest.raises(TypeError, match="bug in backend"):
+        run_strategy(
+            corpus, annotations, PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT),
+            llm, store10, seed=1, retry_budget=2, max_inflight=max_inflight,
+        )
+    assert llm.prompts
+    assert len(llm.prompts) == len(set(llm.prompts))
+
+
+def test_scripted_rule_response_must_be_string():
+    with pytest.raises(ValidationError, match="must be a string"):
+        ScriptedLlmBackend([{"contains": "", "response": None}])
+
+
 def test_run_strategy_order_preserved_under_concurrency(store10):
     corpus, annotations = corpus_with_annotations(store10, 10)
     llm = ScriptedLlmBackend([{"contains": "", "response": "AGREE"}])

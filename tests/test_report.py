@@ -1,8 +1,8 @@
 import csv
 
-from phenotag.evaluate import (
+from phenotag.evaluate import ConfusionCounts, compute_metrics, rouge_n
+from phenotag.report import (
     AlignmentStats,
-    ConfusionCounts,
     CotRow,
     EmbeddingRow,
     FinetunedRow,
@@ -11,9 +11,7 @@ from phenotag.evaluate import (
     RagFsiRow,
     ReportBundle,
     ZeroShotRow,
-    compute_metrics,
     render_report,
-    rouge_n,
 )
 
 
