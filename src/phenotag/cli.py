@@ -444,16 +444,28 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad report plan: {exc}") from exc
+    if not isinstance(plan, dict):
+        raise ValidationError("bad report plan: top level must be an object")
     base = plan_path.parent
     bundle = ReportBundle()
 
+    def _entries(section: str) -> list[dict]:
+        entries = plan.get(section, [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValidationError(f"bad report plan: {section!r} must be a list of objects")
+        return entries
+
     def _path(entry: dict, key: str) -> Path:
+        if not isinstance(entry.get(key), str):
+            raise ValidationError(
+                f"bad report plan: entry {json.dumps(entry)} needs a {key!r} path"
+            )
         resolved = base / entry[key]
         if not resolved.exists():
             raise FileNotFoundError(f"report plan references missing file {resolved}")
         return resolved
 
-    for entry in plan.get("zero_shot", []):
+    for entry in _entries("zero_shot"):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         report = alignment_accuracy(verdicts, annotations, gold_set)
         bundle.zero_shot.append(ZeroShotRow(
@@ -462,13 +474,13 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             correct_rate=report.bern2_alignment_accuracy,
             hallucination_rate=hallucination_rate(verdicts),
         ))
-    for entry in plan.get("finetuned", []):
+    for entry in _entries("finetuned"):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         bern2, gt = alignment_stats(verdicts, annotations, gold_set)
         bundle.finetuned.append(FinetunedRow(
             group=entry.get("group", ""), model=entry.get("model", ""), bern2=bern2, gt=gt,
         ))
-    for entry in plan.get("rag_fsi", []):
+    for entry in _entries("rag_fsi"):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         report = alignment_accuracy(verdicts, annotations, gold_set)
         pairs = _load_summaries(_path(entry, "summaries"))
@@ -479,7 +491,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             bern2_alignment=report.bern2_alignment_accuracy,
             gt_alignment=report.gt_alignment_accuracy,
         ))
-    for entry in plan.get("flags", []):
+    for entry in _entries("flags"):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         report = alignment_accuracy(verdicts, annotations, gold_set)
         bundle.flags.append(FlagsRow(
@@ -487,7 +499,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             bern2_alignment=report.bern2_alignment_accuracy,
             gt_alignment=report.gt_alignment_accuracy,
         ))
-    for entry in plan.get("cot", []):
+    for entry in _entries("cot"):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         bern2_counts, _ = alignment_confusions(verdicts, annotations, gold_set)
         metrics = compute_metrics(bern2_counts)
@@ -497,7 +509,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             tpr=metrics.recall,
             fnr=metrics.fnr,
         ))
-    for entry in plan.get("embeddings", []):
+    for entry in _entries("embeddings"):
         label = entry.get("embedding", "default")
         if entry.get("endpoint"):
             provider = RemoteEmbeddingProvider(

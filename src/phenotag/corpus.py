@@ -299,6 +299,9 @@ def ingest_records(
             raise ValidationError("record_id must be a non-empty string")
         if record_id in seen:
             raise ValidationError(f"duplicate record_id {record_id!r}")
+        for key, text in (("question_text", question_text), ("answer_text", answer_text)):
+            if not isinstance(text, str):
+                raise ValidationError(f"{key} must be a string")
         field_type = FieldType(raw_field_type)
         preceding = obj.get("preceding_questions", [])
         if not isinstance(preceding, list) or not all(isinstance(q, str) for q in preceding):
@@ -312,8 +315,8 @@ def ingest_records(
         seen.add(record_id)
         return SurveyRecord(
             record_id=record_id,
-            question_text=str(question_text),
-            answer_text=str(answer_text),
+            question_text=question_text,
+            answer_text=answer_text,
             field_type=field_type,
             preceding_questions=tuple(preceding),
             expects_disease=expects,

@@ -18,6 +18,7 @@ import functools
 import json
 import random
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -454,10 +455,18 @@ def run_strategy(
 ) -> list[tuple[NormalizedAnnotation, LlmVerdict]]:
     """Judge every backend annotation with the configured strategy.
 
-    Output order equals annotation order. A BackendError that survives its
+    Output order equals annotation order, and so does the order in which
+    ``prompt_sink`` sees the prompts. A BackendError that survives its
     retries records an Unparseable verdict with the error detail and the
     run continues; any other exception from the LLM propagates at once.
+
+    At most ``max_inflight`` LLM calls (retries included) are in flight.
+    With ``max_inflight > 1`` one extra worker retrieves and renders the
+    next prompt while the LLM slots are busy, so a freed slot never waits
+    for a prompt to be built.
     """
+    if max_inflight < 1:
+        raise ValidationError("max_inflight must be >= 1")
     examples: tuple[FewShotExample, ...] = ()
     if spec.fsi_enabled:
         examples = tuple(select_few_shot(example_pool, spec.k, seed))
@@ -465,8 +474,9 @@ def run_strategy(
         if provider is None:
             raise ValidationError("retrieval-augmented strategies need an embedding provider")
         index = OntologyIndex(store, provider)
+    llm_slots = threading.BoundedSemaphore(max_inflight)
 
-    def judge(annotation: NormalizedAnnotation) -> tuple[NormalizedAnnotation, LlmVerdict]:
+    def judge(annotation: NormalizedAnnotation) -> tuple[NormalizedAnnotation, LlmVerdict, str]:
         record = records.get(annotation.record_id)
         docs: tuple[RagDocument, ...] = ()
         if spec.rag_enabled:
@@ -485,20 +495,29 @@ def run_strategy(
             examples=examples,
         )
         prompt = build_prompt(spec, ctx, templates)
-        if prompt_sink is not None:
-            prompt_sink(annotation, prompt)
         try:
-            text = call_with_retry(lambda: llm.complete(prompt, params), 1 + retry_budget)
+            with llm_slots:
+                text = call_with_retry(lambda: llm.complete(prompt, params), 1 + retry_budget)
         except BackendError as exc:
             verdict = LlmVerdict(VerdictKind.UNPARSEABLE, raw_text=f"<llm error: {exc}>")
         else:
             verdict = parse_verdict(text)
-        return annotation, flag_hallucination(verdict, store)
+        return annotation, flag_hallucination(verdict, store), prompt
+
+    def collect(
+        judged: Iterable[tuple[NormalizedAnnotation, LlmVerdict, str]],
+    ) -> list[tuple[NormalizedAnnotation, LlmVerdict]]:
+        results = []
+        for annotation, verdict, prompt in judged:
+            if prompt_sink is not None:
+                prompt_sink(annotation, prompt)
+            results.append((annotation, verdict))
+        return results
 
     if max_inflight > 1:
-        with ThreadPoolExecutor(max_workers=max_inflight) as pool:
-            return list(pool.map(judge, annotations))
-    return [judge(annotation) for annotation in annotations]
+        with ThreadPoolExecutor(max_workers=max_inflight + 1) as pool:
+            return collect(pool.map(judge, annotations))
+    return collect(map(judge, annotations))
 
 
 @dataclass(frozen=True)

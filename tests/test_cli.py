@@ -46,6 +46,16 @@ def test_ingest_duplicate_id_exits_1(workspace):
     assert "tp00" in result.stderr
 
 
+def test_ingest_non_string_question_exits_1(workspace):
+    root, config = workspace
+    lines = (root / "records.jsonl").read_text().splitlines()
+    bad = dict(json.loads(lines[1]), question_text=None)
+    (root / "records.jsonl").write_text("\n".join([lines[0], json.dumps(bad)]) + "\n")
+    result = invoke("ingest", "-c", config)
+    assert result.exit_code == 1
+    assert "line 2: bad record: question_text must be a string" in result.stderr
+
+
 def test_missing_config_exits_2(tmp_path):
     result = invoke("ingest", "-c", tmp_path / "none.ini")
     assert result.exit_code == 2
@@ -163,6 +173,16 @@ def test_run_flags_off_equals_zero_shot(workspace):
     assert (root / "out" / "v1.jsonl").read_bytes() == (root / "out" / "v2.jsonl").read_bytes()
 
 
+def test_run_max_inflight_zero_exits_1(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    text = config.read_text().replace("[llm]\n", "[llm]\nmax_inflight = 0\n")
+    config.write_text(text)
+    result = invoke("run", "-c", config, "--strategy", "zero-shot-cvc")
+    assert result.exit_code == 1
+    assert "max_inflight must be >= 1" in result.stderr
+
+
 # --- eval ----------------------------------------------------------------------
 
 def test_eval_reports_hand_derived_metrics(workspace):
@@ -223,6 +243,23 @@ def test_eval_with_verdicts_prints_alignment(workspace):
     result = invoke("eval", "-c", config, "--verdicts", root / "out" / "verdicts.jsonl")
     assert result.exit_code == 0
     assert "BERN2 alignment" in result.output
+
+
+@pytest.mark.parametrize("plan, detail", [
+    ([1, 2], "top level must be an object"),
+    ({"zero_shot": {"verdicts": "out/verdicts.jsonl"}}, "'zero_shot' must be a list of objects"),
+    ({"cot": [3]}, "'cot' must be a list of objects"),
+    ({"flags": [{"model": "m"}]}, "needs a 'verdicts' path"),
+    ({"embeddings": [{"embedding": "default"}]}, "needs a 'summaries' path"),
+])
+def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    (root / "plan.json").write_text(json.dumps(plan))
+    result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == 1
+    assert "bad report plan: " in result.stderr
+    assert detail in result.stderr
 
 
 def test_manifest_written_with_config_and_checksums(workspace):

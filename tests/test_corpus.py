@@ -87,6 +87,16 @@ def test_ingest_explicit_flag_wins_over_keywords():
     assert corpus.get("r1").expects_disease is False
 
 
+@pytest.mark.parametrize("keywords", [(), ("illness",)])
+@pytest.mark.parametrize("value", [None, 5])
+@pytest.mark.parametrize("field", ["question_text", "answer_text"])
+def test_ingest_rejects_non_string_text(field, value, keywords):
+    obj = json.loads(record_line("r1", question="Any illness?"))
+    obj[field] = value
+    with pytest.raises(ValidationError, match=f"line 1: bad record: {field} must be a string"):
+        ingest_records([json.dumps(obj)], expects_keywords=keywords)
+
+
 # --- normalize_text ---------------------------------------------------------
 
 def test_lowercase_only_is_identity_mapped():

@@ -1,4 +1,6 @@
 import random
+import threading
+import time
 
 import pytest
 
@@ -394,6 +396,112 @@ def test_run_strategy_order_preserved_under_concurrency(store10):
         llm, store10, seed=1, max_inflight=4,
     )
     assert [a.record_id for a, _ in results] == [a.record_id for a in annotations]
+
+
+class ConcurrencyProbe:
+    """LLM whose calls meet at a barrier of ``width`` parties, recording the
+    most calls in flight at once. Fewer than ``width`` concurrent calls
+    break the barrier, which fails the run."""
+
+    name = "probe"
+
+    def __init__(self, width):
+        self._barrier = threading.Barrier(width, timeout=10)
+        self._lock = threading.Lock()
+        self._active = 0
+        self.peak = 0
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self._active += 1
+            self.peak = max(self.peak, self._active)
+        try:
+            self._barrier.wait()
+        finally:
+            with self._lock:
+                self._active -= 1
+        return "AGREE"
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+def test_llm_calls_in_flight_reach_but_never_exceed_max_inflight(store10, max_inflight):
+    corpus, annotations = corpus_with_annotations(store10, 8)
+    probe = ConcurrencyProbe(max_inflight)
+    results = run_strategy(
+        corpus, annotations, PromptSpec(Strategy.RAG_FSI, k=0, retrieval_k=3),
+        probe, store10, provider=HashedBagOfWordsProvider(), seed=1, max_inflight=max_inflight,
+    )
+    assert len(results) == 8
+    assert probe.peak == max_inflight
+
+
+def test_next_prompt_is_retrieved_while_llm_slots_are_busy(store10):
+    corpus, annotations = corpus_with_annotations(store10, 3)
+    third_retrieval = threading.Event()
+
+    class SignallingIndex(OntologyIndex):
+        def top_k(self, query_text, k):
+            if query_text.endswith("Condition 2?"):
+                third_retrieval.set()
+            return super().top_k(query_text, k)
+
+    class WaitsForThirdRetrieval:
+        name = "waits"
+
+        def __init__(self):
+            self.saw_retrieval = []
+
+        def complete(self, prompt, params):
+            self.saw_retrieval.append(third_retrieval.wait(timeout=5))
+            return "AGREE"
+
+    llm = WaitsForThirdRetrieval()
+    run_strategy(
+        corpus, annotations, PromptSpec(Strategy.RAG_FSI, k=0, retrieval_k=3), llm, store10,
+        index=SignallingIndex(store10, HashedBagOfWordsProvider()), seed=1, max_inflight=2,
+    )
+    assert llm.saw_retrieval == [True, True, True]
+
+
+def test_prompt_sink_follows_annotation_order_under_concurrency(store10):
+    corpus, annotations = corpus_with_annotations(store10, 40)
+
+    def pause(key):
+        time.sleep(random.Random(key).uniform(0, 0.005))
+
+    class RandomLatencyIndex(OntologyIndex):
+        def top_k(self, query_text, k):
+            pause(f"{run}:{query_text}")
+            return super().top_k(query_text, k)
+
+    class RandomLatencyLlm:
+        name = "random-latency"
+
+        def complete(self, prompt, params):
+            pause(f"{run}:{prompt}")
+            return "AGREE"
+
+    index = RandomLatencyIndex(store10, HashedBagOfWordsProvider())
+    for run in range(5):
+        sunk = []
+        run_strategy(
+            corpus, annotations, PromptSpec(Strategy.RAG_FSI, k=0, retrieval_k=3),
+            RandomLatencyLlm(), store10, index=index, seed=1, max_inflight=4,
+            prompt_sink=lambda annotation, prompt: sunk.append(annotation),
+        )
+        assert sunk == annotations
+
+
+@pytest.mark.parametrize("max_inflight", [0, -1])
+def test_run_strategy_rejects_max_inflight_below_one(store10, max_inflight):
+    corpus, annotations = corpus_with_annotations(store10, 2)
+    llm = ScriptedLlmBackend([{"contains": "", "response": "AGREE"}])
+    with pytest.raises(ValidationError, match="max_inflight must be >= 1"):
+        run_strategy(
+            corpus, annotations, PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT),
+            llm, store10, seed=1, max_inflight=max_inflight,
+        )
+    assert llm.calls == []
 
 
 def test_run_strategy_deterministic_with_seed(store10):
