@@ -60,6 +60,7 @@ from .orchestrate import (
     Strategy,
     TemplateRegistry,
     build_raft_dataset,
+    check_run_settings,
     load_example_pool,
     raft_to_jsonl,
     run_strategy,
@@ -370,6 +371,13 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
         orphans = sorted({a.record_id for a in annotations if a.record_id not in corpus})
         if orphans:
             raise ValidationError(f"predictions reference records missing from corpus: {orphans}")
+        params = LlmParams(
+            max_tokens=cfg.get_int("llm", "max_tokens", 256),
+            temperature=cfg.get_float("llm", "temperature", 0.0),
+        )
+        retry_budget = cfg.get_int("llm", "retry_budget", 1)
+        max_inflight = cfg.get_int("llm", "max_inflight", 1)
+        check_run_settings(spec, example_pool, retry_budget, max_inflight)
         out_dir = cfg.output_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest("run", cfg, out_dir)
@@ -394,12 +402,9 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
             seed=seed,
             example_pool=example_pool,
             templates=templates,
-            params=LlmParams(
-                max_tokens=cfg.get_int("llm", "max_tokens", 256),
-                temperature=cfg.get_float("llm", "temperature", 0.0),
-            ),
-            retry_budget=cfg.get_int("llm", "retry_budget", 1),
-            max_inflight=cfg.get_int("llm", "max_inflight", 1),
+            params=params,
+            retry_budget=retry_budget,
+            max_inflight=max_inflight,
             prompt_sink=sink,
         )
         verdicts_path = Path(out_option) if out_option else out_dir / "verdicts.jsonl"
@@ -438,6 +443,9 @@ def _read_verdict_file(path: Path, texts):
     return read_verdicts(path.read_text(encoding="utf-8").splitlines(), texts)
 
 
+_PLAN_SECTIONS = ("zero_shot", "finetuned", "rag_fsi", "flags", "cot", "embeddings")
+
+
 def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> ReportBundle:
     """Build tables 2-7 from a JSON plan of labeled verdict/summary files."""
     try:
@@ -446,6 +454,12 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
         raise ValidationError(f"bad report plan: {exc}") from exc
     if not isinstance(plan, dict):
         raise ValidationError("bad report plan: top level must be an object")
+    for section in plan:
+        if section not in _PLAN_SECTIONS:
+            raise ValidationError(
+                f"bad report plan: unknown section {section!r}; "
+                f"known sections: {', '.join(_PLAN_SECTIONS)}"
+            )
     base = plan_path.parent
     bundle = ReportBundle()
 

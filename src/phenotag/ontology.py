@@ -4,6 +4,10 @@ Loads concepts from line-delimited JSON, renders each one into a fixed
 retrieval document, embeds documents with pluggable providers, and serves
 exact-term and exhaustive top-k cosine lookup. The built-in fallback
 provider is a hashed bag of words: fully deterministic, no model downloads.
+
+numpy is imported inside the functions that embed or rank, not at module
+level, so commands that never embed (ingest, annotate, and eval without
+retrieval or coherence tables) start without loading it.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ import hashlib
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Protocol
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
 from .corpus import ConceptId, read_jsonl
 from .errors import BackendError, ValidationError
 from .transport import post_json
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "OntologyConcept",
@@ -194,6 +199,8 @@ class HashedBagOfWordsProvider:
         self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         buckets = []
         for token in _WORD.findall(text.lower()):
             bucket = self._buckets.get(token)
@@ -228,6 +235,8 @@ class RemoteEmbeddingProvider:
         )
 
     def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
         if not text.strip():
             raise ValidationError("cannot embed empty or whitespace-only text")
         try:
@@ -251,6 +260,8 @@ class RemoteEmbeddingProvider:
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; the plain dot product for unit vectors."""
+    import numpy as np
+
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
@@ -270,6 +281,8 @@ class OntologyIndex:
     """
 
     def __init__(self, store: OntologyStore, provider: EmbeddingProvider):
+        import numpy as np
+
         self.store = store
         self.provider = provider
         self._concept_ids: list[ConceptId] = []
@@ -291,6 +304,8 @@ class OntologyIndex:
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;
         ties broken by ascending concept id; at most ``k`` results."""
+        import numpy as np
+
         if k <= 0:
             raise ValidationError(f"k must be positive, got {k}")
         if not query_text.strip():
@@ -299,5 +314,14 @@ class OntologyIndex:
         scores = self._matrix @ query
         # Rows follow store.concepts(), which is ascending id rendering, so a
         # stable sort on -score ranks exactly as sorting on (-score, id) would.
-        top = np.argsort(-scores, kind="stable")[:k].tolist()
-        return [(self._concept_ids[row], float(scores[row])) for row in top]
+        n = len(scores)
+        if k < n:
+            # Only rows scoring at least the k-th best can rank. They are a
+            # prefix of the full stable order, and flatnonzero keeps them in
+            # row order, so sorting just them ranks them identically.
+            kth_best = np.partition(scores, n - k)[n - k]
+            candidates = np.flatnonzero(scores >= kth_best)
+            top = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
+        else:
+            top = np.argsort(-scores, kind="stable")
+        return [(self._concept_ids[row], float(scores[row])) for row in top.tolist()]

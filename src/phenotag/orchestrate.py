@@ -49,6 +49,7 @@ __all__ = [
     "parse_verdict",
     "detect_hallucination",
     "flag_hallucination",
+    "check_run_settings",
     "run_strategy",
     "chain_validate",
     "ChainResult",
@@ -437,6 +438,22 @@ class HttpLlmBackend:
 # Strategy execution
 # ---------------------------------------------------------------------------
 
+def check_run_settings(
+    spec: PromptSpec,
+    example_pool: Sequence[FewShotExample],
+    retry_budget: int,
+    max_inflight: int,
+) -> None:
+    """Raise ValidationError for any setting ``run_strategy`` rejects, so a
+    caller can check them before it writes anything."""
+    if max_inflight < 1:
+        raise ValidationError("max_inflight must be >= 1")
+    if retry_budget < 0:
+        raise ValidationError("retry_budget must be >= 0")
+    if spec.fsi_enabled and len(example_pool) < spec.k:
+        raise ValidationError(f"example pool has {len(example_pool)} entries, {spec.k} required")
+
+
 def run_strategy(
     records: Corpus,
     annotations: Sequence[NormalizedAnnotation],
@@ -465,8 +482,7 @@ def run_strategy(
     next prompt while the LLM slots are busy, so a freed slot never waits
     for a prompt to be built.
     """
-    if max_inflight < 1:
-        raise ValidationError("max_inflight must be >= 1")
+    check_run_settings(spec, example_pool, retry_budget, max_inflight)
     examples: tuple[FewShotExample, ...] = ()
     if spec.fsi_enabled:
         examples = tuple(select_few_shot(example_pool, spec.k, seed))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import phenotag
 from phenotag.cli import main
 from phenotag.config import derive_seed, load_config
 
@@ -17,6 +22,28 @@ def workspace(tmp_path):
 
 def invoke(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
+
+
+def numpy_loaded_after(*commands):
+    """Run CLI commands in order in one fresh interpreter, each of which must
+    exit 0; return whether numpy was imported by the end."""
+    script = (
+        "import json, sys\n"
+        "from phenotag.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exc:\n"
+        "        if exc.code:\n"
+        "            raise\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    argv = json.dumps([[str(a) for a in command] for command in commands])
+    env = dict(os.environ, PYTHONPATH=str(Path(phenotag.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", script, argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1] == "True"
 
 
 # --- ingest -------------------------------------------------------------------
@@ -183,6 +210,33 @@ def test_run_max_inflight_zero_exits_1(workspace):
     assert "max_inflight must be >= 1" in result.stderr
 
 
+@pytest.mark.parametrize("llm_setting, pool_size, detail", [
+    ("max_inflight = 0", 12, "max_inflight must be >= 1"),
+    ("retry_budget = -1", 12, "retry_budget must be >= 0"),
+    ("", 3, "example pool has 3 entries, 5 required"),
+])
+def test_run_rejected_settings_keep_earlier_manifest(workspace, llm_setting, pool_size, detail):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    assert invoke("run", "-c", config, "--strategy", "few-shot").exit_code == 0
+    manifest = (root / "out" / "run_manifest.json").read_bytes()
+    verdicts = (root / "out" / "verdicts.jsonl").read_bytes()
+    config.write_text(config.read_text().replace("[llm]\n", f"[llm]\n{llm_setting}\n"))
+    pool = (root / "examples.jsonl").read_text().splitlines()
+    (root / "examples.jsonl").write_text("\n".join(pool[:pool_size]) + "\n")
+    result = invoke("run", "-c", config, "--strategy", "few-shot")
+    assert result.exit_code == 1
+    assert detail in result.stderr
+    assert (root / "out" / "run_manifest.json").read_bytes() == manifest
+    assert (root / "out" / "verdicts.jsonl").read_bytes() == verdicts
+
+
+def test_run_with_retrieval_loads_numpy(workspace):
+    _, config = workspace
+    run_pipeline_through_annotate(config)
+    assert numpy_loaded_after(["run", "-c", config, "--strategy", "rag-fsi"])
+
+
 # --- eval ----------------------------------------------------------------------
 
 def test_eval_reports_hand_derived_metrics(workspace):
@@ -251,6 +305,9 @@ def test_eval_with_verdicts_prints_alignment(workspace):
     ({"cot": [3]}, "'cot' must be a list of objects"),
     ({"flags": [{"model": "m"}]}, "needs a 'verdicts' path"),
     ({"embeddings": [{"embedding": "default"}]}, "needs a 'summaries' path"),
+    ({"zero-shot": [{"verdicts": "out/verdicts.jsonl"}]},
+     "unknown section 'zero-shot'; known sections: zero_shot, finetuned, rag_fsi, flags, cot,"
+     " embeddings"),
 ])
 def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
     root, config = workspace
@@ -260,6 +317,14 @@ def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
     assert result.exit_code == 1
     assert "bad report plan: " in result.stderr
     assert detail in result.stderr
+
+
+def test_ingest_annotate_eval_never_load_numpy(workspace):
+    # Only commands that embed pay for importing numpy.
+    _, config = workspace
+    assert not numpy_loaded_after(
+        ["ingest", "-c", config], ["annotate", "-c", config], ["eval", "-c", config]
+    )
 
 
 def test_manifest_written_with_config_and_checksums(workspace):

@@ -347,6 +347,22 @@ def test_top_k_matches_seed_sorted_ranking(store, query, data):
     assert index.top_k(query, k) == seed_top_k(store, query, k)
 
 
+def test_top_k_matches_seed_ranking_with_more_than_k_tied_at_kth():
+    # Two rows outscore a block of 28 identical documents, so for k >= 3 more
+    # than k rows tie at the k-th score and only the id tie-break picks among
+    # them. Ids vary in width, so render order differs from numeric order.
+    numbers = [(n * 7919) % 100_000 + 1 for n in range(30)]
+    concepts = [OntologyConcept(ConceptId(f"D{n}"), "asthma") for n in numbers[:2]]
+    concepts += [OntologyConcept(ConceptId(f"D{n}"), "chronic asthma", "airway disease")
+                 for n in numbers[2:]]
+    store = OntologyStore(concepts)
+    index = OntologyIndex(store, HashedBagOfWordsProvider())
+    scores = [score for _, score in seed_top_k(store, "asthma", len(store))]
+    assert scores.count(scores[4]) > 5
+    for k in range(1, len(store) + 2):
+        assert index.top_k("asthma", k) == seed_top_k(store, "asthma", k)
+
+
 # --- lookup_exact -----------------------------------------------------------
 
 def test_lookup_exact_case_folds(store10):

@@ -56,6 +56,13 @@ def test_importing_the_cli_leaves_requests_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is most of the CLI's start-up cost, and only embedding needs it.
+    env = dict(os.environ, PYTHONPATH=str(Path(phenotag.__file__).resolve().parents[1]))
+    code = "import sys, phenotag.cli; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def test_retry_stops_at_first_success():
     calls = []
 
