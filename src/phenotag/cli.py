@@ -443,7 +443,37 @@ def _read_verdict_file(path: Path, texts):
     return read_verdicts(path.read_text(encoding="utf-8").splitlines(), texts)
 
 
-_PLAN_SECTIONS = ("zero_shot", "finetuned", "rag_fsi", "flags", "cot", "embeddings")
+# The keys each report-plan section's entries may carry. "verdicts" and
+# "summaries" are paths, "dimension" is a positive integer and every other
+# key is a string label.
+_PLAN_SECTIONS = {
+    "zero_shot": ("verdicts", "group", "model"),
+    "finetuned": ("verdicts", "group", "model"),
+    "rag_fsi": ("verdicts", "summaries", "model"),
+    "flags": ("verdicts", "model"),
+    "cot": ("verdicts", "model", "prompt"),
+    "embeddings": ("summaries", "embedding", "endpoint", "dimension"),
+}
+_PLAN_LABELS = ("group", "model", "prompt", "embedding", "endpoint")
+
+
+def _check_plan_entry(section: str, entry: dict) -> None:
+    where = f"bad report plan: {section!r} entry {json.dumps(entry)}"
+    allowed = _PLAN_SECTIONS[section]
+    for key, value in entry.items():
+        if key not in allowed:
+            raise ValidationError(
+                f"{where}: unknown key {key!r}; allowed keys: {', '.join(allowed)}"
+            )
+        if key in _PLAN_LABELS and not isinstance(value, str):
+            raise ValidationError(f"{where}: {key!r} must be a string")
+    if "dimension" in entry:
+        try:
+            dimension = int(entry["dimension"])
+        except (TypeError, ValueError, OverflowError):
+            dimension = 0
+        if dimension < 1:
+            raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
 
 
 def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> ReportBundle:
@@ -454,20 +484,18 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
         raise ValidationError(f"bad report plan: {exc}") from exc
     if not isinstance(plan, dict):
         raise ValidationError("bad report plan: top level must be an object")
-    for section in plan:
+    for section, entries in plan.items():
         if section not in _PLAN_SECTIONS:
             raise ValidationError(
                 f"bad report plan: unknown section {section!r}; "
                 f"known sections: {', '.join(_PLAN_SECTIONS)}"
             )
-    base = plan_path.parent
-    bundle = ReportBundle()
-
-    def _entries(section: str) -> list[dict]:
-        entries = plan.get(section, [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValidationError(f"bad report plan: {section!r} must be a list of objects")
-        return entries
+        for entry in entries:
+            _check_plan_entry(section, entry)
+    base = plan_path.parent
+    bundle = ReportBundle()
 
     def _path(entry: dict, key: str) -> Path:
         if not isinstance(entry.get(key), str):
@@ -479,7 +507,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             raise FileNotFoundError(f"report plan references missing file {resolved}")
         return resolved
 
-    for entry in _entries("zero_shot"):
+    for entry in plan.get("zero_shot", []):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         report = alignment_accuracy(verdicts, annotations, gold_set)
         bundle.zero_shot.append(ZeroShotRow(
@@ -488,13 +516,13 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             correct_rate=report.bern2_alignment_accuracy,
             hallucination_rate=hallucination_rate(verdicts),
         ))
-    for entry in _entries("finetuned"):
+    for entry in plan.get("finetuned", []):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         bern2, gt = alignment_stats(verdicts, annotations, gold_set)
         bundle.finetuned.append(FinetunedRow(
             group=entry.get("group", ""), model=entry.get("model", ""), bern2=bern2, gt=gt,
         ))
-    for entry in _entries("rag_fsi"):
+    for entry in plan.get("rag_fsi", []):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         report = alignment_accuracy(verdicts, annotations, gold_set)
         pairs = _load_summaries(_path(entry, "summaries"))
@@ -505,7 +533,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             bern2_alignment=report.bern2_alignment_accuracy,
             gt_alignment=report.gt_alignment_accuracy,
         ))
-    for entry in _entries("flags"):
+    for entry in plan.get("flags", []):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         report = alignment_accuracy(verdicts, annotations, gold_set)
         bundle.flags.append(FlagsRow(
@@ -513,7 +541,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             bern2_alignment=report.bern2_alignment_accuracy,
             gt_alignment=report.gt_alignment_accuracy,
         ))
-    for entry in _entries("cot"):
+    for entry in plan.get("cot", []):
         verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
         bern2_counts, _ = alignment_confusions(verdicts, annotations, gold_set)
         metrics = compute_metrics(bern2_counts)
@@ -523,7 +551,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
             tpr=metrics.recall,
             fnr=metrics.fnr,
         ))
-    for entry in _entries("embeddings"):
+    for entry in plan.get("embeddings", []):
         label = entry.get("embedding", "default")
         if entry.get("endpoint"):
             provider = RemoteEmbeddingProvider(

@@ -29,16 +29,6 @@ __all__ = [
     "RunManifest",
 ]
 
-_STEP_NAMES = (
-    "nfc",
-    "lowercase",
-    "expand_acronyms",
-    "normalize_punctuation",
-    "correct_spelling",
-    "collapse_whitespace",
-)
-
-
 class RunConfig:
     """Typed access over the INI sections, resolved relative to its file."""
 
@@ -94,15 +84,6 @@ class RunConfig:
         return value if value is not None else self.base_dir / "out"
 
     def preprocess(self) -> PreprocessConfig:
-        steps_value = self.get("preprocess", "steps")
-        if steps_value is None:
-            flags = {name: name != "correct_spelling" for name in _STEP_NAMES}
-        else:
-            enabled = {s.strip() for s in steps_value.split(",") if s.strip()}
-            unknown = enabled - set(_STEP_NAMES)
-            if unknown:
-                raise ValidationError(f"[preprocess] unknown steps: {sorted(unknown)}")
-            flags = {name: name in enabled for name in _STEP_NAMES}
         acronyms: Mapping[str, str] = {}
         acronym_path = self.path("preprocess", "acronym_map")
         if acronym_path is not None and acronym_path.exists():
@@ -111,7 +92,14 @@ class RunConfig:
         lexicon_path = self.path("preprocess", "lexicon")
         if lexicon_path is not None and lexicon_path.exists():
             lexicon = load_lexicon(lexicon_path)
-        return PreprocessConfig(acronyms=acronyms, lexicon=lexicon, **flags)
+        steps_value = self.get("preprocess", "steps")
+        if steps_value is None:
+            return PreprocessConfig(acronyms=acronyms, lexicon=lexicon)
+        steps = [s.strip() for s in steps_value.split(",") if s.strip()]
+        try:
+            return PreprocessConfig.only(*steps, acronyms=acronyms, lexicon=lexicon)
+        except ValueError as exc:
+            raise ValidationError(f"[preprocess] {exc}") from exc
 
     def expects_keywords(self) -> tuple[str, ...]:
         value = self.get("corpus", "expects_keywords")

@@ -389,9 +389,6 @@ class NormalizedText:
     offset_map: tuple[int, ...]
     end_map: tuple[int, ...]
 
-    def to_raw(self, offset: int) -> int:
-        return self.offset_map[offset]
-
     def map_span(self, span: TextSpan) -> TextSpan:
         """Translate a span over the normalized text into raw coordinates."""
         span.check_bounds(self.text)

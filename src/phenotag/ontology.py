@@ -2,8 +2,8 @@
 
 Loads concepts from line-delimited JSON, renders each one into a fixed
 retrieval document, embeds documents with pluggable providers, and serves
-exact-term and exhaustive top-k cosine lookup. The built-in fallback
-provider is a hashed bag of words: fully deterministic, no model downloads.
+exhaustive top-k cosine lookup. The built-in fallback provider is a hashed
+bag of words: fully deterministic, no model downloads.
 
 numpy is imported inside the functions that embed or rank, not at module
 level, so commands that never embed (ingest, annotate, and eval without
@@ -79,19 +79,14 @@ def build_rag_document(concept: OntologyConcept) -> RagDocument:
 
 
 class OntologyStore:
-    """Immutable set of unique concepts with a case-folded synonym index."""
+    """Immutable set of concepts with unique ids."""
 
     def __init__(self, concepts: Iterable[OntologyConcept]):
         self._by_id: dict[ConceptId, OntologyConcept] = {}
-        term_index: dict[str, set[ConceptId]] = {}
         for concept in concepts:
             if concept.concept_id in self._by_id:
                 raise ValidationError(f"duplicate concept_id {concept.concept_id}")
             self._by_id[concept.concept_id] = concept
-            for term in (concept.preferred_name, *concept.synonyms):
-                term_index.setdefault(term.strip().lower(), set()).add(concept.concept_id)
-        self._term_index = {term: tuple(sorted(ids, key=lambda c: c.render()))
-                            for term, ids in term_index.items()}
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -108,12 +103,6 @@ class OntologyStore:
     def concepts(self) -> list[OntologyConcept]:
         """All concepts, ascending by canonical id rendering."""
         return [self._by_id[cid] for cid in sorted(self._by_id, key=lambda c: c.render())]
-
-    def lookup_exact(self, term: str) -> list[OntologyConcept]:
-        """Concepts whose preferred name or any synonym equals ``term``,
-        case-insensitively after whitespace trim; ascending id order."""
-        ids = self._term_index.get(term.strip().lower(), ())
-        return [self._by_id[cid] for cid in ids]
 
 
 def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
@@ -291,15 +280,7 @@ class OntologyIndex:
             document = build_rag_document(concept)
             rows.append(provider.embed(document.body))
             self._concept_ids.append(concept.concept_id)
-        self._row_of = {concept_id: row for row, concept_id in enumerate(self._concept_ids)}
         self._matrix = np.vstack(rows) if rows else np.zeros((0, provider.dimension))
-
-    def vector_for(self, concept_id: ConceptId) -> np.ndarray:
-        try:
-            row = self._row_of[concept_id]
-        except KeyError:
-            raise KeyError(f"unknown concept {concept_id}") from None
-        return self._matrix[row].copy()
 
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;

@@ -51,8 +51,6 @@ __all__ = [
     "flag_hallucination",
     "check_run_settings",
     "run_strategy",
-    "chain_validate",
-    "ChainResult",
     "RaftDatapoint",
     "build_raft_dataset",
     "render_cot_answer",
@@ -213,7 +211,6 @@ _TEMPLATE_NAMES = (
     "case_concept_vs_concept",
     "case_concept_vs_mention",
     "answer_format",
-    "generator_propose",
     "cot_answer",
 )
 
@@ -534,67 +531,6 @@ def run_strategy(
         with ThreadPoolExecutor(max_workers=max_inflight + 1) as pool:
             return collect(pool.map(judge, annotations))
     return collect(map(judge, annotations))
-
-
-@dataclass(frozen=True)
-class ChainResult:
-    """Outcome of the generator/evaluator chain for one mention.
-
-    ``proposed`` is the generator's concept; the final verdict is Agree when
-    the evaluator accepted it, the evaluator's Disagree (with its
-    counter-proposal when given) otherwise.
-    """
-
-    proposed: ConceptId | None
-    verdict: LlmVerdict
-    generator_raw: str
-
-
-def chain_validate(
-    generator: LlmBackend,
-    evaluator: LlmBackend,
-    ctx: PromptContext,
-    spec: PromptSpec,
-    store: OntologyStore | None = None,
-    templates: TemplateRegistry | None = None,
-    params: LlmParams = LlmParams(),
-) -> ChainResult:
-    """Generator proposes a concept; evaluator judges the proposal.
-
-    An unparseable generator output short-circuits: the evaluator is never
-    called. Only the generator's answer is forwarded, not its reasoning.
-    """
-    registry = templates or _default_registry()
-    propose_prompt = registry.render(
-        "generator_propose",
-        question=ctx.record.question_text,
-        answer=ctx.record.answer_text,
-        mention=ctx.mention.surface,
-    )
-    generated = generator.complete(propose_prompt, params)
-    id_match = _MESH_PATTERN.search(generated)
-    if id_match is None:
-        return ChainResult(
-            proposed=None,
-            verdict=LlmVerdict(VerdictKind.UNPARSEABLE, raw_text=generated),
-            generator_raw=generated,
-        )
-    proposed = ConceptId.parse(id_match.group(0))
-    name = None
-    if store is not None and proposed in store:
-        name = store.get(proposed).preferred_name
-    eval_ctx = dataclasses.replace(ctx, backend_concept=proposed, backend_concept_name=name)
-    eval_prompt = build_prompt(spec, eval_ctx, templates)
-    verdict = parse_verdict(evaluator.complete(eval_prompt, params))
-    if verdict.kind is VerdictKind.AGREE:
-        final = LlmVerdict(VerdictKind.AGREE, raw_text=verdict.raw_text)
-    elif verdict.kind is VerdictKind.DISAGREE:
-        final = verdict
-    else:
-        final = LlmVerdict(VerdictKind.UNPARSEABLE, raw_text=verdict.raw_text)
-    if store is not None:
-        final = flag_hallucination(final, store)
-    return ChainResult(proposed=proposed, verdict=final, generator_raw=generated)
 
 
 # ---------------------------------------------------------------------------

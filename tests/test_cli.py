@@ -120,6 +120,15 @@ def test_annotate_duplicate_lexicon_term_exits_1(workspace):
     assert not (root / "out" / "predictions.jsonl").exists()
 
 
+def test_annotate_unknown_preprocess_step_exits_1(workspace):
+    root, config = workspace
+    config.write_text(config.read_text() + "\n[preprocess]\nsteps = nfc, stemming\n")
+    result = invoke("annotate", "-c", config)
+    assert result.exit_code == 1
+    assert "error: [preprocess] unknown preprocessing steps: ['stemming']" in result.stderr
+    assert not (root / "out" / "predictions.jsonl").exists()
+
+
 def test_annotate_no_backend_exits_1(workspace):
     root, config = workspace
     config_text = config.read_text().replace("mock_lexicon = mock_lexicon.jsonl\n", "")
@@ -308,6 +317,25 @@ def test_eval_with_verdicts_prints_alignment(workspace):
     ({"zero-shot": [{"verdicts": "out/verdicts.jsonl"}]},
      "unknown section 'zero-shot'; known sections: zero_shot, finetuned, rag_fsi, flags, cot,"
      " embeddings"),
+    ({"cot": [{"verdicts": "out/verdicts.jsonl", "modle": "gpt"}]},
+     "unknown key 'modle'; allowed keys: verdicts, model, prompt"),
+    ({"flags": [{"verdicts": "out/verdicts.jsonl", "group": "g"}]}, "unknown key 'group'"),
+    ({"embeddings": [{"summaries": "s.jsonl", "verdicts": "v.jsonl"}]},
+     "unknown key 'verdicts'"),
+    ({"zero_shot": [{"verdicts": "out/verdicts.jsonl", "model": 5}]}, "'model' must be a string"),
+    ({"finetuned": [{"verdicts": "out/verdicts.jsonl", "group": None}]},
+     "'group' must be a string"),
+    ({"cot": [{"verdicts": "out/verdicts.jsonl", "prompt": ["No CoT"]}]},
+     "'prompt' must be a string"),
+    ({"embeddings": [{"summaries": "s.jsonl", "embedding": 1}]}, "'embedding' must be a string"),
+    ({"embeddings": [{"summaries": "s.jsonl", "endpoint": False}]},
+     "'endpoint' must be a string"),
+    ({"embeddings": [{"summaries": "s.jsonl", "dimension": None}]},
+     "'dimension' must be an integer >= 1"),
+    ({"embeddings": [{"summaries": "s.jsonl", "dimension": "wide"}]},
+     "'dimension' must be an integer >= 1"),
+    ({"embeddings": [{"summaries": "s.jsonl", "dimension": 0}]},
+     "'dimension' must be an integer >= 1"),
 ])
 def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
     root, config = workspace
@@ -315,7 +343,7 @@ def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
     (root / "plan.json").write_text(json.dumps(plan))
     result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
     assert result.exit_code == 1
-    assert "bad report plan: " in result.stderr
+    assert "error: bad report plan: " in result.stderr
     assert detail in result.stderr
 
 

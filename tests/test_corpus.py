@@ -124,7 +124,7 @@ def test_nfc_composes_combining_marks():
     decomposed = "résume"  # e + combining acute
     result = normalize_text(decomposed, PreprocessConfig.only("nfc"))
     assert result.text == "résume"
-    assert result.to_raw(2) == 3  # 's' sits after the two-char sequence in raw
+    assert result.offset_map[2] == 3  # 's' sits after the two-char sequence in raw
 
 
 def test_punctuation_normalization():

@@ -8,7 +8,6 @@ from phenotag.corpus import ConceptId, Corpus, FieldType, NormalizedAnnotation, 
 from phenotag.errors import BackendError, ValidationError
 from phenotag.ontology import HashedBagOfWordsProvider, OntologyIndex
 from phenotag.orchestrate import (
-    ChainResult,
     CotVariant,
     FewShotExample,
     LlmParams,
@@ -21,7 +20,6 @@ from phenotag.orchestrate import (
     VerdictKind,
     build_prompt,
     build_raft_dataset,
-    chain_validate,
     detect_hallucination,
     flag_hallucination,
     parse_verdict,
@@ -165,6 +163,23 @@ def test_template_directory_override(tmp_path):
     registry = TemplateRegistry(tmp_path)
     spec = PromptSpec(Strategy.COT, cot_variant=CotVariant.SIMPLE)
     assert "Think carefully now." in build_prompt(spec, make_ctx(), registry)
+
+
+def test_template_directory_with_the_eleven_prompt_templates_renders(tmp_path):
+    from importlib import resources
+
+    names = [
+        "task_concept_vs_concept", "task_concept_vs_mention", "documents_section",
+        "examples_section", "example_item", "cot_simple", "cot_strong",
+        "case_concept_vs_concept", "case_concept_vs_mention", "answer_format", "cot_answer",
+    ]
+    src = resources.files("phenotag").joinpath("templates")
+    for name in names:
+        (tmp_path / f"{name}.txt").write_text(src.joinpath(f"{name}.txt").read_text("utf-8"),
+                                              encoding="utf-8")
+    registry = TemplateRegistry(tmp_path)
+    spec = PromptSpec(Strategy.COT, cot_variant=CotVariant.STRONG)
+    assert build_prompt(spec, make_ctx(), registry) == build_prompt(spec, make_ctx())
 
 
 def test_template_directory_missing_file(tmp_path):
@@ -517,37 +532,6 @@ def test_run_strategy_deterministic_with_seed(store10):
         return prompts
 
     assert run() == run()
-
-
-# --- chain_validate --------------------------------------------------------------
-
-def test_chain_happy_path(store10):
-    concept = store10.concepts()[0]
-    gen = ScriptedLlmBackend([{"contains": "", "response": f"I propose {concept.concept_id.render()}"}])
-    ev = ScriptedLlmBackend([{"contains": "", "response": "AGREE"}])
-    result = chain_validate(gen, ev, make_ctx(), PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT), store10)
-    assert result.proposed == concept.concept_id
-    assert result.verdict.kind is VerdictKind.AGREE
-    assert len(ev.calls) == 1
-    assert concept.concept_id.render() in ev.calls[0]
-
-
-def test_chain_evaluator_override(store10):
-    gen = ScriptedLlmBackend([{"contains": "", "response": "mesh:D000001"}])
-    ev = ScriptedLlmBackend([{"contains": "", "response": "DISAGREE mesh:D000003"}])
-    result = chain_validate(gen, ev, make_ctx(), PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT), store10)
-    assert result.proposed == ConceptId("D000001")
-    assert result.verdict.kind is VerdictKind.DISAGREE
-    assert result.verdict.proposal == ConceptId("D000003")
-
-
-def test_chain_short_circuits_on_unparseable_generator(store10):
-    gen = ScriptedLlmBackend([{"contains": "", "response": "unsure"}])
-    ev = ScriptedLlmBackend([{"contains": "", "response": "AGREE"}])
-    result = chain_validate(gen, ev, make_ctx(), PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT), store10)
-    assert result.proposed is None
-    assert result.verdict.kind is VerdictKind.UNPARSEABLE
-    assert ev.calls == []
 
 
 # --- RAFT -------------------------------------------------------------------------
