@@ -24,6 +24,7 @@ from .annotate import (
     MockNerBackend,
     annotate_batch,
     read_outcomes,
+    submitted_text,
     write_outcomes,
 )
 from .config import RunConfig, RunManifest, atomic_write_text, derive_seed, load_config
@@ -50,7 +51,12 @@ from .evaluate import (
     read_verdicts,
     write_verdicts,
 )
-from .ontology import HashedBagOfWordsProvider, RemoteEmbeddingProvider, load_ontology
+from .ontology import (
+    HashedBagOfWordsProvider,
+    OntologyIndex,
+    RemoteEmbeddingProvider,
+    load_ontology,
+)
 from .orchestrate import (
     CotVariant,
     HttpLlmBackend,
@@ -130,10 +136,10 @@ def _preprocessed_corpus(corpus: Corpus, cfg: RunConfig) -> Corpus:
         rewritten.append(
             dataclasses.replace(
                 record,
-                question_text=normalize_text(record.question_text, preprocess).text,
-                answer_text=normalize_text(record.answer_text, preprocess).text,
+                question_text=normalize_text(record.question_text, preprocess),
+                answer_text=normalize_text(record.answer_text, preprocess),
                 preceding_questions=tuple(
-                    normalize_text(q, preprocess).text for q in record.preceding_questions
+                    normalize_text(q, preprocess) for q in record.preceding_questions
                 ),
             )
         )
@@ -355,7 +361,6 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
         ontology_path = cfg.require_path("paths", "ontology")
         store = load_ontology(ontology_path)
         llm = _llm_backend(cfg, scripted_option)
-        provider = _embedding_provider(cfg) if spec.rag_enabled else None
         example_pool = []
         if spec.fsi_enabled:
             pool_path = cfg.require_path("paths", "example_pool")
@@ -365,12 +370,17 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
         if templates_dir is not None and templates_dir.exists():
             templates = TemplateRegistry(templates_dir)
         seed = derive_seed(seed_option if seed_option is not None else cfg.seed, "run")
-        annotations = [
-            ann for outcome in outcomes if outcome.status == "ok" for ann in outcome.annotations
-        ]
-        orphans = sorted({a.record_id for a in annotations if a.record_id not in corpus})
+        ok = [outcome for outcome in outcomes if outcome.status == "ok"]
+        annotations = [ann for outcome in ok for ann in outcome.annotations]
+        orphans = sorted({o.record_id for o in ok if o.record_id not in corpus})
         if orphans:
             raise ValidationError(f"predictions reference records missing from corpus: {orphans}")
+        for outcome in ok:
+            if outcome.text != submitted_text(corpus.get(outcome.record_id))[0]:
+                raise ValidationError(
+                    f"record {outcome.record_id!r}: prediction text differs from the "
+                    "preprocessed corpus text"
+                )
         params = LlmParams(
             max_tokens=cfg.get_int("llm", "max_tokens", 256),
             temperature=cfg.get_float("llm", "temperature", 0.0),
@@ -378,6 +388,7 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
         retry_budget = cfg.get_int("llm", "retry_budget", 1)
         max_inflight = cfg.get_int("llm", "max_inflight", 1)
         check_run_settings(spec, example_pool, retry_budget, max_inflight)
+        index = OntologyIndex(store, _embedding_provider(cfg)) if spec.rag_enabled else None
         out_dir = cfg.output_dir
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest("run", cfg, out_dir)
@@ -398,9 +409,9 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
                 ))
         results = run_strategy(
             corpus, annotations, spec, llm, store,
-            provider=provider,
             seed=seed,
             example_pool=example_pool,
+            index=index,
             templates=templates,
             params=params,
             retry_budget=retry_budget,
@@ -608,11 +619,9 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
         metrics = compute_metrics(counts)
         concept_accuracy = match_concepts(pairs)
         out_dir = Path(out_option) if out_option else cfg.output_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest("eval", cfg, out_dir)
         manifest.add_input(predictions_path)
         manifest.add_input(gold_path)
-        manifest.write()
         bundle = ReportBundle(
             ner_nen=[NerNenRow("BERN2", metrics, concept_accuracy.accuracy, counts=counts)]
         )
@@ -635,6 +644,8 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
             planned = _bundle_from_plan(plan_path, gold_set, gold_texts)
             planned.ner_nen = bundle.ner_nen
             bundle = planned
+        out_dir.mkdir(parents=True, exist_ok=True)
+        manifest.write()
         paths = render_report(bundle, out_dir)
         for path in paths.values():
             manifest.add_output(path)

@@ -1,17 +1,16 @@
 """Survey corpus handling.
 
-Ingests line-delimited survey records, normalizes free text while keeping a
-reversible character-offset map back to the raw input, draws stratified
-annotation samples, and round-trips ground truth through the Doccano JSONL
-format.
+Ingests line-delimited survey records, normalizes free text through a
+fixed chain of string rewrites, draws stratified annotation samples, and
+round-trips ground truth through the Doccano JSONL format.
 
-All character offsets count Unicode scalar values (Python string indices),
-never bytes.
+Every span indexes the normalized text; no map back to the raw input is
+kept. All character offsets count Unicode scalar values (Python string
+indices), never bytes.
 """
 
 from __future__ import annotations
 
-import difflib
 import json
 import random
 import re
@@ -34,7 +33,6 @@ __all__ = [
     "NormalizedAnnotation",
     "AnnotationSet",
     "PreprocessConfig",
-    "NormalizedText",
     "Corpus",
     "read_jsonl",
     "ingest_records",
@@ -331,7 +329,7 @@ def load_records(path: str | Path, expects_keywords: Sequence[str] = ()) -> Corp
 
 
 # ---------------------------------------------------------------------------
-# Text normalization with offset maps
+# Text normalization
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -374,90 +372,20 @@ class PreprocessConfig:
         return cls(**flags, **resources)
 
 
-@dataclass(frozen=True)
-class NormalizedText:
-    """Normalized text plus a total monotonic map back to raw offsets.
-
-    ``offset_map`` has ``len(text) + 1`` entries: entry ``i`` is the raw
-    offset where the content at normalized offset ``i`` begins, with a
-    final end-boundary sentinel. ``end_map`` gives, per character, the raw
-    offset just past its source, so ``map_span`` yields tight raw spans
-    even around deletions.
-    """
-
-    text: str
-    offset_map: tuple[int, ...]
-    end_map: tuple[int, ...]
-
-    def map_span(self, span: TextSpan) -> TextSpan:
-        """Translate a span over the normalized text into raw coordinates."""
-        span.check_bounds(self.text)
-        return TextSpan(self.offset_map[span.begin], self.end_map[span.end - 1])
-
-
-Edit = tuple[int, int, str]
-
-
-def _apply_edits(
-    text: str, begins: list[int], ends: list[int], edits: list[Edit]
-) -> tuple[str, list[int], list[int]]:
-    """Splice non-overlapping (start, end, replacement) edits, carrying the
-    per-character raw source ranges through the rewrite."""
-    pieces: list[str] = []
-    out_begins: list[int] = []
-    out_ends: list[int] = []
-    pos = 0
-    for start, end, replacement in edits:
-        pieces.append(text[pos:start])
-        out_begins.extend(begins[pos:start])
-        out_ends.extend(ends[pos:start])
-        if replacement:
-            if end > start:
-                src_begin, src_end = begins[start], ends[end - 1]
-            elif start < len(text):  # pure insertion anchors at a point
-                src_begin = src_end = begins[start]
-            else:
-                src_begin = src_end = ends[-1] if ends else 0
-            pieces.append(replacement)
-            out_begins.extend([src_begin] * len(replacement))
-            out_ends.extend([src_end] * len(replacement))
-        pos = end
-    pieces.append(text[pos:])
-    out_begins.extend(begins[pos:])
-    out_ends.extend(ends[pos:])
-    return "".join(pieces), out_begins, out_ends
-
-
-def _nfc_edits(text: str) -> list[Edit]:
-    composed = unicodedata.normalize("NFC", text)
-    if composed == text:
-        return []
-    matcher = difflib.SequenceMatcher(a=text, b=composed, autojunk=False)
-    return [
-        (i1, i2, composed[j1:j2])
-        for tag, i1, i2, j1, j2 in matcher.get_opcodes()
-        if tag != "equal"
-    ]
-
-
-def _lowercase_edits(text: str) -> list[Edit]:
-    return [(i, i + 1, c.lower()) for i, c in enumerate(text) if c.lower() != c]
-
-
-def _acronym_edits(text: str, acronyms: Mapping[str, str]) -> list[Edit]:
+def _expand_acronyms(text: str, acronyms: Mapping[str, str]) -> str:
     if not acronyms:
-        return []
-    # Longest key first so "b.i.d" style keys beat their prefixes.
+        return text
+    # Longest key first so "b.i.d" style keys beat their prefixes. Each key is
+    # its own group because an IGNORECASE match need not be its key lowercased
+    # (the key "ſ" matches "s"); the alternative that matched names the key.
     keys = sorted(acronyms, key=lambda k: (-len(k), k))
     pattern = re.compile(
-        r"\b(?:" + "|".join(re.escape(k) for k in keys) + r")\b", re.IGNORECASE
+        r"\b(?:" + "|".join(f"({re.escape(k)})" for k in keys) + r")\b", re.IGNORECASE
     )
-    return [
-        (m.start(), m.end(), acronyms[m.group(0).lower()]) for m in pattern.finditer(text)
-    ]
+    return pattern.sub(lambda m: acronyms[keys[m.lastindex - 1]], text)
 
 
-_PUNCT_REPLACEMENTS = {
+_PUNCTUATION = str.maketrans({
     "‘": "'",
     "’": "'",
     "‚": "'",
@@ -469,19 +397,11 @@ _PUNCT_REPLACEMENTS = {
     "—": "-",
     "−": "-",
     "…": "...",
-    "​": "",
-    "‌": "",
-    "‍": "",
-    "﻿": "",
-}
-
-
-def _punctuation_edits(text: str) -> list[Edit]:
-    return [
-        (i, i + 1, _PUNCT_REPLACEMENTS[c])
-        for i, c in enumerate(text)
-        if c in _PUNCT_REPLACEMENTS
-    ]
+    "\u200b": "",
+    "\u200c": "",
+    "\u200d": "",
+    "\ufeff": "",
+})
 
 
 def _within_distance_one(a: str, b: str) -> bool:
@@ -499,57 +419,43 @@ def _within_distance_one(a: str, b: str) -> bool:
     return short[i:] == long[i + 1 :]
 
 
-def _spelling_edits(text: str, lexicon: Sequence[str]) -> list[Edit]:
+def _correct_spelling(text: str, lexicon: Sequence[str]) -> str:
     if not lexicon:
-        return []
+        return text
     known = set(lexicon)
-    edits: list[Edit] = []
-    for m in re.finditer(r"\w+", text):
+
+    def correct(m: re.Match) -> str:
         token = m.group(0)
-        if not token.isalpha() or token.lower() in known:
-            continue
-        # Ties broken by lexicon order: first entry within distance 1 wins.
-        for word in lexicon:
-            if _within_distance_one(token.lower(), word):
-                edits.append((m.start(), m.end(), word))
-                break
-    return edits
+        if token.isalpha() and token.lower() not in known:
+            # Ties broken by lexicon order: first entry within distance 1 wins.
+            for word in lexicon:
+                if _within_distance_one(token.lower(), word):
+                    return word
+        return token
+
+    return re.sub(r"\w+", correct, text)
 
 
-def _whitespace_edits(text: str) -> list[Edit]:
-    edits: list[Edit] = []
-    for m in re.finditer(r"\s+", text):
-        start, end = m.span()
-        at_edge = start == 0 or end == len(text)
-        if at_edge or m.group(0) != " ":
-            edits.append((start, end, "" if at_edge else " "))
-    return edits
-
-
-def normalize_text(raw: str, config: PreprocessConfig | None = None) -> NormalizedText:
-    """Normalize ``raw`` per config, returning text plus its raw-offset map.
-
-    Every Unicode string is processable; no step can fail.
-    """
+def normalize_text(raw: str, config: PreprocessConfig | None = None) -> str:
+    """Normalize ``raw`` per config. Every Unicode string is processable; no
+    step can fail."""
     config = config or PreprocessConfig()
     text = raw
-    begins = list(range(len(raw)))
-    ends = list(range(1, len(raw) + 1))
-    steps = (
-        (config.nfc, _nfc_edits),
-        (config.lowercase, _lowercase_edits),
-        (config.expand_acronyms, lambda t: _acronym_edits(t, config.acronyms)),
-        (config.normalize_punctuation, _punctuation_edits),
-        (config.correct_spelling, lambda t: _spelling_edits(t, config.lexicon)),
-        (config.collapse_whitespace, _whitespace_edits),
-    )
-    for enabled, make_edits in steps:
-        if enabled:
-            text, begins, ends = _apply_edits(text, begins, ends, make_edits(text))
-    sentinel = ends[-1] if ends else 0
-    return NormalizedText(
-        text=text, offset_map=tuple(begins) + (sentinel,), end_map=tuple(ends)
-    )
+    if config.nfc:
+        text = unicodedata.normalize("NFC", text)
+    if config.lowercase:
+        # Per character: str.lower() would give a word-final sigma its final
+        # form ("ΟΔΟΣ" -> "οδος" rather than "οδοσ").
+        text = "".join(c.lower() for c in text)
+    if config.expand_acronyms:
+        text = _expand_acronyms(text, config.acronyms)
+    if config.normalize_punctuation:
+        text = text.translate(_PUNCTUATION)
+    if config.correct_spelling:
+        text = _correct_spelling(text, config.lexicon)
+    if config.collapse_whitespace:
+        text = " ".join(text.split())  # trims the edges, one space between words
+    return text
 
 
 def load_acronym_map(path: str | Path) -> dict[str, str]:

@@ -43,7 +43,6 @@ __all__ = [
     "alignment_stats",
     "hallucination_rate",
     "mean_rouge",
-    "normalised_performance",
     "write_verdicts",
     "read_verdicts",
 ]
@@ -366,20 +365,6 @@ def hallucination_rate(verdicts: Sequence[LlmVerdict]) -> float | None:
     if not verdicts:
         return None
     return sum(1 for v in verdicts if v.hallucinated) / len(verdicts)
-
-
-def normalised_performance(
-    labeled_values: Sequence[tuple[str, float]]
-) -> list[tuple[str, float]]:
-    """Divide every value by the maximum across the whole comparison group,
-    so the best variant maps to exactly 1.0."""
-    items = list(labeled_values)
-    if not items:
-        raise ValidationError("nothing to normalise")
-    maximum = max(value for _, value in items)
-    if maximum <= 0:
-        raise ValidationError("cannot normalise: no value is positive")
-    return [(label, value / maximum) for label, value in items]
 
 
 # ---------------------------------------------------------------------------

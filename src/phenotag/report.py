@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TypeVar
+
+from .errors import ValidationError
 
 __all__ = [
     "AlignmentStats",
@@ -22,8 +24,11 @@ __all__ = [
     "CotRow",
     "EmbeddingRow",
     "ReportBundle",
+    "normalised_performance",
     "render_report",
 ]
+
+L = TypeVar("L")
 
 
 @dataclass(frozen=True)
@@ -131,18 +136,16 @@ def _write_csv(path: Path, headers: Sequence[str], rows: Sequence[Sequence[str]]
         writer.writerows(rows)
 
 
-def _normalised_column(rows: Sequence[CotRow]) -> list[float | None]:
-    """Each TPR divided by the maximum across the entire comparison group."""
-    present = [(i, row.tpr) for i, row in enumerate(rows) if row.tpr is not None]
-    column: list[float | None] = [None] * len(rows)
-    if not present:
-        return column
-    maximum = max(value for _, value in present)
+def normalised_performance(labeled_values: Sequence[tuple[L, float]]) -> list[tuple[L, float]]:
+    """Divide every value by the maximum across the whole comparison group,
+    so the best variant maps to exactly 1.0."""
+    items = list(labeled_values)
+    if not items:
+        raise ValidationError("nothing to normalise")
+    maximum = max(value for _, value in items)
     if maximum <= 0:
-        return column
-    for i, value in present:
-        column[i] = value / maximum
-    return column
+        raise ValidationError("cannot normalise: no value is positive")
+    return [(label, value / maximum) for label, value in items]
 
 
 def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
@@ -285,7 +288,13 @@ def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
     # Table 6 — Chain-of-thought prompting
     headers = ["Model", "Prompt", "normalised performance", "true positive (%)",
                "false negative (%)"]
-    normalised = _normalised_column(bundle.cot)
+    normalised: list[float | None] = [None] * len(bundle.cot)
+    present = [(i, row.tpr) for i, row in enumerate(bundle.cot) if row.tpr is not None]
+    try:
+        for i, value in normalised_performance(present):
+            normalised[i] = value
+    except ValidationError:  # no TPR, or none positive: the column reads NR
+        pass
     md_rows, csv_rows = [], []
     for row, norm in zip(bundle.cot, normalised):
         md_rows.append([row.model, row.prompt, _frac(norm), _pct(row.tpr), _pct(row.fnr)])

@@ -27,7 +27,6 @@ from phenotag.evaluate import (
     ConfusionCounts,
     compute_metrics,
     match_mentions,
-    normalised_performance,
     rouge_n,
 )
 from phenotag.ontology import (
@@ -48,6 +47,7 @@ from phenotag.orchestrate import (
     raft_to_jsonl,
 )
 from phenotag.corpus import FieldType, SurveyRecord
+from phenotag.report import normalised_performance
 
 from conftest import make_concepts, write_e2e_workspace
 

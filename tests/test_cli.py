@@ -129,6 +129,19 @@ def test_annotate_unknown_preprocess_step_exits_1(workspace):
     assert not (root / "out" / "predictions.jsonl").exists()
 
 
+def test_annotate_acronym_key_matching_another_letter(workspace):
+    root, config = workspace
+    (root / "acronyms.txt").write_text("ſ = long s\n", encoding="utf-8")
+    config.write_text(config.read_text() + "\n[preprocess]\nacronym_map = acronyms.txt\n")
+    lines = (root / "records.jsonl").read_text().splitlines()
+    record = dict(json.loads(lines[0]), answer_text="my mum's asthma")
+    (root / "records.jsonl").write_text("\n".join([json.dumps(record)] + lines[1:]) + "\n")
+    result = invoke("annotate", "-c", config)
+    assert result.exit_code == 0, result.output + repr(result.exception)
+    first = json.loads((root / "out" / "predictions.jsonl").read_text().splitlines()[0])
+    assert first["text"] == "my mum'long s asthma"
+
+
 def test_annotate_no_backend_exits_1(workspace):
     root, config = workspace
     config_text = config.read_text().replace("mock_lexicon = mock_lexicon.jsonl\n", "")
@@ -240,6 +253,38 @@ def test_run_rejected_settings_keep_earlier_manifest(workspace, llm_setting, poo
     assert (root / "out" / "verdicts.jsonl").read_bytes() == verdicts
 
 
+def test_run_index_build_failure_keeps_earlier_manifest(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    assert invoke("run", "-c", config, "--strategy", "rag-fsi").exit_code == 0
+    manifest = (root / "out" / "run_manifest.json").read_bytes()
+    verdicts = (root / "out" / "verdicts.jsonl").read_bytes()
+    config.write_text(config.read_text() + "\n[embedding]\nendpoint = http://127.0.0.1:1/embed\n")
+    result = invoke("run", "-c", config, "--strategy", "rag-fsi")
+    assert result.exit_code == 3
+    assert (root / "out" / "run_manifest.json").read_bytes() == manifest
+    assert (root / "out" / "verdicts.jsonl").read_bytes() == verdicts
+
+
+@pytest.mark.parametrize("record_id, answer, detail", [
+    ("tp03", "the child has migraine most days",
+     "record 'tp03': prediction text differs from the preprocessed corpus text"),
+    # tn00 has no annotations, so only its id still ties it to the corpus.
+    ("tn00", None, "predictions reference records missing from corpus: ['tn00']"),
+], ids=["text-changed", "record-removed"])
+def test_run_stale_predictions_exit_1(workspace, record_id, answer, detail):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    records = [json.loads(l) for l in (root / "records.jsonl").read_text().splitlines()]
+    kept = [dict(r, answer_text=answer) if r["record_id"] == record_id else r
+            for r in records if answer is not None or r["record_id"] != record_id]
+    (root / "records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in kept))
+    result = invoke("run", "-c", config, "--strategy", "zero-shot-cvc")
+    assert result.exit_code == 1
+    assert detail in result.stderr
+    assert not (root / "out" / "verdicts.jsonl").exists()
+
+
 def test_run_with_retrieval_loads_numpy(workspace):
     _, config = workspace
     run_pipeline_through_annotate(config)
@@ -345,6 +390,22 @@ def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
     assert result.exit_code == 1
     assert "error: bad report plan: " in result.stderr
     assert detail in result.stderr
+
+
+@pytest.mark.parametrize("option, content, code", [
+    ("--report-plan", json.dumps({"zero-shot": []}), 1),
+    ("--report-plan", json.dumps({"cot": [{"verdicts": "nowhere.jsonl"}]}), 2),
+    ("--verdicts", "{not json\n", 1),
+], ids=["unknown-plan-section", "plan-names-missing-file", "malformed-verdicts"])
+def test_eval_rejected_input_keeps_earlier_manifest(workspace, option, content, code):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    assert invoke("eval", "-c", config).exit_code == 0
+    manifest = (root / "out" / "eval_manifest.json").read_bytes()
+    (root / "input.json").write_text(content)
+    result = invoke("eval", "-c", config, option, root / "input.json")
+    assert result.exit_code == code
+    assert (root / "out" / "eval_manifest.json").read_bytes() == manifest
 
 
 def test_ingest_annotate_eval_never_load_numpy(workspace):

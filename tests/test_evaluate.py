@@ -25,13 +25,13 @@ from phenotag.evaluate import (
     match_mentions,
     mean_coherence,
     coherence_score,
-    normalised_performance,
     read_verdicts,
     rouge_n,
     write_verdicts,
 )
 from phenotag.ontology import HashedBagOfWordsProvider
 from phenotag.orchestrate import LlmVerdict, VerdictKind, parse_verdict
+from phenotag.report import normalised_performance
 
 ASTHMA = ConceptId("D001249")
 ECZEMA = ConceptId("D004485")

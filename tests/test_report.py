@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from phenotag.evaluate import ConfusionCounts, compute_metrics, rouge_n
 from phenotag.report import (
     AlignmentStats,
@@ -78,6 +80,18 @@ def test_table6_normalised_column_global_max(tmp_path):
     assert normalised[0] == 1.0
     assert normalised[1] == 0.811 / 0.826
     assert normalised[2] == 0.583 / 0.826  # divided by the global max, not per model
+
+
+@pytest.mark.parametrize("tprs", [(0.0, 0.0), (None, None), (0.0, None)])
+def test_table6_normalised_column_reads_nr_without_a_positive_tpr(tmp_path, tprs):
+    bundle = ReportBundle(cot=[CotRow("model-a", f"prompt {i}", tpr, 0.5)
+                               for i, tpr in enumerate(tprs)])
+    paths = render_report(bundle, tmp_path)
+    with open(paths["table6"], newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [r["normalised_performance"] for r in rows] == ["NR", "NR"]
+    report = paths["report"].read_text(encoding="utf-8")
+    assert "| model-a | prompt 0 | NR |" in report
 
 
 def test_percentages_rounded_in_markdown_full_precision_in_csv(tmp_path):
