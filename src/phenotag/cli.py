@@ -314,7 +314,12 @@ def _embedding_provider(cfg: RunConfig):
     endpoint = cfg.get("embedding", "endpoint")
     dimension = cfg.get_int("embedding", "dimension", 256)
     if endpoint:
-        return RemoteEmbeddingProvider(label, endpoint, dimension)
+        return RemoteEmbeddingProvider(
+            label, endpoint, dimension,
+            timeout_ms=cfg.get_int("embedding", "timeout_ms", 30_000),
+            max_inflight=cfg.get_int("embedding", "max_inflight", 4),
+            retry_budget=cfg.get_int("embedding", "retry_budget", 2),
+        )
     return HashedBagOfWordsProvider(dimension=dimension, name=label)
 
 

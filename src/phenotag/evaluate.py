@@ -236,7 +236,9 @@ def mean_coherence(
     """Dataset-level coherence: arithmetic mean over candidate/reference pairs."""
     if not pairs:
         return None
-    scores = [coherence_score(candidate, reference, provider) for candidate, reference in pairs]
+    # One embed_many call, so a remote provider keeps its window of requests full.
+    vectors = provider.embed_many([text for pair in pairs for text in pair])
+    scores = [cosine(vectors[i], vectors[i + 1]) for i in range(0, len(vectors), 2)]
     return sum(scores) / len(scores)
 
 

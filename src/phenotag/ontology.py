@@ -15,13 +15,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from .corpus import ConceptId, read_jsonl
 from .errors import BackendError, ValidationError
-from .transport import post_json
+from .transport import call_with_retry, post_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -168,6 +170,21 @@ class EmbeddingProvider(Protocol):
 
     def embed(self, text: str) -> np.ndarray: ...
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Row ``i`` is the same bytes as ``embed(texts[i])``; shape (n, dimension)."""
+        ...
+
+
+def _check_text(text: str) -> None:
+    if not text.strip():
+        raise ValidationError("cannot embed empty or whitespace-only text")
+
+
+def _stack(rows: list, dimension: int) -> np.ndarray:
+    import numpy as np
+
+    return np.vstack(rows) if rows else np.zeros((0, dimension))
+
 
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
@@ -203,10 +220,22 @@ class HashedBagOfWordsProvider:
         vector = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
         return vector / np.linalg.norm(vector)
 
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        # Serial: hashing is Python work under the interpreter lock, so
+        # threads would only add switching.
+        return _stack([self.embed(text) for text in texts], self.dimension)
+
 
 class RemoteEmbeddingProvider:
     """Provider backed by an HTTP endpoint speaking the embedding wire:
-    request {"texts": [...]} -> response {"vectors": [[...], ...]}."""
+    request {"texts": [...]} -> response {"vectors": [[...], ...]}.
+
+    Each text is one request, made up to ``1 + retry_budget`` times. A
+    transport fault (an ``OSError``, which every ``requests`` error is) or a
+    malformed response is a BackendError and is retried; any other
+    exception from the transport is a bug and propagates at once.
+    ``embed_many`` keeps up to ``max_inflight`` requests in flight.
+    """
 
     def __init__(
         self,
@@ -215,25 +244,41 @@ class RemoteEmbeddingProvider:
         dimension: int,
         transport: Callable[[str, dict], dict] | None = None,
         timeout_ms: int = 30_000,
+        max_inflight: int = 4,
+        retry_budget: int = 2,
     ):
+        if max_inflight < 1:
+            raise ValueError("[embedding] max_inflight must be >= 1")
+        if retry_budget < 0:
+            raise ValueError("[embedding] retry_budget must be >= 0")
         self.name = name
         self.endpoint = endpoint
         self.dimension = dimension
+        self.max_inflight = max_inflight
+        self.retry_budget = retry_budget
         self._transport = transport or functools.partial(
             post_json, timeout_s=timeout_ms / 1000, token_env="PHENOTAG_EMBED_TOKEN"
         )
 
+    def _request(self, text: str) -> np.ndarray:
+        import numpy as np
+
+        try:
+            response = self._transport(self.endpoint, {"texts": [text]})
+        except (OSError, BackendError) as exc:
+            raise BackendError(f"embedding provider {self.name!r} failed: {exc}") from exc
+        try:
+            return np.asarray(response["vectors"][0], dtype=np.float64)
+        except Exception as exc:
+            raise BackendError(
+                f"embedding provider {self.name!r} returned a malformed response: {exc}"
+            ) from exc
+
     def embed(self, text: str) -> np.ndarray:
         import numpy as np
 
-        if not text.strip():
-            raise ValidationError("cannot embed empty or whitespace-only text")
-        try:
-            response = self._transport(self.endpoint, {"texts": [text]})
-            vectors = response["vectors"]
-            raw = np.asarray(vectors[0], dtype=np.float64)
-        except Exception as exc:
-            raise BackendError(f"embedding provider {self.name!r} failed: {exc}") from exc
+        _check_text(text)
+        raw = call_with_retry(lambda: self._request(text), 1 + self.retry_budget)
         if raw.shape != (self.dimension,):
             raise BackendError(
                 f"embedding provider {self.name!r} returned shape {raw.shape}, "
@@ -245,6 +290,27 @@ class RemoteEmbeddingProvider:
         if norm == 0:
             raise BackendError(f"embedding provider {self.name!r} returned a zero vector")
         return raw / norm
+
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """Embed every text, at most ``max_inflight`` at a time. Once one text
+        has failed, no further text is sent and the first failure in input
+        order is raised."""
+        for text in texts:
+            _check_text(text)
+        failed = threading.Event()
+
+        def one(text: str):
+            if failed.is_set():
+                return None
+            try:
+                return self.embed(text)
+            except Exception:
+                failed.set()
+                raise
+
+        with ThreadPoolExecutor(max_workers=self.max_inflight) as pool:
+            rows = list(pool.map(one, texts))
+        return _stack(rows, self.dimension)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -270,17 +336,13 @@ class OntologyIndex:
     """
 
     def __init__(self, store: OntologyStore, provider: EmbeddingProvider):
-        import numpy as np
-
         self.store = store
         self.provider = provider
-        self._concept_ids: list[ConceptId] = []
-        rows = []
-        for concept in store.concepts():
-            document = build_rag_document(concept)
-            rows.append(provider.embed(document.body))
-            self._concept_ids.append(concept.concept_id)
-        self._matrix = np.vstack(rows) if rows else np.zeros((0, provider.dimension))
+        concepts = store.concepts()
+        self._concept_ids: list[ConceptId] = [concept.concept_id for concept in concepts]
+        self._matrix = provider.embed_many(
+            [build_rag_document(concept).body for concept in concepts]
+        )
 
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import phenotag
 from phenotag.cli import main
 from phenotag.config import derive_seed, load_config
+from phenotag.ontology import HashedBagOfWordsProvider
 
 from conftest import write_e2e_workspace
 
@@ -452,6 +453,47 @@ def test_raft_structural_and_reproducible(workspace):
     first = (root / "out" / "raft.jsonl").read_bytes()
     assert invoke("raft", "-c", config, "--n-distractors", "3", "--seed", "11").exit_code == 0
     assert (root / "out" / "raft.jsonl").read_bytes() == first
+
+
+def test_raft_sends_embedding_timeout_from_config(workspace, monkeypatch):
+    root, config = workspace
+    raft_setup(root, config)
+    config.write_text(config.read_text()
+                      + "\n[embedding]\nendpoint = http://x/embed\ntimeout_ms = 4500\n")
+    reference = HashedBagOfWordsProvider()
+    timeouts = []
+
+    def post_json(url, payload, timeout_s, token_env):
+        timeouts.append(timeout_s)
+        return {"vectors": [reference.embed(text).tolist() for text in payload["texts"]]}
+
+    monkeypatch.setattr("phenotag.ontology.post_json", post_json)
+    result = invoke("raft", "-c", config, "--n-distractors", "3")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    assert timeouts and set(timeouts) == {4.5}
+
+
+@pytest.mark.parametrize("command", ["run", "raft"])
+@pytest.mark.parametrize("setting, detail", [
+    ("max_inflight = 0", "max_inflight must be >= 1"),
+    ("retry_budget = -1", "retry_budget must be >= 0"),
+])
+def test_bad_embedding_window_exits_1_and_keeps_manifest(workspace, command, setting, detail):
+    root, config = workspace
+    if command == "run":
+        run_pipeline_through_annotate(config)
+        args = ("run", "-c", config, "--strategy", "rag-fsi")
+    else:
+        raft_setup(root, config)
+        args = ("raft", "-c", config, "--n-distractors", "3")
+    assert invoke(*args).exit_code == 0
+    manifest = (root / "out" / f"{command}_manifest.json").read_bytes()
+    config.write_text(config.read_text()
+                      + f"\n[embedding]\nendpoint = http://127.0.0.1:1/embed\n{setting}\n")
+    result = invoke(*args)
+    assert result.exit_code == 1
+    assert detail in result.stderr
+    assert (root / "out" / f"{command}_manifest.json").read_bytes() == manifest
 
 
 def test_raft_zero_distractors_exits_1(workspace):

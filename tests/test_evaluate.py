@@ -29,7 +29,7 @@ from phenotag.evaluate import (
     rouge_n,
     write_verdicts,
 )
-from phenotag.ontology import HashedBagOfWordsProvider
+from phenotag.ontology import HashedBagOfWordsProvider, RemoteEmbeddingProvider
 from phenotag.orchestrate import LlmVerdict, VerdictKind, parse_verdict
 from phenotag.report import normalised_performance
 
@@ -258,6 +258,19 @@ def test_mean_coherence():
     provider = HashedBagOfWordsProvider()
     pairs = [("same text", "same text"), ("alpha beta", "gamma delta")]
     assert mean_coherence(pairs, provider) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_mean_coherence_is_the_mean_of_pair_scores():
+    reference = HashedBagOfWordsProvider(dimension=32)
+
+    def transport(url, payload):
+        return {"vectors": [(2 * reference.embed(text)).tolist() for text in payload["texts"]]}
+
+    pairs = [("asthma and eczema", "eczema"), ("gout", "chronic gout flare"),
+             ("alpha beta", "gamma delta"), ("same text", "same text")]
+    for provider in (reference, RemoteEmbeddingProvider("r", "fake://embed", 32, transport)):
+        scores = [coherence_score(c, r, provider) for c, r in pairs]
+        assert mean_coherence(pairs, provider) == sum(scores) / len(scores)
     assert mean_coherence([], provider) is None
 
 

@@ -1,9 +1,12 @@
 import json
 import math
+import random
+import threading
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from phenotag.corpus import ConceptId
 from phenotag.errors import BackendError, ValidationError
@@ -363,3 +366,142 @@ def test_stemmer_consistency():
     assert stem_token("wheezing") == stem_token("wheezing")
     assert stem_token("illness") == "illness"  # ss guarded
     assert stem_token("asthma") == "asthma"
+
+
+# --- embed_many -------------------------------------------------------------
+
+class HashedTransport:
+    """Embedding wire fake answering with three times the hashed provider's
+    vector. ``faults(text, attempt)`` may return an exception to raise
+    instead; ``jitter`` seeds a random 0-2 ms sleep per call."""
+
+    def __init__(self, dimension, faults=None, jitter=None):
+        self._reference = HashedBagOfWordsProvider(dimension=dimension)
+        self._faults = faults
+        self._rng = None if jitter is None else random.Random(jitter)
+        self._lock = threading.Lock()
+        self._attempts = {}
+        self._active = 0
+        self.inflight_max = 0
+        self.calls = 0
+
+    def __call__(self, url, payload):
+        (text,) = payload["texts"]
+        with self._lock:
+            self.calls += 1
+            attempt = self._attempts[text] = self._attempts.get(text, 0) + 1
+            self._active += 1
+            self.inflight_max = max(self.inflight_max, self._active)
+            delay = self._rng.uniform(0, 0.002) if self._rng else 0.0
+        try:
+            time.sleep(delay)
+            fault = self._faults(text, attempt) if self._faults else None
+            if fault is not None:
+                raise fault
+            return {"vectors": [(3 * self._reference.embed(text)).tolist()]}
+        finally:
+            with self._lock:
+                self._active -= 1
+
+
+def remote(transport, dimension=16, **kwargs):
+    return RemoteEmbeddingProvider("remote", "fake://embed", dimension, transport=transport,
+                                   **kwargs)
+
+
+def numbered_store(n):
+    return OntologyStore(
+        OntologyConcept(ConceptId(f"D{i:06d}"), f"disease number {i}") for i in range(1, n + 1)
+    )
+
+
+@settings(max_examples=50)
+@given(texts=st.lists(_word_texts.filter(tokenize), max_size=8),
+       jitter=st.integers(0, 2**32 - 1))
+def test_embed_many_rows_are_embed_bytes(texts, jitter):
+    for provider in (HashedBagOfWordsProvider(dimension=16),
+                     remote(HashedTransport(16, jitter=jitter), max_inflight=4)):
+        rows = provider.embed_many(texts)
+        assert rows.shape == (len(texts), 16)
+        assert rows.tobytes() == b"".join(provider.embed(text).tobytes() for text in texts)
+
+
+def test_embed_many_of_nothing_is_empty_matrix():
+    for provider in (HashedBagOfWordsProvider(dimension=16), remote(HashedTransport(16))):
+        assert provider.embed_many([]).shape == (0, 16)
+
+
+def test_remote_embed_many_keeps_the_window(store50):
+    transport = HashedTransport(16, jitter=5)
+    OntologyIndex(store50, remote(transport, max_inflight=3))
+    assert transport.calls == len(store50)
+    assert 1 < transport.inflight_max <= 3
+
+
+def test_remote_embed_many_validates_every_text_before_sending():
+    transport = HashedTransport(16)
+    with pytest.raises(ValidationError):
+        remote(transport).embed_many(["asthma", "eczema", "  "])
+    assert transport.calls == 0
+
+
+@pytest.mark.parametrize("setting", [{"max_inflight": 0}, {"retry_budget": -1}])
+def test_remote_provider_rejects_bad_window_settings(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        remote(HashedTransport(16), **setting)
+
+
+def test_transient_faults_are_retried_into_an_identical_index(store50):
+    def first_attempt_fails(text, attempt):
+        return ConnectionError("transient") if attempt == 1 else None
+
+    flaky = HashedTransport(16, faults=first_attempt_fails)
+    clean = HashedTransport(16)
+    flaky_index = OntologyIndex(store50, remote(flaky))
+    clean_index = OntologyIndex(store50, remote(clean))
+    assert flaky_index._matrix.tobytes() == clean_index._matrix.tobytes()
+    assert flaky.calls == 2 * len(store50)
+    assert clean.calls == len(store50)
+
+
+def test_failed_text_stops_the_index_build():
+    store = numbered_store(300)
+    transport = HashedTransport(16, faults=lambda text, attempt: TimeoutError("down"))
+    with pytest.raises(BackendError, match="down"):
+        OntologyIndex(store, remote(transport, max_inflight=4, retry_budget=2))
+    # Only the texts already in flight when the first one failed were sent.
+    assert 3 <= transport.calls <= 4 * 3
+
+
+def test_transport_programming_error_is_not_retried():
+    transport = HashedTransport(16, faults=lambda text, attempt: TypeError("bug in transport"))
+    with pytest.raises(TypeError, match="bug in transport"):
+        OntologyIndex(numbered_store(300), remote(transport, max_inflight=1, retry_budget=2))
+    assert transport.calls == 1
+
+
+def test_malformed_response_is_a_retried_backend_error():
+    calls = []
+
+    def transport(url, payload):
+        calls.append(payload)
+        return {"vector": [1.0] * 16}
+
+    with pytest.raises(BackendError, match="malformed"):
+        remote(transport, retry_budget=1).embed("asthma")
+    assert len(calls) == 2
+
+
+def test_hashed_index_build_starts_no_thread(store50):
+    provider = HashedBagOfWordsProvider()
+    before = threading.active_count()
+    seen = []
+    embed = provider.embed
+
+    def counting_embed(text):
+        seen.append(threading.active_count())
+        return embed(text)
+
+    provider.embed = counting_embed
+    OntologyIndex(store50, provider)
+    assert seen == [before] * len(store50)
