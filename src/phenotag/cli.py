@@ -317,8 +317,6 @@ def _embedding_provider(cfg: RunConfig):
         return RemoteEmbeddingProvider(
             label, endpoint, dimension,
             timeout_ms=cfg.get_int("embedding", "timeout_ms", 30_000),
-            max_inflight=cfg.get_int("embedding", "max_inflight", 4),
-            retry_budget=cfg.get_int("embedding", "retry_budget", 2),
         )
     return HashedBagOfWordsProvider(dimension=dimension, name=label)
 

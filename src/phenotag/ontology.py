@@ -231,10 +231,11 @@ class RemoteEmbeddingProvider:
     request {"texts": [...]} -> response {"vectors": [[...], ...]}.
 
     Each text is one request, made up to ``1 + retry_budget`` times. A
-    transport fault (an ``OSError``, which every ``requests`` error is) or a
-    malformed response is a BackendError and is retried; any other
-    exception from the transport is a bug and propagates at once.
-    ``embed_many`` keeps up to ``max_inflight`` requests in flight.
+    transport fault (an ``OSError``, which every ``requests`` error is) and
+    every wire fault (no ``vectors`` row, a wrong shape, a non-finite or zero
+    vector) is a BackendError and is retried; any other exception from the
+    transport is a bug and propagates at once. ``embed_many`` keeps up to
+    ``max_inflight`` requests in flight.
     """
 
     def __init__(
@@ -247,10 +248,6 @@ class RemoteEmbeddingProvider:
         max_inflight: int = 4,
         retry_budget: int = 2,
     ):
-        if max_inflight < 1:
-            raise ValueError("[embedding] max_inflight must be >= 1")
-        if retry_budget < 0:
-            raise ValueError("[embedding] retry_budget must be >= 0")
         self.name = name
         self.endpoint = endpoint
         self.dimension = dimension
@@ -268,17 +265,11 @@ class RemoteEmbeddingProvider:
         except (OSError, BackendError) as exc:
             raise BackendError(f"embedding provider {self.name!r} failed: {exc}") from exc
         try:
-            return np.asarray(response["vectors"][0], dtype=np.float64)
+            raw = np.asarray(response["vectors"][0], dtype=np.float64)
         except Exception as exc:
             raise BackendError(
                 f"embedding provider {self.name!r} returned a malformed response: {exc}"
             ) from exc
-
-    def embed(self, text: str) -> np.ndarray:
-        import numpy as np
-
-        _check_text(text)
-        raw = call_with_retry(lambda: self._request(text), 1 + self.retry_budget)
         if raw.shape != (self.dimension,):
             raise BackendError(
                 f"embedding provider {self.name!r} returned shape {raw.shape}, "
@@ -290,6 +281,10 @@ class RemoteEmbeddingProvider:
         if norm == 0:
             raise BackendError(f"embedding provider {self.name!r} returned a zero vector")
         return raw / norm
+
+    def embed(self, text: str) -> np.ndarray:
+        _check_text(text)
+        return call_with_retry(lambda: self._request(text), 1 + self.retry_budget)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
         """Embed every text, at most ``max_inflight`` at a time. Once one text
@@ -309,6 +304,8 @@ class RemoteEmbeddingProvider:
                 raise
 
         with ThreadPoolExecutor(max_workers=self.max_inflight) as pool:
+            # When this raises, a failure or a Ctrl-C while waiting, map
+            # cancels every queued text; the pool waits only for those in flight.
             rows = list(pool.map(one, texts))
         return _stack(rows, self.dimension)
 

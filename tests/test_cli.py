@@ -473,29 +473,6 @@ def test_raft_sends_embedding_timeout_from_config(workspace, monkeypatch):
     assert timeouts and set(timeouts) == {4.5}
 
 
-@pytest.mark.parametrize("command", ["run", "raft"])
-@pytest.mark.parametrize("setting, detail", [
-    ("max_inflight = 0", "max_inflight must be >= 1"),
-    ("retry_budget = -1", "retry_budget must be >= 0"),
-])
-def test_bad_embedding_window_exits_1_and_keeps_manifest(workspace, command, setting, detail):
-    root, config = workspace
-    if command == "run":
-        run_pipeline_through_annotate(config)
-        args = ("run", "-c", config, "--strategy", "rag-fsi")
-    else:
-        raft_setup(root, config)
-        args = ("raft", "-c", config, "--n-distractors", "3")
-    assert invoke(*args).exit_code == 0
-    manifest = (root / "out" / f"{command}_manifest.json").read_bytes()
-    config.write_text(config.read_text()
-                      + f"\n[embedding]\nendpoint = http://127.0.0.1:1/embed\n{setting}\n")
-    result = invoke(*args)
-    assert result.exit_code == 1
-    assert detail in result.stderr
-    assert (root / "out" / f"{command}_manifest.json").read_bytes() == manifest
-
-
 def test_raft_zero_distractors_exits_1(workspace):
     root, config = workspace
     raft_setup(root, config)

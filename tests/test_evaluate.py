@@ -258,6 +258,7 @@ def test_mean_coherence():
     provider = HashedBagOfWordsProvider()
     pairs = [("same text", "same text"), ("alpha beta", "gamma delta")]
     assert mean_coherence(pairs, provider) == pytest.approx(0.5, abs=1e-9)
+    assert mean_coherence([], provider) is None
 
 
 def test_mean_coherence_is_the_mean_of_pair_scores():
@@ -271,7 +272,6 @@ def test_mean_coherence_is_the_mean_of_pair_scores():
     for provider in (reference, RemoteEmbeddingProvider("r", "fake://embed", 32, transport)):
         scores = [coherence_score(c, r, provider) for c, r in pairs]
         assert mean_coherence(pairs, provider) == sum(scores) / len(scores)
-    assert mean_coherence([], provider) is None
 
 
 # --- alignment -----------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import random
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -445,12 +446,6 @@ def test_remote_embed_many_validates_every_text_before_sending():
     assert transport.calls == 0
 
 
-@pytest.mark.parametrize("setting", [{"max_inflight": 0}, {"retry_budget": -1}])
-def test_remote_provider_rejects_bad_window_settings(setting):
-    with pytest.raises(ValueError, match=next(iter(setting))):
-        remote(HashedTransport(16), **setting)
-
-
 def test_transient_faults_are_retried_into_an_identical_index(store50):
     def first_attempt_fails(text, attempt):
         return ConnectionError("transient") if attempt == 1 else None
@@ -480,16 +475,37 @@ def test_transport_programming_error_is_not_retried():
     assert transport.calls == 1
 
 
-def test_malformed_response_is_a_retried_backend_error():
+@pytest.mark.parametrize("response, detail", [
+    ({"vector": [1.0] * 16}, "malformed"),
+    ({"vectors": []}, "malformed"),
+    ({"vectors": [[1.0] * 15]}, "shape"),
+    ({"vectors": [[math.nan] + [1.0] * 15]}, "non-finite"),
+    ({"vectors": [[0.0] * 16]}, "zero vector"),
+])
+def test_malformed_response_is_a_retried_backend_error(response, detail):
     calls = []
 
     def transport(url, payload):
         calls.append(payload)
-        return {"vector": [1.0] * 16}
+        return response
 
-    with pytest.raises(BackendError, match="malformed"):
+    with pytest.raises(BackendError, match=detail):
         remote(transport, retry_budget=1).embed("asthma")
     assert len(calls) == 2
+
+
+def test_interrupted_index_build_sends_no_queued_text(monkeypatch):
+    transport = HashedTransport(16, faults=lambda text, attempt: time.sleep(0.01))
+
+    def interrupted(future, timeout=None):
+        raise KeyboardInterrupt  # Ctrl-C while waiting for the first row
+
+    monkeypatch.setattr(Future, "result", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        OntologyIndex(numbered_store(300), remote(transport, max_inflight=2))
+    # Only the texts in flight at the interrupt finish; 300 would mean the
+    # pool drained its whole queue first.
+    assert transport.calls < 50
 
 
 def test_hashed_index_build_starts_no_thread(store50):
