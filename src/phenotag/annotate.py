@@ -102,9 +102,11 @@ class HttpNerBackend:
         self._transport = transport or functools.partial(post_json, token_env="PHENOTAG_NER_TOKEN")
 
     def submit(self, texts: Sequence[str]) -> dict:
+        # A transport fault (an OSError, which every requests error is) is
+        # retried; any other exception is a bug and propagates at once.
         try:
             return self._transport(self.endpoint, {"texts": list(texts)}, self.timeout_ms / 1000.0)
-        except Exception as exc:
+        except (OSError, BackendError) as exc:
             raise BackendError(f"NER backend at {self.endpoint} failed: {exc}") from exc
 
 

@@ -309,6 +309,9 @@ def _build_spec(cfg: RunConfig, strategy_option: str | None, k_option: int | Non
     )
 
 
+_EMBEDDING_TIMEOUT_MS = 30_000
+
+
 def _embedding_provider(cfg: RunConfig):
     label = cfg.get("embedding", "label", "default")
     endpoint = cfg.get("embedding", "endpoint")
@@ -316,7 +319,7 @@ def _embedding_provider(cfg: RunConfig):
     if endpoint:
         return RemoteEmbeddingProvider(
             label, endpoint, dimension,
-            timeout_ms=cfg.get_int("embedding", "timeout_ms", 30_000),
+            timeout_ms=cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
         )
     return HashedBagOfWordsProvider(dimension=dimension, name=label)
 
@@ -490,8 +493,11 @@ def _check_plan_entry(section: str, entry: dict) -> None:
             raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
 
 
-def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> ReportBundle:
-    """Build tables 2-7 from a JSON plan of labeled verdict/summary files."""
+def _bundle_from_plan(
+    plan_path: Path, gold_set: AnnotationSet, gold_texts, embedding_timeout_ms: int
+) -> ReportBundle:
+    """Build tables 2-7 from a JSON plan of labeled verdict/summary files.
+    Remote ``embeddings`` entries wait up to ``embedding_timeout_ms`` per request."""
     try:
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -569,7 +575,8 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts) -> R
         label = entry.get("embedding", "default")
         if entry.get("endpoint"):
             provider = RemoteEmbeddingProvider(
-                label, entry["endpoint"], int(entry.get("dimension", 256))
+                label, entry["endpoint"], int(entry.get("dimension", 256)),
+                timeout_ms=embedding_timeout_ms,
             )
         else:
             provider = HashedBagOfWordsProvider(name=label)
@@ -644,7 +651,10 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
                 )
         plan_path = Path(plan_option) if plan_option else cfg.path("eval", "report_plan")
         if plan_path is not None and plan_path.exists():
-            planned = _bundle_from_plan(plan_path, gold_set, gold_texts)
+            planned = _bundle_from_plan(
+                plan_path, gold_set, gold_texts,
+                cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
+            )
             planned.ner_nen = bundle.ner_nen
             bundle = planned
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -147,7 +147,8 @@ _SUFFIX_RULES: tuple[tuple[str, str, int], ...] = (
 def stem_token(token: str) -> str:
     """Crude suffix-stripping stemmer, applied identically at index and
     query time; it only has to be consistent, not linguistically right."""
-    if token.endswith("ss"):
+    # Every rule's suffix ends in s, g or d, so no other token can change.
+    if not token.endswith(("s", "g", "d")) or token.endswith("ss"):
         return token
     for suffix, replacement, min_stem in _SUFFIX_RULES:
         if token.endswith(suffix) and len(token) - len(suffix) >= min_stem:
@@ -180,12 +181,6 @@ def _check_text(text: str) -> None:
         raise ValidationError("cannot embed empty or whitespace-only text")
 
 
-def _stack(rows: list, dimension: int) -> np.ndarray:
-    import numpy as np
-
-    return np.vstack(rows) if rows else np.zeros((0, dimension))
-
-
 def _bucket(token: str, dimension: int) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % dimension
@@ -204,9 +199,9 @@ class HashedBagOfWordsProvider:
         # is stemmed and hashed once per provider.
         self._buckets: dict[str, int] = {}
 
-    def embed(self, text: str) -> np.ndarray:
-        import numpy as np
-
+    def _token_buckets(self, text: str) -> list[int]:
+        """The bucket of each token's stem, in text order; the one tokenizer
+        behind ``embed`` and ``embed_many``."""
         buckets = []
         for token in _WORD.findall(text.lower()):
             bucket = self._buckets.get(token)
@@ -215,15 +210,41 @@ class HashedBagOfWordsProvider:
             buckets.append(bucket)
         if not buckets:
             raise ValidationError("cannot embed empty or whitespace-only text")
+        return buckets
+
+    def embed(self, text: str) -> np.ndarray:
+        import numpy as np
+
+        buckets = self._token_buckets(text)
         # Counts are exact integers, so the vector is the same bytes whatever
         # order the tokens are counted in.
         vector = np.bincount(buckets, minlength=self.dimension).astype(np.float64)
         return vector / np.linalg.norm(vector)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        # Serial: hashing is Python work under the interpreter lock, so
-        # threads would only add switching.
-        return _stack([self.embed(text) for text in texts], self.dimension)
+        """One weighted bincount over every text's (row, bucket) cells, then
+        each row divided by its norm in place. Counts and sums of squares are
+        exact integers in float64 (below 2**53), so each row's norm and
+        quotient are correctly rounded from the same exact values as in
+        ``embed``: row ``i`` is the same bytes as ``embed(texts[i])``."""
+        import numpy as np
+
+        dimension = self.dimension
+        if not texts:
+            return np.zeros((0, dimension))
+        flat: list[int] = []
+        lengths: list[int] = []
+        for text in texts:
+            buckets = self._token_buckets(text)
+            flat += buckets
+            lengths.append(len(buckets))
+        cells = np.repeat(np.arange(len(texts)) * dimension, lengths)
+        cells += np.array(flat, dtype=cells.dtype)
+        counts = np.bincount(
+            cells, weights=np.ones(len(flat)), minlength=len(texts) * dimension
+        ).reshape(len(texts), dimension)
+        counts /= np.sqrt(np.einsum("ij,ij->i", counts, counts))[:, None]
+        return counts
 
 
 class RemoteEmbeddingProvider:
@@ -290,6 +311,8 @@ class RemoteEmbeddingProvider:
         """Embed every text, at most ``max_inflight`` at a time. Once one text
         has failed, no further text is sent and the first failure in input
         order is raised."""
+        import numpy as np
+
         for text in texts:
             _check_text(text)
         failed = threading.Event()
@@ -307,7 +330,7 @@ class RemoteEmbeddingProvider:
             # When this raises, a failure or a Ctrl-C while waiting, map
             # cancels every queued text; the pool waits only for those in flight.
             rows = list(pool.map(one, texts))
-        return _stack(rows, self.dimension)
+        return np.vstack(rows) if rows else np.zeros((0, self.dimension))
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

@@ -424,10 +424,16 @@ class HttpLlmBackend:
             "max_tokens": params.max_tokens,
             "temperature": params.temperature,
         }
+        # A transport fault (an OSError, which every requests error is) or a
+        # response without "text" is retried; any other exception is a bug
+        # and propagates at once.
         try:
             response = self._transport(self.endpoint, payload, self.timeout_ms / 1000.0)
+        except (OSError, BackendError) as exc:
+            raise BackendError(f"LLM backend {self.name!r} failed: {exc}") from exc
+        try:
             return str(response["text"])
-        except Exception as exc:
+        except (KeyError, TypeError) as exc:
             raise BackendError(f"LLM backend {self.name!r} failed: {exc}") from exc
 
 

@@ -496,3 +496,35 @@ def test_auth_token_travels_via_environment(monkeypatch):
     finally:
         server.shutdown()
     assert _HeaderEchoHandler.seen_auth == ["Bearer sekrit", None]
+
+
+def test_http_transport_programming_error_is_not_retried():
+    calls = []
+
+    def transport(url, payload, timeout_s):
+        calls.append(payload)
+        raise TypeError("bug in transport")
+
+    with pytest.raises(TypeError, match="bug in transport"):
+        annotate_batch([record("r1", "child has asthma")],
+                       HttpNerBackend("http://x/ner", transport=transport),
+                       BackendConfig(retry_budget=2))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault", [ConnectionError("refused"), TimeoutError("slow")])
+def test_http_transport_faults_are_retried(fault):
+    calls = []
+
+    def transport(url, payload, timeout_s):
+        calls.append(payload)
+        raise fault
+
+    (outcome,) = annotate_batch([record("r1", "child has asthma")],
+                                HttpNerBackend("http://x/ner", transport=transport),
+                                BackendConfig(retry_budget=2))
+    assert len(calls) == 3
+    assert outcome.status == "failed"
+    assert outcome.error == (
+        f"backend unreachable after 3 attempts: NER backend at http://x/ner failed: {fault}"
+    )

@@ -473,6 +473,30 @@ def test_raft_sends_embedding_timeout_from_config(workspace, monkeypatch):
     assert timeouts and set(timeouts) == {4.5}
 
 
+@pytest.mark.parametrize("section, expected", [("\ntimeout_ms = 4500\n", 4.5), ("", 30.0)])
+def test_report_plan_embeddings_send_timeout_from_config(workspace, monkeypatch, section,
+                                                         expected):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    config.write_text(config.read_text() + "\n[embedding]" + section)
+    summary = {"candidate": "child has asthma daily", "reference": "asthma daily report"}
+    (root / "summaries.jsonl").write_text(json.dumps(summary) + "\n")
+    plan = {"embeddings": [{"embedding": "remote", "endpoint": "http://x/embed",
+                            "summaries": "summaries.jsonl"}]}
+    (root / "plan.json").write_text(json.dumps(plan))
+    reference = HashedBagOfWordsProvider()
+    timeouts = []
+
+    def post_json(url, payload, timeout_s, token_env):
+        timeouts.append(timeout_s)
+        return {"vectors": [reference.embed(text).tolist() for text in payload["texts"]]}
+
+    monkeypatch.setattr("phenotag.ontology.post_json", post_json)
+    result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    assert timeouts and set(timeouts) == {expected}
+
+
 def test_raft_zero_distractors_exits_1(workspace):
     root, config = workspace
     raft_setup(root, config)

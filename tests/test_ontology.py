@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import random
+import re
 import threading
 import time
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from phenotag.corpus import ConceptId
 from phenotag.errors import BackendError, ValidationError
@@ -508,16 +510,112 @@ def test_interrupted_index_build_sends_no_queued_text(monkeypatch):
     assert transport.calls < 50
 
 
-def test_hashed_index_build_starts_no_thread(store50):
+def test_hashed_index_build_starts_no_thread(store50, monkeypatch):
+    started = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    OntologyIndex(store50, HashedBagOfWordsProvider())
+    assert started == []
+
+
+# --- one-pass hashed embed_many against the per-text loop --------------------
+
+def loop_stem_token(token):
+    """The stemmer before its early return for tokens ending in neither s, g
+    nor d: every suffix rule is tried."""
+    if token.endswith("ss"):
+        return token
+    for suffix, replacement, min_stem in (
+        ("sses", "ss", 2), ("ies", "y", 2), ("ing", "", 3), ("ed", "", 3), ("es", "", 3),
+        ("s", "", 3),
+    ):
+        if token.endswith(suffix) and len(token) - len(suffix) >= min_stem:
+            return token[: -len(suffix)] + replacement
+    return token
+
+
+def loop_embed_many(texts, dimension):
+    """``embed_many`` before the one-pass build: each text counted with its
+    own bincount and normalized on its own, then the rows stacked."""
+    rows = []
+    for text in texts:
+        buckets = [_bucket(loop_stem_token(token), dimension)
+                   for token in re.findall(r"\w+", text.lower())]
+        if not buckets:
+            raise ValidationError("cannot embed empty or whitespace-only text")
+        vector = np.bincount(buckets, minlength=dimension).astype(np.float64)
+        rows.append(vector / np.linalg.norm(vector))
+    return np.vstack(rows) if rows else np.zeros((0, dimension))
+
+
+# Arbitrary stems, each followed by a suffix that a rule strips, a near
+# miss of one, or nothing.
+_suffixed_tokens = st.tuples(
+    st.text(max_size=6),
+    st.sampled_from(("", "s", "ss", "sses", "ies", "ing", "ed", "es", "d", "g", "ng", "é")),
+).map("".join)
+
+
+@given(token=st.one_of(st.text(), _suffixed_tokens))
+@example(token="")
+@example(token="ss")
+@example(token="ies")
+@example(token="ing")
+@example(token="ed")
+@example(token="wheezed")
+@example(token="naïves")
+@example(token="ÉCZEMAS")
+def test_stem_token_matches_the_loop_stemmer(token):
+    assert stem_token(token) == loop_stem_token(token)
+
+
+_repeated_texts = st.lists(
+    st.tuples(st.sampled_from(_EMBED_WORDS), st.integers(1, 400), st.sampled_from(_SEPARATORS)),
+    min_size=1, max_size=6,
+).map(lambda parts: "".join((word + sep) * times for word, times, sep in parts))
+
+
+@settings(max_examples=50)
+@given(texts=st.lists(_repeated_texts, max_size=6), dimension=st.sampled_from((1, 16)))
+def test_embed_many_matches_the_per_text_loop_bytes(texts, dimension):
+    provider = HashedBagOfWordsProvider(dimension=dimension)
+    rows = provider.embed_many(texts)
+    assert rows.shape == (len(texts), dimension)
+    assert rows.tobytes() == loop_embed_many(texts, dimension).tobytes()
+
+
+@pytest.mark.parametrize("blank", ["", "   ", "\n", "-- ,"])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_embed_many_rejects_a_blank_text_anywhere(blank, position):
+    texts = ["asthma", "eczema"]
+    texts.insert(position, blank)
+    with pytest.raises(ValidationError, match="empty or whitespace-only"):
+        HashedBagOfWordsProvider(dimension=16).embed_many(texts)
+
+
+def test_hashed_index_and_queries_match_golden_digests(store50):
+    # sha256 of the little-endian float64 bytes, as every earlier build gave
+    # them; a change to tokenizing, stemming or hashing that moves one bit
+    # fails here.
     provider = HashedBagOfWordsProvider()
-    before = threading.active_count()
-    seen = []
-    embed = provider.embed
-
-    def counting_embed(text):
-        seen.append(threading.active_count())
-        return embed(text)
-
-    provider.embed = counting_embed
-    OntologyIndex(store50, provider)
-    assert seen == [before] * len(store50)
+    matrix = OntologyIndex(store50, provider)._matrix.astype("<f8", copy=False)
+    assert matrix.shape == (50, 256)
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+        "c8ef3381e8ec89104d3e98ba4d90c74425b1064749e4b436553f465087f7cc7c"
+    )
+    queries = {
+        "child has asthma":
+            "6b3c0cf0e52a2c6c08e1c06c9a9f3275819bb73933ed68024291b5be673a7c46",
+        "Wheezing allergies, classes of ÉCZEMA":
+            "765f25ed4d7f7a057d8c72276ea48762228053ca85a08393ad6258faed2be0db",
+        "persistent disorder of the heart":
+            "afbf8b8ff44f3a74a4bdbba5512295ebb50d28ea7e53ed8de88ad750041f3f69",
+    }
+    for query, digest in queries.items():
+        vector = provider.embed(query).astype("<f8", copy=False)
+        assert hashlib.sha256(vector.tobytes()).hexdigest() == digest

@@ -624,3 +624,52 @@ def test_http_llm_backend_wire():
         ("http://llm.local/complete",
          {"prompt": "judge this", "max_tokens": 64, "temperature": 0.0}),
     ]
+
+
+@pytest.mark.parametrize("max_inflight", [1, 2])
+def test_http_llm_transport_programming_error_is_not_retried(store10, max_inflight):
+    from phenotag.orchestrate import HttpLlmBackend
+
+    corpus, annotations = corpus_with_annotations(store10, 1)
+    calls = []
+
+    def transport(url, payload, timeout):
+        calls.append(payload)
+        raise TypeError("bug in transport")
+
+    with pytest.raises(TypeError, match="bug in transport"):
+        run_strategy(
+            corpus, annotations, PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT),
+            HttpLlmBackend("http://llm.local/complete", transport=transport), store10,
+            seed=1, retry_budget=2, max_inflight=max_inflight,
+        )
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fault, detail", [
+    (ConnectionError("refused"), "refused"),
+    (TimeoutError("slow"), "slow"),
+    ({"txt": "AGREE"}, "'text'"),
+    (["AGREE"], "list indices"),
+])
+def test_http_llm_transport_faults_are_retried(store10, fault, detail):
+    from phenotag.orchestrate import HttpLlmBackend
+
+    corpus, annotations = corpus_with_annotations(store10, 1)
+    calls = []
+
+    def transport(url, payload, timeout):
+        calls.append(payload)
+        if isinstance(fault, Exception):
+            raise fault
+        return fault
+
+    ((_, verdict),) = run_strategy(
+        corpus, annotations, PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT),
+        HttpLlmBackend("http://llm.local/complete", name="remote", transport=transport),
+        store10, seed=1, retry_budget=2,
+    )
+    assert len(calls) == 3
+    assert verdict.kind is VerdictKind.UNPARSEABLE
+    assert verdict.raw_text.startswith("<llm error: LLM backend 'remote' failed: ")
+    assert detail in verdict.raw_text
