@@ -66,6 +66,7 @@ from .orchestrate import (
     Strategy,
     TemplateRegistry,
     build_raft_dataset,
+    check_raft_inputs,
     check_run_settings,
     load_example_pool,
     raft_to_jsonl,
@@ -127,6 +128,16 @@ def _resolve(path_option: str | None, cfg: RunConfig, section: str, key: str) ->
             raise FileNotFoundError(f"no such file: {path}")
         return path
     return cfg.require_path(section, key)
+
+
+def _optional_input(path_option: str | None, cfg: RunConfig, section: str,
+                    key: str) -> Path | None:
+    """An input a command can do without: an explicit path must exist (exit
+    2), while a config default that is unset or missing is skipped."""
+    if path_option:
+        return _resolve(path_option, cfg, section, key)
+    path = cfg.path(section, key)
+    return path if path is not None and path.exists() else None
 
 
 def _preprocessed_corpus(corpus: Corpus, cfg: RunConfig) -> Corpus:
@@ -324,6 +335,15 @@ def _embedding_provider(cfg: RunConfig):
     return HashedBagOfWordsProvider(dimension=dimension, name=label)
 
 
+def _record_index_cache(manifest: RunManifest, index: OntologyIndex) -> None:
+    """The sidecar pins the cached matrix's digest: an input when the index
+    was read from the cache, an output when it was written to it."""
+    if index.cache_read:
+        manifest.add_input(index.cache_sidecar)
+    else:
+        manifest.add_output(index.cache_sidecar)
+
+
 def _llm_backend(cfg: RunConfig, scripted_option: str | None):
     scripted = Path(scripted_option) if scripted_option else cfg.path("llm", "scripted")
     if scripted is not None:
@@ -394,12 +414,17 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
         retry_budget = cfg.get_int("llm", "retry_budget", 1)
         max_inflight = cfg.get_int("llm", "max_inflight", 1)
         check_run_settings(spec, example_pool, retry_budget, max_inflight)
-        index = OntologyIndex(store, _embedding_provider(cfg)) if spec.rag_enabled else None
         out_dir = cfg.output_dir
+        index = (
+            OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
+            if spec.rag_enabled else None
+        )
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest("run", cfg, out_dir)
         for path in (corpus_path, predictions_path, ontology_path):
             manifest.add_input(path)
+        if index is not None:
+            _record_index_cache(manifest, index)
         manifest.write()
         dumped: list[str] = []
         sink = None
@@ -635,10 +660,8 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
         bundle = ReportBundle(
             ner_nen=[NerNenRow("BERN2", metrics, concept_accuracy.accuracy, counts=counts)]
         )
-        verdicts_path = (
-            Path(verdicts_option) if verdicts_option else cfg.path("eval", "verdicts")
-        )
-        if verdicts_path is not None and verdicts_path.exists():
+        verdicts_path = _optional_input(verdicts_option, cfg, "eval", "verdicts")
+        if verdicts_path is not None:
             verdicts, annotations = _read_verdict_file(verdicts_path, gold_texts)
             if verdicts:
                 report = alignment_accuracy(verdicts, annotations, gold_set)
@@ -649,8 +672,8 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
                     f"GT alignment {report.gt_alignment_accuracy:.3f}, "
                     f"hallucination rate {'NR' if rate is None else f'{rate:.3f}'}"
                 )
-        plan_path = Path(plan_option) if plan_option else cfg.path("eval", "report_plan")
-        if plan_path is not None and plan_path.exists():
+        plan_path = _optional_input(plan_option, cfg, "eval", "report_plan")
+        if plan_path is not None:
             planned = _bundle_from_plan(
                 plan_path, gold_set, gold_texts,
                 cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
@@ -710,21 +733,15 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
             lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
         )
         seed = derive_seed(seed_option if seed_option is not None else cfg.seed, "raft")
-        provider = _embedding_provider(cfg)
-        datapoints = build_raft_dataset(
-            store, questions, n_distractors, seed, provider=provider
-        )
-        for point in datapoints:  # invariant recheck before anything is written
-            distractor_ids = {d.concept_id for d in point.distractor_docs}
-            if point.oracle_doc.concept_id in distractor_ids or len(
-                distractor_ids
-            ) != n_distractors:
-                raise ValidationError("internal defect: RAFT invariants violated")
+        check_raft_inputs(store, questions, n_distractors)
         out_dir = cfg.output_dir
+        index = OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
+        datapoints = build_raft_dataset(store, questions, n_distractors, seed, index=index)
         out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest("raft", cfg, out_dir)
         manifest.add_input(ontology_path)
         manifest.add_input(questions_path)
+        _record_index_cache(manifest, index)
         manifest.write()
         raft_path = Path(out_option) if out_option else out_dir / "raft.jsonl"
         atomic_write_text(raft_path, "\n".join(raft_to_jsonl(datapoints)) + "\n")

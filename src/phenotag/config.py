@@ -14,7 +14,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping
+from typing import IO, Callable, Mapping
 
 from . import __version__
 from .corpus import PreprocessConfig, load_acronym_map, load_lexicon
@@ -24,6 +24,7 @@ __all__ = [
     "RunConfig",
     "load_config",
     "derive_seed",
+    "atomic_write",
     "atomic_write_text",
     "sha256_of",
     "RunManifest",
@@ -132,20 +133,26 @@ def derive_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write-temp-then-rename so readers never see a partial file."""
+def atomic_write(path: str | Path, write: Callable[[IO], object], mode: str = "w") -> Path:
+    """Write-temp-then-rename so readers never see a partial file: ``write``
+    gets the temp file, opened in ``mode``, beside ``path``."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
+            write(handle)
         os.replace(tmp_name, target)
     except BaseException:
         if os.path.exists(tmp_name):
             os.unlink(tmp_name)
         raise
     return target
+
+
+def atomic_write_text(path: str | Path, text: str) -> Path:
+    """Write-temp-then-rename so readers never see a partial file."""
+    return atomic_write(path, lambda handle: handle.write(text))
 
 
 def sha256_of(path: str | Path) -> str:

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
+import json
+import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
+from . import __version__
+from .config import atomic_write, atomic_write_text
 from .corpus import ConceptId, read_jsonl
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, post_json
@@ -39,8 +44,9 @@ __all__ = [
     "RemoteEmbeddingProvider",
     "cosine",
     "OntologyIndex",
+    "INDEX_FILE",
+    "INDEX_SIDECAR",
     "stem_token",
-    "tokenize",
 ]
 
 
@@ -157,10 +163,6 @@ def stem_token(token: str) -> str:
 
 
 _WORD = re.compile(r"\w+")
-
-
-def tokenize(text: str) -> list[str]:
-    return [stem_token(t) for t in _WORD.findall(text.lower())]
 
 
 class EmbeddingProvider(Protocol):
@@ -347,22 +349,110 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / denom)
 
 
+# The cached index matrix in a cache directory, and its sidecar holding the
+# cache key and the matrix's sha256.
+INDEX_FILE = "ontology_index.npy"
+INDEX_SIDECAR = INDEX_FILE + ".json"
+
+
+def _index_key(provider: EmbeddingProvider, bodies: Sequence[str]) -> str:
+    """sha256 over the package version, the provider's identity (class,
+    name, dimension, and endpoint for a remote provider) and every document
+    body in order, each part length-prefixed."""
+    identity = json.dumps([
+        __version__, type(provider).__name__, provider.name, provider.dimension,
+        getattr(provider, "endpoint", None),
+    ])
+    digest = hashlib.sha256()
+    for part in (identity, *bodies):
+        data = part.encode("utf-8")
+        digest.update(len(data).to_bytes(8, "big"))
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def _npy_header(shape: tuple[int, int]) -> bytes:
+    """The header ``np.save`` writes before a C-order float64 matrix of ``shape``."""
+    import numpy as np
+    from numpy.lib import format as npy
+
+    header = io.BytesIO()
+    npy.write_array_header_1_0(header, {
+        "descr": npy.dtype_to_descr(np.dtype(np.float64)), "fortran_order": False,
+        "shape": shape,
+    })
+    return header.getvalue()
+
+
+def _read_index(cache_dir: Path, key: str, shape: tuple[int, int]) -> np.ndarray | None:
+    """The matrix cached in ``cache_dir``, or None unless the sidecar holds
+    ``key``, the file is exactly what ``np.save`` writes for a float64
+    matrix of ``shape``, and the sidecar holds that matrix's sha256."""
+    import numpy as np
+
+    try:
+        sidecar = json.loads((cache_dir / INDEX_SIDECAR).read_text(encoding="utf-8"))
+        if not isinstance(sidecar, dict) or sidecar.get("key") != key:
+            return None
+        header = _npy_header(shape)
+        with open(cache_dir / INDEX_FILE, "rb") as handle:
+            size = shape[0] * shape[1]
+            if (os.fstat(handle.fileno()).st_size != len(header) + 8 * size
+                    or handle.read(len(header)) != header):
+                return None
+            matrix = np.fromfile(handle, dtype=np.float64, count=size).reshape(shape)
+    except (OSError, ValueError):
+        return None
+    if hashlib.sha256(matrix).hexdigest() != sidecar.get("sha256"):
+        return None
+    return matrix
+
+
+def _write_index(cache_dir: Path, key: str, matrix: np.ndarray) -> None:
+    """Write the matrix, then its sidecar, each atomically; a crash between
+    the two leaves the old sidecar, which pins the old matrix's digest."""
+    import numpy as np
+
+    atomic_write(cache_dir / INDEX_FILE, lambda handle: np.save(handle, matrix), "wb")
+    sidecar = {"key": key, "sha256": hashlib.sha256(matrix).hexdigest()}
+    atomic_write_text(cache_dir / INDEX_SIDECAR, json.dumps(sidecar) + "\n")
+
+
 class OntologyIndex:
     """Exhaustive-scan vector index over a store's retrieval documents.
 
     Immutable after build; rebuilding from the same store and provider
     yields identical vectors. Exhaustive scan is deliberate: at the
     disease-subset scale nothing fancier pays for itself.
+
+    With ``cache_dir``, the matrix is read from ``INDEX_FILE`` there when
+    its sidecar holds this store's and provider's key and the matrix's
+    digest; otherwise it is built and both files are rewritten.
+    ``cache_sidecar`` is then the sidecar's path and ``cache_read`` says
+    whether the matrix came from it.
     """
 
-    def __init__(self, store: OntologyStore, provider: EmbeddingProvider):
+    def __init__(self, store: OntologyStore, provider: EmbeddingProvider,
+                 cache_dir: str | Path | None = None):
         self.store = store
         self.provider = provider
         concepts = store.concepts()
         self._concept_ids: list[ConceptId] = [concept.concept_id for concept in concepts]
-        self._matrix = provider.embed_many(
-            [build_rag_document(concept).body for concept in concepts]
-        )
+        bodies = [build_rag_document(concept).body for concept in concepts]
+        self.cache_sidecar: Path | None = None
+        self.cache_read = False
+        if cache_dir is None:
+            self._matrix = provider.embed_many(bodies)
+            return
+        cache_dir = Path(cache_dir)
+        self.cache_sidecar = cache_dir / INDEX_SIDECAR
+        key = _index_key(provider, bodies)
+        matrix = _read_index(cache_dir, key, (len(bodies), provider.dimension))
+        self.cache_read = matrix is not None
+        if matrix is None:
+            matrix = provider.embed_many(bodies)
+            _write_index(cache_dir, key, matrix)
+        self._matrix = matrix
 
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;

@@ -52,6 +52,7 @@ __all__ = [
     "check_run_settings",
     "run_strategy",
     "RaftDatapoint",
+    "check_raft_inputs",
     "build_raft_dataset",
     "render_cot_answer",
     "raft_to_jsonl",
@@ -574,6 +575,22 @@ def render_cot_answer(
     )
 
 
+def check_raft_inputs(
+    store: OntologyStore, questions: Sequence[tuple[str, ConceptId]], n_distractors: int
+) -> None:
+    """Raise ValidationError for any input ``build_raft_dataset`` rejects, so
+    a caller can check them before it builds an index."""
+    if n_distractors < 1:
+        raise ValidationError("n_distractors must be >= 1")
+    if len(store) < n_distractors + 1:
+        raise ValidationError(
+            f"store has {len(store)} concepts, need at least {n_distractors + 1}"
+        )
+    for _, gold_id in questions:
+        if gold_id not in store:
+            raise ValidationError(f"gold concept {gold_id} not in the ontology store")
+
+
 def build_raft_dataset(
     store: OntologyStore,
     questions: Sequence[tuple[str, ConceptId]],
@@ -589,20 +606,13 @@ def build_raft_dataset(
     negatives) when an embedding provider or index is available, otherwise
     a seeded random sample. Deterministic per seed either way.
     """
-    if n_distractors < 1:
-        raise ValidationError("n_distractors must be >= 1")
-    if len(store) < n_distractors + 1:
-        raise ValidationError(
-            f"store has {len(store)} concepts, need at least {n_distractors + 1}"
-        )
+    check_raft_inputs(store, questions, n_distractors)
     if index is None and provider is not None:
         index = OntologyIndex(store, provider)
     rng = random.Random(seed)
     all_ids = [c.concept_id for c in store.concepts()]
     datapoints = []
     for question, gold_id in questions:
-        if gold_id not in store:
-            raise ValidationError(f"gold concept {gold_id} not in the ontology store")
         oracle = build_rag_document(store.get(gold_id))
         if index is not None:
             ranked = index.top_k(question, n_distractors + 1)

@@ -1,10 +1,11 @@
 import json
+import re
 
 import pytest
 from hypothesis import settings
 
 from phenotag.corpus import ConceptId
-from phenotag.ontology import OntologyConcept, OntologyStore, tokenize
+from phenotag.ontology import OntologyConcept, OntologyStore, stem_token
 
 # Property tests replay the same examples on every run and have no time
 # limit per example: tier-1 results must not depend on machine load.
@@ -21,6 +22,12 @@ _ORGANS = (
     "airways", "heart", "skin", "stomach", "liver",
     "kidneys", "nerves", "bones", "lungs", "sinuses",
 )
+
+
+def tokenize(text):
+    """Lowercased word tokens, each stemmed: the tokens whose buckets the
+    hashed provider counts."""
+    return [stem_token(t) for t in re.findall(r"\w+", text.lower())]
 
 
 def _buckets(text):

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import phenotag
 from phenotag.cli import main
 from phenotag.config import derive_seed, load_config
-from phenotag.ontology import HashedBagOfWordsProvider
+from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
 
 from conftest import write_e2e_workspace
 
@@ -314,6 +314,27 @@ def test_eval_missing_gold_exits_2(workspace):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("option", ["--verdicts", "--report-plan"])
+def test_eval_explicit_missing_input_exits_2(workspace, option):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    result = invoke("eval", "-c", config, option, root / "nowhere.json")
+    assert result.exit_code == 2
+    assert "no such file" in result.stderr
+    assert not (root / "out" / "eval_manifest.json").exists()
+
+
+def test_eval_skips_missing_config_defaults(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    config.write_text(config.read_text().replace(
+        "[eval]\n", "[eval]\nverdicts = nowhere.jsonl\nreport_plan = nowhere.json\n"
+    ))
+    result = invoke("eval", "-c", config)
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    assert "BERN2 alignment" not in result.output
+
+
 def test_eval_record_mismatch_exits_1_naming_ids(workspace):
     root, config = workspace
     run_pipeline_through_annotate(config)
@@ -473,6 +494,59 @@ def test_raft_sends_embedding_timeout_from_config(workspace, monkeypatch):
     assert timeouts and set(timeouts) == {4.5}
 
 
+def result_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())
+            if not p.name.endswith("_manifest.json")}
+
+
+def test_results_identical_with_cold_and_warm_index_cache(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    raft_setup(root, config)
+    out = root / "out"
+    commands = [
+        ("run", "-c", config, "--strategy", "rag-fsi", "--dump-prompts", out / "prompts.jsonl"),
+        ("run", "-c", config, "--strategy", "rag-fsi-flags", "--out", out / "flags.jsonl"),
+        ("raft", "-c", config, "--n-distractors", "3"),
+    ]
+    for command in commands:  # cold: every command builds the index
+        for name in (INDEX_FILE, INDEX_SIDECAR):
+            (out / name).unlink(missing_ok=True)
+        assert invoke(*command).exit_code == 0
+        manifest = json.loads((out / f"{command[0]}_manifest.json").read_text())
+        assert str(out / INDEX_SIDECAR) in manifest["outputs"]
+    cold = result_files(out)
+    for command in commands:  # warm: every command reads the cached index
+        assert invoke(*command).exit_code == 0
+        manifest = json.loads((out / f"{command[0]}_manifest.json").read_text())
+        assert str(out / INDEX_SIDECAR) in manifest["inputs"]
+        assert str(out / INDEX_SIDECAR) not in manifest["outputs"]
+    assert result_files(out) == cold
+    assert {INDEX_FILE, INDEX_SIDECAR, "verdicts.jsonl", "raft.jsonl"} <= set(cold)
+
+
+def test_remote_index_documents_are_sent_once_for_run_and_raft(workspace, monkeypatch):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    raft_setup(root, config)
+    config.write_text(config.read_text() + "\n[embedding]\nendpoint = http://x/embed\n")
+    reference = HashedBagOfWordsProvider()
+    documents = []
+
+    def post_json(url, payload, timeout_s, token_env):
+        documents.extend(text for text in payload["texts"] if text.startswith("NAME: "))
+        return {"vectors": [reference.embed(text).tolist() for text in payload["texts"]]}
+
+    monkeypatch.setattr("phenotag.ontology.post_json", post_json)
+    result = invoke("run", "-c", config, "--strategy", "rag-fsi")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    assert len(documents) == 50
+    documents.clear()
+    result = invoke("raft", "-c", config, "--n-distractors", "3")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    assert documents == []
+
+
 @pytest.mark.parametrize("section, expected", [("\ntimeout_ms = 4500\n", 4.5), ("", 30.0)])
 def test_report_plan_embeddings_send_timeout_from_config(workspace, monkeypatch, section,
                                                          expected):
@@ -495,6 +569,23 @@ def test_report_plan_embeddings_send_timeout_from_config(workspace, monkeypatch,
     result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
     assert result.exit_code == 0, result.output + repr(result.stderr)
     assert timeouts and set(timeouts) == {expected}
+
+
+@pytest.mark.parametrize("question, n_distractors, detail", [
+    ({"question": "What is it?", "concept_id": "mesh:D999999"}, 3,
+     "gold concept mesh:D999999 not in the ontology store"),
+    (None, 50, "store has 50 concepts, need at least 51"),
+], ids=["unknown-gold-concept", "ontology-too-small"])
+def test_raft_rejected_input_builds_no_index(workspace, question, n_distractors, detail):
+    root, config = workspace
+    raft_setup(root, config)
+    if question is not None:
+        with open(root / "questions.jsonl", "a") as handle:
+            handle.write(json.dumps(question) + "\n")
+    result = invoke("raft", "-c", config, "--n-distractors", n_distractors)
+    assert result.exit_code == 1
+    assert detail in result.stderr
+    assert not (root / "out").exists()
 
 
 def test_raft_zero_distractors_exits_1(workspace):

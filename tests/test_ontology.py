@@ -3,9 +3,12 @@ import json
 import math
 import random
 import re
+import shutil
+import tempfile
 import threading
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from phenotag.corpus import ConceptId
 from phenotag.errors import BackendError, ValidationError
+import phenotag
 from phenotag.ontology import (
+    INDEX_FILE,
+    INDEX_SIDECAR,
     HashedBagOfWordsProvider,
     OntologyConcept,
     OntologyIndex,
@@ -24,10 +30,9 @@ from phenotag.ontology import (
     cosine,
     load_ontology,
     stem_token,
-    tokenize,
 )
 
-from conftest import make_concepts, concepts_to_jsonl
+from conftest import make_concepts, concepts_to_jsonl, tokenize
 
 
 def concept_line(cid="mesh:D001249", name="asthma", desc="airway disease", syns=("wheeze",)):
@@ -619,3 +624,97 @@ def test_hashed_index_and_queries_match_golden_digests(store50):
     for query, digest in queries.items():
         vector = provider.embed(query).astype("<f8", copy=False)
         assert hashlib.sha256(vector.tobytes()).hexdigest() == digest
+
+
+# --- on-disk index cache ------------------------------------------------------
+
+def cache_files(cache_dir):
+    return {name: (cache_dir / name).read_bytes() for name in (INDEX_FILE, INDEX_SIDECAR)}
+
+
+def test_index_cache_is_written_then_read(store50, tmp_path):
+    cold_transport, warm_transport = HashedTransport(16), HashedTransport(16)
+    cold = OntologyIndex(store50, remote(cold_transport), cache_dir=tmp_path / "out")
+    assert (cold.cache_read, cold.cache_sidecar) == (False, tmp_path / "out" / INDEX_SIDECAR)
+    assert cold_transport.calls == len(store50)
+    warm = OntologyIndex(store50, remote(warm_transport), cache_dir=tmp_path / "out")
+    assert warm.cache_read and warm_transport.calls == 0
+    assert warm._matrix.tobytes() == cold._matrix.tobytes()
+    # A plain .npy file, and a sidecar pinning exactly its matrix.
+    assert np.load(tmp_path / "out" / INDEX_FILE).tobytes() == cold._matrix.tobytes()
+    sidecar = json.loads((tmp_path / "out" / INDEX_SIDECAR).read_text())
+    assert sidecar["sha256"] == hashlib.sha256(cold._matrix.tobytes()).hexdigest()
+    for query in ("disease number 7", "persistent disorder"):
+        assert warm.top_k(query, 5) == cold.top_k(query, 5)
+
+
+_CORRUPTIONS = ("truncate", "flip", "other sidecar", "other matrix", "sidecar not json",
+                "sidecar not an object", "no matrix", "no sidecar")
+
+
+# Flipping a header padding space to a tab leaves a file np.load still reads
+# as the same matrix; the cache must still refuse anything but the exact bytes.
+@example(kind="flip", position=120, mask=0x29)
+@settings(max_examples=80)
+@given(kind=st.sampled_from(_CORRUPTIONS), position=st.integers(0, 2**32),
+       mask=st.integers(1, 255))
+def test_corrupt_or_mismatched_cache_is_rebuilt(kind, position, mask):
+    store = OntologyStore(make_concepts(10))
+    # Same shape, other documents: its matrix passes every check but the digest.
+    other = OntologyStore(make_concepts(11)[1:])
+    with tempfile.TemporaryDirectory() as tmp:
+        cache, elsewhere = Path(tmp, "cache"), Path(tmp, "elsewhere")
+        fresh = OntologyIndex(store, HashedBagOfWordsProvider(dimension=16), cache_dir=cache)
+        written = cache_files(cache)
+        OntologyIndex(other, HashedBagOfWordsProvider(dimension=16), cache_dir=elsewhere)
+        data = written[INDEX_FILE]
+        if kind == "truncate":
+            (cache / INDEX_FILE).write_bytes(data[: position % len(data)])
+        elif kind == "flip":
+            at = position % len(data)
+            (cache / INDEX_FILE).write_bytes(data[:at] + bytes([data[at] ^ mask]) + data[at + 1:])
+        elif kind.startswith("other"):
+            name = INDEX_SIDECAR if kind == "other sidecar" else INDEX_FILE
+            shutil.copyfile(elsewhere / name, cache / name)
+        elif kind == "sidecar not json":
+            (cache / INDEX_SIDECAR).write_bytes(b"\xff{" + written[INDEX_SIDECAR])
+        elif kind == "sidecar not an object":
+            (cache / INDEX_SIDECAR).write_text(json.dumps([written[INDEX_SIDECAR].decode()]))
+        else:
+            (cache / (INDEX_FILE if kind == "no matrix" else INDEX_SIDECAR)).unlink()
+        rebuilt = OntologyIndex(store, HashedBagOfWordsProvider(dimension=16), cache_dir=cache)
+        assert not rebuilt.cache_read
+        assert rebuilt._matrix.tobytes() == fresh._matrix.tobytes()
+        assert cache_files(cache) == written
+
+
+def _renamed_first_concept():
+    first, *rest = make_concepts(10)
+    return OntologyStore([OntologyConcept(first.concept_id, "renamed"), *rest])
+
+
+@pytest.mark.parametrize("change", [
+    "ontology", "dimension", "label", "endpoint", "provider class", "version",
+])
+def test_key_change_forces_rebuild(tmp_path, monkeypatch, change):
+    store = OntologyStore(make_concepts(10))
+    first = OntologyIndex(store, remote(HashedTransport(16)), cache_dir=tmp_path)
+    sidecar = (tmp_path / INDEX_SIDECAR).read_bytes()
+    transport = HashedTransport(32 if change == "dimension" else 16)
+    provider = {
+        "dimension": remote(transport, dimension=32),
+        "label": RemoteEmbeddingProvider("other", "fake://embed", 16, transport=transport),
+        "endpoint": RemoteEmbeddingProvider("remote", "fake://other", 16, transport=transport),
+        "provider class": HashedBagOfWordsProvider(dimension=16, name="remote"),
+    }.get(change, remote(transport))
+    if change == "ontology":
+        store = _renamed_first_concept()
+    if change == "version":
+        monkeypatch.setattr("phenotag.ontology.__version__", phenotag.__version__ + ".1")
+    again = OntologyIndex(store, provider, cache_dir=tmp_path)
+    assert not again.cache_read
+    assert (tmp_path / INDEX_SIDECAR).read_bytes() != sidecar
+    if change != "provider class":
+        assert transport.calls == len(store)
+    if change in ("label", "endpoint", "version"):  # same vectors, another key
+        assert again._matrix.tobytes() == first._matrix.tobytes()
