@@ -1,10 +1,11 @@
 """Command-line entry point wiring the pipeline into reproducible runs.
 
 Exit codes are a stable contract: 0 success, 1 validation or usage
-problem, 2 missing input, 3 backend failure. Every command writes its run
-manifest before any result file, and all result files are written
-atomically, so identical configs with scripted backends reproduce outputs
-byte for byte.
+problem, 2 missing input, 3 backend failure. Every command reads and
+validates its inputs first, then writes through ``_manifested``, the one
+write path: the run manifest goes out before any result file, and all
+result files are written atomically, so identical configs with scripted
+backends reproduce outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import click
 
@@ -121,6 +123,36 @@ def main() -> None:
     """Disease phenotyping pipeline: ingest, annotate, verify, evaluate."""
 
 
+@contextmanager
+def _manifested(command: str, cfg: RunConfig, out_dir: Path, inputs: Sequence[Path],
+                index: OntologyIndex | None = None) -> Iterator[dict[Path, str | None]]:
+    """The one write path for manifests and result files.
+
+    On entry, ``<command>_manifest.json`` in ``out_dir`` names ``inputs``
+    and, with ``index``, the cache sidecar: an input when the matrix was
+    read, an output when it was written. The body fills the yielded
+    ``{path: text}`` dict; None marks a file the body already wrote. On a
+    clean exit each text is written atomically and the manifest is
+    rewritten with the output checksums. If the body raises, the first
+    manifest stays and no result file is written.
+    """
+    manifest = RunManifest(command, cfg, out_dir)
+    for path in inputs:
+        manifest.add_input(path)
+    if index is not None and index.cache_read:
+        manifest.add_input(index.cache_sidecar)
+    elif index is not None:
+        manifest.add_output(index.cache_sidecar)
+    manifest.write()
+    files: dict[Path, str | None] = {}
+    yield files
+    for path, text in files.items():
+        if text is not None:
+            atomic_write_text(path, text)
+        manifest.add_output(path)
+    manifest.write()
+
+
 def _resolve(path_option: str | None, cfg: RunConfig, section: str, key: str) -> Path:
     if path_option is not None:
         path = Path(path_option)
@@ -183,15 +215,10 @@ def ingest(config_path: str, records_option: str | None) -> None:
         cfg = load_config(config_path)
         records_path = _resolve(records_option, cfg, "paths", "corpus")
         corpus = load_records(records_path, cfg.expects_keywords())
-        out_dir = cfg.output_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest("ingest", cfg, out_dir)
-        manifest.add_input(records_path)
-        manifest.write()
-        corpus_out = out_dir / "corpus.jsonl"
-        atomic_write_text(corpus_out, "\n".join(_record_to_json(r) for r in corpus) + "\n")
-        manifest.add_output(corpus_out)
-        manifest.write()
+        with _manifested("ingest", cfg, cfg.output_dir, [records_path]) as files:
+            files[cfg.output_dir / "corpus.jsonl"] = (
+                "\n".join(_record_to_json(r) for r in corpus) + "\n"
+            )
         click.echo(f"{len(corpus)} records")
         by_type: dict[str, int] = {}
         for record in corpus:
@@ -254,15 +281,10 @@ def annotate(config_path: str, corpus_option: str | None, mock_option: str | Non
             timeout_ms=cfg.get_int("ner", "timeout_ms", 30_000),
         )
         out_dir = cfg.output_dir
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest("annotate", cfg, out_dir)
-        manifest.add_input(corpus_path)
-        manifest.write()
-        outcomes = annotate_batch(corpus.records, backend, backend_config)
         predictions_path = Path(out_option) if out_option else out_dir / "predictions.jsonl"
-        atomic_write_text(predictions_path, "\n".join(write_outcomes(outcomes)) + "\n")
-        manifest.add_output(predictions_path)
-        manifest.write()
+        with _manifested("annotate", cfg, out_dir, [corpus_path]) as files:
+            outcomes = annotate_batch(corpus.records, backend, backend_config)
+            files[predictions_path] = "\n".join(write_outcomes(outcomes)) + "\n"
         failures = sum(1 for o in outcomes if o.status == "failed")
         click.echo(f"{len(outcomes)} records annotated, {failures} failed")
         if outcomes and failures == len(outcomes):
@@ -333,15 +355,6 @@ def _embedding_provider(cfg: RunConfig):
             timeout_ms=cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
         )
     return HashedBagOfWordsProvider(dimension=dimension, name=label)
-
-
-def _record_index_cache(manifest: RunManifest, index: OntologyIndex) -> None:
-    """The sidecar pins the cached matrix's digest: an input when the index
-    was read from the cache, an output when it was written to it."""
-    if index.cache_read:
-        manifest.add_input(index.cache_sidecar)
-    else:
-        manifest.add_output(index.cache_sidecar)
 
 
 def _llm_backend(cfg: RunConfig, scripted_option: str | None):
@@ -419,13 +432,6 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
             OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
             if spec.rag_enabled else None
         )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest("run", cfg, out_dir)
-        for path in (corpus_path, predictions_path, ontology_path):
-            manifest.add_input(path)
-        if index is not None:
-            _record_index_cache(manifest, index)
-        manifest.write()
         dumped: list[str] = []
         sink = None
         if dump_option:
@@ -438,25 +444,23 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
                     },
                     ensure_ascii=False, sort_keys=True, separators=(",", ":"),
                 ))
-        results = run_strategy(
-            corpus, annotations, spec, llm, store,
-            seed=seed,
-            example_pool=example_pool,
-            index=index,
-            templates=templates,
-            params=params,
-            retry_budget=retry_budget,
-            max_inflight=max_inflight,
-            prompt_sink=sink,
-        )
         verdicts_path = Path(out_option) if out_option else out_dir / "verdicts.jsonl"
-        atomic_write_text(verdicts_path, "\n".join(write_verdicts(results)) + "\n")
-        manifest.add_output(verdicts_path)
-        if dump_option:
-            prompts_path = Path(dump_option)
-            atomic_write_text(prompts_path, "\n".join(dumped) + "\n")
-            manifest.add_output(prompts_path)
-        manifest.write()
+        inputs = [corpus_path, predictions_path, ontology_path]
+        with _manifested("run", cfg, out_dir, inputs, index) as files:
+            results = run_strategy(
+                corpus, annotations, spec, llm, store,
+                seed=seed,
+                example_pool=example_pool,
+                index=index,
+                templates=templates,
+                params=params,
+                retry_budget=retry_budget,
+                max_inflight=max_inflight,
+                prompt_sink=sink,
+            )
+            files[verdicts_path] = "\n".join(write_verdicts(results)) + "\n"
+            if dump_option:
+                files[Path(dump_option)] = "\n".join(dumped) + "\n"
         kinds: dict[str, int] = {}
         for _, verdict in results:
             kinds[verdict.kind.value] = kinds.get(verdict.kind.value, 0) + 1
@@ -520,9 +524,10 @@ def _check_plan_entry(section: str, entry: dict) -> None:
 
 def _bundle_from_plan(
     plan_path: Path, gold_set: AnnotationSet, gold_texts, embedding_timeout_ms: int
-) -> ReportBundle:
-    """Build tables 2-7 from a JSON plan of labeled verdict/summary files.
-    Remote ``embeddings`` entries wait up to ``embedding_timeout_ms`` per request."""
+) -> tuple[ReportBundle, list[Path]]:
+    """Build tables 2-7 from a JSON plan of labeled verdict/summary files;
+    also return every file the plan named. Remote ``embeddings`` entries
+    wait up to ``embedding_timeout_ms`` per request."""
     try:
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -541,6 +546,7 @@ def _bundle_from_plan(
             _check_plan_entry(section, entry)
     base = plan_path.parent
     bundle = ReportBundle()
+    read: list[Path] = []
 
     def _path(entry: dict, key: str) -> Path:
         if not isinstance(entry.get(key), str):
@@ -550,6 +556,7 @@ def _bundle_from_plan(
         resolved = base / entry[key]
         if not resolved.exists():
             raise FileNotFoundError(f"report plan references missing file {resolved}")
+        read.append(resolved)
         return resolved
 
     for entry in plan.get("zero_shot", []):
@@ -611,7 +618,7 @@ def _bundle_from_plan(
             rouge1=mean_rouge(pairs, 1),
             coherence=mean_coherence(pairs, provider),
         ))
-    return bundle
+    return bundle, read
 
 
 @main.command("eval")
@@ -654,18 +661,16 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
         metrics = compute_metrics(counts)
         concept_accuracy = match_concepts(pairs)
         out_dir = Path(out_option) if out_option else cfg.output_dir
-        manifest = RunManifest("eval", cfg, out_dir)
-        manifest.add_input(predictions_path)
-        manifest.add_input(gold_path)
+        inputs = [predictions_path, gold_path]
         bundle = ReportBundle(
             ner_nen=[NerNenRow("BERN2", metrics, concept_accuracy.accuracy, counts=counts)]
         )
         verdicts_path = _optional_input(verdicts_option, cfg, "eval", "verdicts")
         if verdicts_path is not None:
             verdicts, annotations = _read_verdict_file(verdicts_path, gold_texts)
+            inputs.append(verdicts_path)
             if verdicts:
                 report = alignment_accuracy(verdicts, annotations, gold_set)
-                manifest.add_input(verdicts_path)
                 rate = hallucination_rate(verdicts)
                 click.echo(
                     f"verdicts: BERN2 alignment {report.bern2_alignment_accuracy:.3f}, "
@@ -674,18 +679,16 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
                 )
         plan_path = _optional_input(plan_option, cfg, "eval", "report_plan")
         if plan_path is not None:
-            planned = _bundle_from_plan(
+            planned, plan_inputs = _bundle_from_plan(
                 plan_path, gold_set, gold_texts,
                 cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
             )
             planned.ner_nen = bundle.ner_nen
             bundle = planned
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest.write()
-        paths = render_report(bundle, out_dir)
-        for path in paths.values():
-            manifest.add_output(path)
-        manifest.write()
+            inputs += [plan_path, *plan_inputs]
+        with _manifested("eval", cfg, out_dir, inputs) as files:
+            paths = render_report(bundle, out_dir)
+            files.update(dict.fromkeys(paths.values()))
 
         def fmt(value):
             return "NR" if value is None else f"{value:.3f}"
@@ -737,16 +740,9 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
         out_dir = cfg.output_dir
         index = OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
         datapoints = build_raft_dataset(store, questions, n_distractors, seed, index=index)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest("raft", cfg, out_dir)
-        manifest.add_input(ontology_path)
-        manifest.add_input(questions_path)
-        _record_index_cache(manifest, index)
-        manifest.write()
         raft_path = Path(out_option) if out_option else out_dir / "raft.jsonl"
-        atomic_write_text(raft_path, "\n".join(raft_to_jsonl(datapoints)) + "\n")
-        manifest.add_output(raft_path)
-        manifest.write()
+        with _manifested("raft", cfg, out_dir, [ontology_path, questions_path], index) as files:
+            files[raft_path] = "\n".join(raft_to_jsonl(datapoints)) + "\n"
         click.echo(f"{len(datapoints)} RAFT datapoints with {n_distractors} distractors each")
 
     _execute(body)

@@ -596,6 +596,73 @@ def test_raft_zero_distractors_exits_1(workspace):
     assert "usage" in result.stderr
 
 
+
+# --- every command: rejected input writes nothing ---------------------------------
+
+def duplicate_first_line(path):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + lines[:1]) + "\n")
+
+
+def add_llm_setting(root, setting):
+    config = root / "config.ini"
+    config.write_text(config.read_text().replace("[llm]\n", f"[llm]\n{setting}\n"))
+
+
+def unknown_plan_section(root):
+    (root / "plan.json").write_text(json.dumps({"zero-shot": []}))
+    return ["--report-plan", root / "plan.json"]
+
+
+# (command, its extra arguments, how to break its input -> extra arguments, exit code)
+REJECTED_INPUTS = {
+    "ingest": ([], lambda root: duplicate_first_line(root / "records.jsonl"), 1),
+    "annotate": ([], lambda root: duplicate_first_line(root / "mock_lexicon.jsonl"), 1),
+    "run": (["--strategy", "zero-shot-cvc"],
+            lambda root: add_llm_setting(root, "max_inflight = 0"), 1),
+    "eval": ([], unknown_plan_section, 1),
+    "raft": (["--n-distractors", "3"], lambda root: ["--n-distractors", "0"], 1),
+}
+
+
+@pytest.mark.parametrize("command", list(REJECTED_INPUTS))
+def test_rejected_input_leaves_manifest_and_results_untouched(workspace, command):
+    root, config = workspace
+    args, break_input, code = REJECTED_INPUTS[command]
+    run_pipeline_through_annotate(config)
+    raft_setup(root, config)
+    result = invoke(command, "-c", config, *args)
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    assert f"{command}_manifest.json" in before
+    extra = break_input(root) or []
+    result = invoke(command, "-c", config, *args, *extra)
+    assert result.exit_code == code, result.output + repr(result.stderr)
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+def test_eval_manifest_names_every_file_it_read(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    assert invoke("run", "-c", config, "--strategy", "zero-shot-cvc").exit_code == 0
+    summary = {"candidate": "child has asthma daily", "reference": "asthma daily report"}
+    (root / "summaries.jsonl").write_text(json.dumps(summary) + "\n")
+    plan = {
+        "rag_fsi": [{"verdicts": "out/verdicts.jsonl", "summaries": "summaries.jsonl"}],
+        "embeddings": [{"summaries": "summaries.jsonl"}],
+    }
+    (root / "plan.json").write_text(json.dumps(plan))
+    (root / "empty.jsonl").write_text("")
+    result = invoke("eval", "-c", config, "--verdicts", root / "empty.jsonl",
+                    "--report-plan", root / "plan.json")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    manifest = json.loads((root / "out" / "eval_manifest.json").read_text())
+    read = [root / "out" / "predictions.jsonl", root / "gold.jsonl", root / "empty.jsonl",
+            root / "plan.json", root / "out" / "verdicts.jsonl", root / "summaries.jsonl"]
+    assert {Path(p).resolve() for p in manifest["inputs"]} == {p.resolve() for p in read}
+    assert len(manifest["outputs"]) == 8
+
+
 # --- seed derivation -------------------------------------------------------------
 
 def test_derive_seed_stable_and_stage_separated():

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 
@@ -109,3 +110,37 @@ def test_empty_bundle_still_emits_sections(tmp_path):
     report = paths["report"].read_text(encoding="utf-8")
     for i in range(1, 8):
         assert f"## Table {i}" in report
+
+
+# sha256 of every file render_report writes: the report's bytes are part of
+# the reproducibility contract, so any change to them must be deliberate.
+GOLDEN_DIGESTS = {
+    "full": {
+        "table1": "d7c513ea8eb2fa4030c6dd72a2cbc0a3bb998afc6ba2b8e4e5de09932310f5e9",
+        "table2": "cde4eeb2416a89a84c9ea62d0ee29c029e601cb93ae5682ca6c52607e2f34cac",
+        "table3": "d6a7f902a64d60acc6f18402c588a984da7eec398c710b8a5e9347a9a8110e3e",
+        "table4": "da06650a0c6e3d033844334cb3cceadc56c58139ab7c42436780a2da37f05530",
+        "table5": "4a1a85b19403e595dcebdc03ba28b85eb20d1a929b0f9a11f0e6e0a03a42f470",
+        "table6": "fc659b8fabd7802bc2a0d1dec87cb7ac5661f2cff5efd18561c4e90807dfba61",
+        "table7": "388f712a7db18d54a7d3148239ded816b3c4b8d0f7e40ff5a37a7407af33a35e",
+        "report": "eb5f3420d811177baedeb2c38b15ec4cfb590162df14bb66ee247577f9449304",
+    },
+    "empty": {
+        "table1": "06f5cd4a0561dd9056a9db2696972a5f68da8500196552cf31e4b27ceab98f98",
+        "table2": "3424d71d86bf7346639a15be30ae6e55fa5c3704ff2e1790f51a848c88ea996f",
+        "table3": "b9fe8ac26f2d21188c2f6a7f58f54a9af78a4a2409add30bb95803c34274c906",
+        "table4": "d49b571310522d2dbc0e176e1bad1708a50175076c36cf210a30bebcb058177e",
+        "table5": "b3aeb5d38145c86fe04ee400fa6dbc84bc44aa328794c7c4a6409e44e46531fd",
+        "table6": "a4e9c86d9a3c43f61d5dafcd2f0253585018831833b54b257a813b63fb8221b9",
+        "table7": "62bb70b784a7c18c056cdbb4f272e3ec72e791828cc7113764bd9909189b6027",
+        "report": "10ed1141911403577f06979e3127c269b46debc4230278f5b9e7fcd39e2a55e3",
+    },
+}
+
+
+@pytest.mark.parametrize("name, bundle", [("full", full_bundle), ("empty", ReportBundle)])
+def test_report_files_match_golden_digests(tmp_path, name, bundle):
+    paths = render_report(bundle(), tmp_path)
+    digests = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
+    assert digests == GOLDEN_DIGESTS[name]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
