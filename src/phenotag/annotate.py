@@ -111,6 +111,10 @@ class HttpNerBackend:
 
 
 _TOKEN = re.compile(r"\w+")
+# A term with at least one word has only word characters in its words iff
+# each of its characters is a word character or whitespace (``\s`` and
+# ``str.split`` agree on every code point, and no character is both).
+_TERM_CHARS = re.compile(r"[\w\s]+")
 
 
 class MockNerBackend:
@@ -134,7 +138,7 @@ class MockNerBackend:
             words = tuple(term.split())
             if not words or term != term.lower():
                 raise ValueError(f"lexicon terms must be non-empty lowercase, got {term!r}")
-            if not all(_TOKEN.fullmatch(word) for word in words):
+            if not _TERM_CHARS.fullmatch(term):
                 raise ValueError(
                     f"lexicon term {term!r} can never match: its words must be word characters only"
                 )

@@ -35,6 +35,7 @@ from .corpus import (
     ConceptId,
     Corpus,
     import_doccano,
+    jsonl_lines,
     load_records,
     normalize_text,
     read_jsonl,
@@ -244,7 +245,7 @@ def _load_mock_lexicon(path: Path) -> dict[str, ConceptId]:
             raise ValidationError(f"duplicate term {term!r}")
         lexicon[term] = ConceptId.parse(obj["concept_id"])
 
-    read_jsonl(path.read_text(encoding="utf-8").splitlines(), "lexicon entry", add)
+    read_jsonl(jsonl_lines(path), "lexicon entry", add)
     return lexicon
 
 
@@ -394,9 +395,7 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
         corpus_path = cfg.require_path("paths", "corpus")
         corpus = _preprocessed_corpus(load_records(corpus_path, cfg.expects_keywords()), cfg)
         predictions_path = _resolve(predictions_option, cfg, "eval", "predictions")
-        outcomes = read_outcomes(
-            predictions_path.read_text(encoding="utf-8").splitlines()
-        )
+        outcomes = read_outcomes(jsonl_lines(predictions_path))
         ontology_path = cfg.require_path("paths", "ontology")
         store = load_ontology(ontology_path)
         llm = _llm_backend(cfg, scripted_option)
@@ -479,14 +478,14 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
 
 def _load_summaries(path: Path) -> list[tuple[str, str]]:
     return read_jsonl(
-        path.read_text(encoding="utf-8").splitlines(),
+        jsonl_lines(path),
         "summary pair",
         lambda _, obj: (obj["candidate"], obj["reference"]),
     )
 
 
 def _read_verdict_file(path: Path, texts):
-    return read_verdicts(path.read_text(encoding="utf-8").splitlines(), texts)
+    return read_verdicts(jsonl_lines(path), texts)
 
 
 # The keys each report-plan section's entries may carry. "verdicts" and
@@ -640,10 +639,8 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
         cfg = load_config(config_path)
         predictions_path = _resolve(predictions_option, cfg, "eval", "predictions")
         gold_path = _resolve(gold_option, cfg, "paths", "gold")
-        outcomes = read_outcomes(predictions_path.read_text(encoding="utf-8").splitlines())
-        gold_set, gold_texts = import_doccano(
-            gold_path.read_text(encoding="utf-8").splitlines()
-        )
+        outcomes = read_outcomes(jsonl_lines(predictions_path))
+        gold_set, gold_texts = import_doccano(jsonl_lines(gold_path))
         universe = sorted(gold_texts)
         known = set(universe)
         missing = sorted(o.record_id for o in outcomes if o.record_id not in known)
@@ -731,7 +728,7 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
         store = load_ontology(ontology_path)
         questions_path = _resolve(questions_option, cfg, "raft", "questions")
         questions = read_jsonl(
-            questions_path.read_text(encoding="utf-8").splitlines(),
+            jsonl_lines(questions_path),
             "question record",
             lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
         )

@@ -34,6 +34,7 @@ __all__ = [
     "AnnotationSet",
     "PreprocessConfig",
     "Corpus",
+    "jsonl_lines",
     "read_jsonl",
     "ingest_records",
     "load_records",
@@ -127,7 +128,11 @@ class ConceptId:
         match = _MESH_RENDERING.fullmatch(stripped)
         if match is None:
             raise ValueError(f"cannot parse concept id {text!r}")
-        return cls("D" + match.group(1)[1:])
+        # The match already proves "D" + digits well formed, so skip the
+        # constructor's second check.
+        concept = object.__new__(cls)
+        object.__setattr__(concept, "identifier", "D" + match.group(1)[1:])
+        return concept
 
     def render(self) -> str:
         return "NONE" if self.identifier is None else f"mesh:{self.identifier}"
@@ -246,6 +251,18 @@ class Corpus:
 T = TypeVar("T")
 
 
+_DECODER = json.JSONDecoder()
+
+
+def jsonl_lines(path: str | Path) -> list[str]:
+    """The lines of a JSON Lines file, split on ``\\n`` only.
+
+    ``str.splitlines`` would also split on U+0085, U+2028 and U+2029, which
+    JSON allows raw inside strings and which phenotag writes raw.
+    """
+    return Path(path).read_text(encoding="utf-8").split("\n")
+
+
 def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
     """Decode each non-blank line as JSON and return ``parse(lineno, obj)``
     for each, in file order; line numbers count blank lines too.
@@ -254,12 +271,22 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
     ValidationError, KeyError, TypeError, ValueError or IndexError, raises
     ValidationError("line N: bad <what>: ...").
     """
+    decode = _DECODER.raw_decode
     items = []
     for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():
             continue
         try:
-            items.append(parse(lineno, json.loads(line)))
+            # One C call for a line that is exactly one JSON value; json.loads
+            # gives the same object and owns every other case (edge
+            # whitespace, a BOM, extra data) and its error message.
+            try:
+                obj, end = decode(line)
+            except ValueError:
+                end = -1
+            if end != len(line):
+                obj = json.loads(line)
+            items.append(parse(lineno, obj))
         except KeyError as exc:
             raise ValidationError(f"line {lineno}: bad {what}: missing key {exc}") from exc
         except (ValidationError, TypeError, ValueError, IndexError) as exc:
@@ -324,8 +351,7 @@ def ingest_records(
 
 
 def load_records(path: str | Path, expects_keywords: Sequence[str] = ()) -> Corpus:
-    with open(path, encoding="utf-8") as handle:
-        return ingest_records(handle, expects_keywords)
+    return ingest_records(jsonl_lines(path), expects_keywords)
 
 
 # ---------------------------------------------------------------------------

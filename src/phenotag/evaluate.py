@@ -398,15 +398,19 @@ def read_verdicts(
 ) -> tuple[list[LlmVerdict], list[NormalizedAnnotation]]:
     """Parse verdict lines back into aligned (verdicts, backend annotations).
 
-    Surfaces are recovered from ``texts`` when available; raw model text is
-    not persisted in this format.
+    With ``texts``, each verdict's record must be in it and its span must
+    fit that record's text, which gives the surface; without, surfaces are
+    empty. Raw model text is not persisted in this format.
     """
 
     def parse(_lineno: int, obj) -> tuple[LlmVerdict, NormalizedAnnotation]:
         span = TextSpan(int(obj["span"][0]), int(obj["span"][1]))
         record_id = obj["record_id"]
         surface = ""
-        if texts and record_id in texts and span.end <= len(texts[record_id]):
+        if texts is not None:
+            if record_id not in texts:
+                raise ValidationError(f"unknown record_id {record_id!r}")
+            span.check_bounds(texts[record_id])
             surface = texts[record_id][span.begin : span.end]
         annotation = NormalizedAnnotation(
             record_id=record_id,

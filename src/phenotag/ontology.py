@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from . import __version__
 from .config import atomic_write, atomic_write_text
-from .corpus import ConceptId, read_jsonl
+from .corpus import ConceptId, jsonl_lines, read_jsonl
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, post_json
 
@@ -120,7 +120,7 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
     "description": ..., "synonyms": [...]}.
     """
     if isinstance(source, (str, Path)):
-        lines: Iterable[str] = Path(source).read_text(encoding="utf-8").splitlines()
+        lines: Iterable[str] = jsonl_lines(source)
     else:
         lines = source
     return OntologyStore(read_jsonl(

@@ -26,7 +26,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from .corpus import ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, read_jsonl
+from .corpus import (
+    ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, jsonl_lines, read_jsonl,
+)
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument, build_rag_document
 from .transport import call_with_retry, post_json
@@ -335,7 +337,7 @@ def select_few_shot(
 
 def load_example_pool(path: str | Path) -> list[FewShotExample]:
     return read_jsonl(
-        Path(path).read_text(encoding="utf-8").splitlines(),
+        jsonl_lines(path),
         "few-shot example",
         lambda _, obj: FewShotExample(
             question=obj["question"],
@@ -386,15 +388,13 @@ class ScriptedLlmBackend:
                 self._rules.append((needle, rule["response"]))
             else:
                 raise ValidationError("scripted rule needs 'contains' or 'regex'")
-        self.calls: list[str] = []
 
     @classmethod
     def from_file(cls, path: str | Path, name: str = "scripted") -> "ScriptedLlmBackend":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = jsonl_lines(path)
         return cls(read_jsonl(lines, "scripted rule", lambda _, rule: rule), name=name)
 
     def complete(self, prompt: str, params: LlmParams) -> str:
-        self.calls.append(prompt)
         for matcher, response in self._rules:
             if isinstance(matcher, str):
                 if matcher in prompt:

@@ -118,6 +118,36 @@ def test_mock_rejects_term_with_non_word_characters(term):
         MockNerBackend({"asthma": ASTHMA, term: ASTHMA})
 
 
+def seed_term_error(term):
+    """The seed's term check: split, then a ``\\w+`` fullmatch per word."""
+    words = term.split()
+    if not words or term != term.lower():
+        return f"lexicon terms must be non-empty lowercase, got {term!r}"
+    if not all(re.fullmatch(r"\w+", word) for word in words):
+        return f"lexicon term {term!r} can never match: its words must be word characters only"
+    return None
+
+
+# Word characters (Latin, Greek, CJK, digits, "_", a combining mark), every
+# kind of whitespace str.split knows (U+0085, U+2028, U+3000 among them) and
+# characters that are neither, in both cases.
+_TERM_ALPHABET = (
+    "abzAZ\u00e9\u00c9\u03c3\u03a3\u4e2d09\u0663_\u0301"
+    " \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000"
+    "-'.,/\x00\u200b\ufeff\U0001f600"
+)
+
+
+@given(term=st.one_of(st.text(alphabet=_TERM_ALPHABET, max_size=12), st.text(max_size=12)))
+def test_mock_term_check_matches_seed_check(term):
+    try:
+        MockNerBackend({term: ASTHMA})
+    except ValueError as exc:
+        assert str(exc) == seed_term_error(term)
+    else:
+        assert seed_term_error(term) is None
+
+
 def test_mock_multiword_term_spans_any_non_word_run():
     backend = MockNerBackend({"asthma episodes": ASTHMA})
     texts = ["asthma episodes", "Asthma, episodes", "asthma\n\nepisodes", "asthma-episodes"]

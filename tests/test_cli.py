@@ -375,6 +375,45 @@ def test_eval_with_verdicts_prints_alignment(workspace):
     assert "BERN2 alignment" in result.output
 
 
+@pytest.mark.parametrize("change, detail", [
+    ({"record_id": "zz99"}, "unknown record_id 'zz99'"),
+    ({"span": [0, 99]}, "span (0, 99) exceeds text of length"),
+], ids=["unknown-record", "span-past-text"])
+def test_eval_rejects_verdict_not_linked_to_gold(workspace, change, detail):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    assert invoke("run", "-c", config, "--strategy", "zero-shot-cvc").exit_code == 0
+    verdicts = root / "out" / "verdicts.jsonl"
+    lines = verdicts.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **change})
+    verdicts.write_text("\n".join(lines) + "\n")
+    result = invoke("eval", "-c", config, "--verdicts", verdicts)
+    assert result.exit_code == 1
+    assert f"error: line 2: bad verdict record: {detail}" in result.stderr
+
+
+def test_chain_keeps_unicode_line_separators_in_texts(workspace):
+    # Without the whitespace step, U+2028, U+2029 and U+0085 stay in the
+    # texts, and every JSONL file written with them raw must read back.
+    root, config = workspace
+    config.write_text(config.read_text() + "\n[preprocess]\n"
+                      "steps = nfc, lowercase, expand_acronyms, normalize_punctuation\n")
+    answer = "the child has asthma\u2028and eczema\u2029since\x85birth"
+    record = {"record_id": "ls00", "question_text": "", "answer_text": answer,
+              "field_type": "descriptive", "expects_disease": True}
+    gold = {"record_id": "ls00", "text": answer, "label": [[14, 20, "mesh:D001249"]]}
+    for name, obj in (("records.jsonl", record), ("gold.jsonl", gold)):
+        with open(root / name, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    run_pipeline_through_annotate(config)
+    assert "\u2028" in (root / "out" / "predictions.jsonl").read_text(encoding="utf-8")
+    result = invoke("run", "-c", config, "--strategy", "zero-shot-cvc")
+    assert result.exit_code == 0, result.output + result.stderr
+    result = invoke("eval", "-c", config, "--verdicts", root / "out" / "verdicts.jsonl")
+    assert result.exit_code == 0, result.output + result.stderr
+    assert "mentions: tp=9 fp=3 fn=2 tn=8" in result.output
+
+
 @pytest.mark.parametrize("plan, detail", [
     ([1, 2], "top level must be an object"),
     ({"zero_shot": {"verdicts": "out/verdicts.jsonl"}}, "'zero_shot' must be a list of objects"),

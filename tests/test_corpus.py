@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phenotag import cli
-from phenotag.annotate import read_outcomes
+from phenotag.annotate import AnnotationOutcome, read_outcomes, write_outcomes
 from phenotag.corpus import (
     AnnotationSet,
     ConceptId,
@@ -24,13 +24,16 @@ from phenotag.corpus import (
     export_doccano,
     import_doccano,
     ingest_records,
+    jsonl_lines,
+    load_records,
     normalize_text,
+    read_jsonl,
     stratified_sample,
 )
 from phenotag.errors import ValidationError
 from phenotag.evaluate import read_verdicts
 from phenotag.ontology import load_ontology
-from phenotag.orchestrate import ScriptedLlmBackend, load_example_pool
+from phenotag.orchestrate import LlmParams, ScriptedLlmBackend, load_example_pool
 
 from conftest import write_e2e_workspace
 
@@ -531,6 +534,30 @@ def test_concept_id_parsing_and_rendering():
         ConceptId("X12")
 
 
+_DIGITS = "0123456789\u0663\u0966\uff19"  # ASCII, Arabic-Indic, Devanagari, fullwidth
+
+
+@given(
+    prefix=st.sampled_from(["mesh:", "MESH:", "MeSh:"]),
+    d=st.sampled_from("dD"),
+    digits=st.text(alphabet=_DIGITS, min_size=1, max_size=8),
+    pad=st.tuples(st.sampled_from(["", " ", "\t", "\u2028"]), st.sampled_from(["", " ", "\n"])),
+)
+def test_concept_id_parse_equals_constructed_id(prefix, d, digits, pad):
+    parsed = ConceptId.parse(pad[0] + prefix + d + digits + pad[1])
+    constructed = ConceptId("D" + digits)
+    assert type(parsed) is ConceptId
+    assert parsed == constructed
+    assert hash(parsed) == hash(constructed)
+    assert parsed.render() == "mesh:D" + digits
+
+
+@pytest.mark.parametrize("identifier", ["bad", "D", "d001", "D12x", "mesh:D001"])
+def test_concept_id_constructor_still_validates(identifier):
+    with pytest.raises(ValueError, match="malformed MeSH identifier"):
+        ConceptId(identifier)
+
+
 def test_text_span_validation():
     with pytest.raises(ValueError):
         TextSpan(3, 3)
@@ -604,6 +631,133 @@ _READERS = {
     "summaries": ({"candidate": "a", "reference": "b"}, _file_reader(cli._load_summaries)),
     "raft questions": ({"question": "q?", "concept_id": "mesh:D000001"}, _raft_questions),
 }
+
+
+def _json_values():
+    scalars = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+        st.floats(allow_nan=True, allow_infinity=True),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)
+        ),
+        max_leaves=8,
+    )
+
+
+_EDGES = st.sampled_from(["", " ", "\t", "\r", "\ufeff", "\u2028", "\xa0", " \n "])
+
+
+@st.composite
+def _jsonl_lines(draw):
+    """A JSON value (NaN, nesting, raw separators in strings) dumped with
+    either separator style, maybe wrapped in edge whitespace or a BOM and
+    maybe followed by extra data; or any text at all."""
+    dumped = json.dumps(draw(_json_values()), ensure_ascii=draw(st.booleans()),
+                        separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    line = draw(_EDGES) + dumped + draw(_EDGES)
+    line += draw(st.sampled_from(["", "1", " {}", "]", "x"]))
+    return draw(st.one_of(st.just(line), st.text(max_size=12)))
+
+
+@given(lines=st.lists(_jsonl_lines(), max_size=4))
+def test_read_jsonl_matches_per_line_json_loads(lines):
+    expected, message = [], None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            expected.append(json.loads(line))
+        except ValueError as exc:
+            message = f"line {lineno}: bad thing: {exc}"
+            break
+    try:
+        got = read_jsonl(lines, "thing", lambda _, obj: obj)
+    except ValidationError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
+        assert repr(got) == repr(expected)  # repr: NaN equals itself, -0.0 differs from 0.0
+
+
+# Raw characters that str.splitlines() breaks a line at, but JSON allows
+# inside a string and phenotag writes unescaped.
+_SEPARATORS = "a\u2028b\u2029c\x85d"
+
+
+def _raft_question(tmp_path, path):
+    config = write_e2e_workspace(tmp_path)
+    result = CliRunner().invoke(cli.main, ["raft", "-c", str(config), "--questions", str(path)])
+    assert result.exit_code == 0, result.output + result.stderr
+    lines = (tmp_path / "out" / "raft.jsonl").read_text(encoding="utf-8").split("\n")
+    return json.loads(lines[0])["question"]
+
+
+# Every JSONL file reader: a line holding _SEPARATORS in a string, and how
+# to read that string back from the file.
+_FILE_READERS = {
+    "records": (
+        json.loads(record_line("r1", answer=_SEPARATORS)),
+        lambda tmp_path, path: load_records(path).get("r1").answer_text,
+    ),
+    # run and eval read gold and predictions files this way; the CLI tests
+    # run that chain on such texts too.
+    "doccano": (
+        {"record_id": "r1", "text": _SEPARATORS, "label": []},
+        lambda tmp_path, path: import_doccano(jsonl_lines(path))[1]["r1"],
+    ),
+    "predictions": (
+        json.loads(write_outcomes([AnnotationOutcome("r1", _SEPARATORS, "ok")])[0]),
+        lambda tmp_path, path: read_outcomes(jsonl_lines(path))[0].text,
+    ),
+    "ontology": (
+        {"concept_id": "mesh:D000001", "preferred_name": _SEPARATORS},
+        lambda tmp_path, path: load_ontology(path).concepts()[0].preferred_name,
+    ),
+    "example pool": (
+        {"question": _SEPARATORS, "mention": "m", "concept": "c", "verdict": "AGREE"},
+        lambda tmp_path, path: load_example_pool(path)[0].question,
+    ),
+    "scripted rules": (
+        {"contains": "", "response": _SEPARATORS},
+        lambda tmp_path, path: ScriptedLlmBackend.from_file(path).complete("p", LlmParams()),
+    ),
+    "verdicts": (
+        {"record_id": _SEPARATORS, "span": [0, 1], "backend_concept": "NONE", "kind": "agree"},
+        lambda tmp_path, path: cli._read_verdict_file(path, {_SEPARATORS: "x"})[1][0].record_id,
+    ),
+    "mock lexicon": (
+        # U+0085, U+2028 and U+2029 are whitespace, so this is a four-word term.
+        {"term": _SEPARATORS, "concept_id": "mesh:D001249"},
+        lambda tmp_path, path: next(iter(cli._load_mock_lexicon(path))),
+    ),
+    "summaries": (
+        {"candidate": _SEPARATORS, "reference": "b"},
+        lambda tmp_path, path: cli._load_summaries(path)[0][0],
+    ),
+    "raft questions": ({"question": _SEPARATORS, "concept_id": "mesh:D000001"}, _raft_question),
+}
+
+
+def test_file_readers_cover_every_reader():
+    assert set(_FILE_READERS) == set(_READERS)
+
+
+@pytest.mark.parametrize("reader", sorted(_FILE_READERS))
+def test_file_reader_keeps_unicode_line_separators_inside_strings(tmp_path, reader):
+    obj, read = _FILE_READERS[reader]
+    path = tmp_path / "input.jsonl"
+    path.write_text(json.dumps(obj, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert _SEPARATORS in path.read_text(encoding="utf-8")
+    assert read(tmp_path, path) == _SEPARATORS
+
+
+def test_jsonl_lines_splits_on_newline_only(tmp_path):
+    path = tmp_path / "input.jsonl"
+    path.write_text('{"a": "x\u2028y"}\r\n\n{"b": 1}\x85', encoding="utf-8")
+    assert jsonl_lines(path) == ['{"a": "x\u2028y"}', "", '{"b": 1}\x85']
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))

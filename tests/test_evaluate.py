@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -576,6 +577,26 @@ def test_verdict_lines_round_trip():
     assert [a.concept for a in read_a] == [ASTHMA, NONE_CONCEPT]
     assert read_a[0].surface == "asthma"
     assert read_a[0].span == TextSpan(0, 6)
+
+
+@pytest.mark.parametrize("record_id, span, detail", [
+    ("r9", [0, 6], "line 2: bad verdict record: unknown record_id 'r9'"),
+    ("r1", [7, 14], "line 2: bad verdict record: span (7, 14) exceeds text of length 13"),
+])
+def test_verdict_must_link_to_texts(record_id, span, detail):
+    lines = write_verdicts([(pred("r1", 0, 6, concept=ASTHMA, surface="asthma"), agree())])
+    lines.append(json.dumps({"record_id": record_id, "span": span,
+                             "backend_concept": "NONE", "kind": "agree"}))
+    with pytest.raises(ValidationError) as info:
+        read_verdicts(lines, texts={"r1": "asthma attack"})
+    assert str(info.value) == detail
+
+
+def test_verdicts_without_texts_keep_empty_surfaces():
+    lines = write_verdicts([(pred("r9", 0, 6, concept=ASTHMA, surface="asthma"), agree())])
+    assert read_verdicts(lines)[1][0].surface == ""
+    with pytest.raises(ValidationError, match="unknown record_id 'r9'"):
+        read_verdicts(lines, texts={})
 
 
 def test_verdict_bad_line_is_error():

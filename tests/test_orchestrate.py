@@ -507,10 +507,23 @@ def test_prompt_sink_follows_annotation_order_under_concurrency(store10):
         assert sunk == annotations
 
 
+class RecordingLlm:
+    """Answers AGREE to every prompt and keeps each prompt it was sent."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+
+    def complete(self, prompt, params):
+        self.calls.append(prompt)
+        return "AGREE"
+
+
 @pytest.mark.parametrize("max_inflight", [0, -1])
 def test_run_strategy_rejects_max_inflight_below_one(store10, max_inflight):
     corpus, annotations = corpus_with_annotations(store10, 2)
-    llm = ScriptedLlmBackend([{"contains": "", "response": "AGREE"}])
+    llm = RecordingLlm()
     with pytest.raises(ValidationError, match="max_inflight must be >= 1"):
         run_strategy(
             corpus, annotations, PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT),
