@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -27,7 +26,7 @@ from .corpus import (
     ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, TextSpan, read_jsonl,
 )
 from .errors import BackendError, ValidationError
-from .transport import call_with_retry, post_json
+from .transport import call_with_retry, post_json, send, window_map
 
 __all__ = [
     "BackendConfig",
@@ -45,11 +44,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BackendConfig:
-    endpoint: str = ""
     batch_size: int = 16
     max_inflight: int = 4
     retry_budget: int = 2
-    timeout_ms: int = 30_000
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -102,12 +99,8 @@ class HttpNerBackend:
         self._transport = transport or functools.partial(post_json, token_env="PHENOTAG_NER_TOKEN")
 
     def submit(self, texts: Sequence[str]) -> dict:
-        # A transport fault (an OSError, which every requests error is) is
-        # retried; any other exception is a bug and propagates at once.
-        try:
-            return self._transport(self.endpoint, {"texts": list(texts)}, self.timeout_ms / 1000.0)
-        except (OSError, BackendError) as exc:
-            raise BackendError(f"NER backend at {self.endpoint} failed: {exc}") from exc
+        return send(f"NER backend at {self.endpoint}", self._transport, self.endpoint,
+                    {"texts": list(texts)}, self.timeout_ms / 1000.0)
 
 
 _TOKEN = re.compile(r"\w+")
@@ -194,13 +187,18 @@ def parse_backend_response(
 
     Keeps only obj == "disease". An id list that is empty or all sentinel
     ("CUI-less") maps to the NONE concept; otherwise the first id that
-    parses as a MeSH concept wins.
+    parses as a MeSH concept wins. A result or entry that is not an object,
+    or a kept entry whose id is not a list, raises ValidationError.
     """
+    if not isinstance(payload, Mapping):
+        raise ValidationError(f"backend result for record {record_id!r} is not an object")
     entries = payload.get("annotations")
     if not isinstance(entries, list):
         raise ValidationError("backend result missing 'annotations' list")
     annotations: list[NormalizedAnnotation] = []
     for entry in entries:
+        if not isinstance(entry, Mapping):
+            raise ValidationError(f"backend annotation for record {record_id!r} is not an object")
         if entry.get("obj") != "disease":
             continue
         span_obj = entry.get("span", {})
@@ -215,8 +213,11 @@ def parse_backend_response(
                 f"backend mention {mention!r} does not match text at "
                 f"({span.begin}, {span.end}) for record {record_id!r}"
             )
+        candidates = entry.get("id", [])
+        if not isinstance(candidates, list):
+            raise ValidationError(f"backend id for record {record_id!r} is not a list")
         concept = NONE_CONCEPT
-        for candidate in entry.get("id", []):
+        for candidate in candidates:
             if not isinstance(candidate, str) or candidate.strip().upper() == "CUI-LESS":
                 continue
             try:
@@ -246,22 +247,15 @@ def annotate_batch(
     Records are chunked in submission order. Each chunk is retried up to
     retry_budget times on transport failure; a chunk that still fails marks
     every record in it failed without touching the rest. Malformed results
-    fail only the record they belong to.
+    fail only the record they belong to. Any other exception from the
+    backend is a bug: no further chunk is sent and it propagates.
     """
     chunks: list[list[SurveyRecord]] = [
         list(records[i : i + config.batch_size])
         for i in range(0, len(records), config.batch_size)
     ]
-    if not chunks:
-        return []
-    results: list[list[AnnotationOutcome]] = [[] for _ in chunks]
-    with ThreadPoolExecutor(max_workers=config.max_inflight) as pool:
-        futures = {
-            pool.submit(_process_chunk, chunk, backend, config): index
-            for index, chunk in enumerate(chunks)
-        }
-        for future, index in futures.items():
-            results[index] = future.result()
+    results = window_map(lambda chunk: _process_chunk(chunk, backend, config), chunks,
+                         config.max_inflight)
     return [outcome for chunk_outcomes in results for outcome in chunk_outcomes]
 
 
@@ -333,9 +327,10 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
     """Parse a predictions file back into outcomes."""
 
     def parse(_lineno: int, obj) -> AnnotationOutcome:
+        record_id = obj["record_id"]  # first, so a line that is not an object fails here
         annotations = tuple(
             NormalizedAnnotation(
-                record_id=obj["record_id"],
+                record_id=record_id,
                 span=TextSpan(int(a["begin"]), int(a["end"])),
                 surface=a["surface"],
                 concept=ConceptId.parse(a["concept"]),
@@ -345,7 +340,7 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
             for a in obj.get("annotations", [])
         )
         return AnnotationOutcome(
-            record_id=obj["record_id"],
+            record_id=record_id,
             text=obj["text"],
             status=obj["status"],
             annotations=annotations,

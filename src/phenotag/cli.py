@@ -241,6 +241,8 @@ def _load_mock_lexicon(path: Path) -> dict[str, ConceptId]:
 
     def add(_lineno: int, obj) -> None:
         term = obj["term"]
+        if not isinstance(term, str):
+            raise ValidationError(f"term must be a string, got {term!r}")
         if term in lexicon:
             raise ValidationError(f"duplicate term {term!r}")
         lexicon[term] = ConceptId.parse(obj["concept_id"])
@@ -275,11 +277,9 @@ def annotate(config_path: str, corpus_option: str | None, mock_option: str | Non
         else:
             raise ValidationError("no NER backend: set [ner] endpoint or --mock-lexicon")
         backend_config = BackendConfig(
-            endpoint=endpoint or "",
             batch_size=cfg.get_int("ner", "batch_size", 16),
             max_inflight=cfg.get_int("ner", "max_inflight", 4),
             retry_budget=cfg.get_int("ner", "retry_budget", 2),
-            timeout_ms=cfg.get_int("ner", "timeout_ms", 30_000),
         )
         out_dir = cfg.output_dir
         predictions_path = Path(out_option) if out_option else out_dir / "predictions.jsonl"
@@ -711,10 +711,9 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
 @click.option("--config", "-c", "config_path", required=True)
 @click.option("--questions", "questions_option", default=None)
 @click.option("--n-distractors", "n_option", type=int, default=None)
-@click.option("--seed", "seed_option", type=int, default=None)
 @click.option("--out", "out_option", default=None)
 def raft(config_path: str, questions_option: str | None, n_option: int | None,
-         seed_option: int | None, out_option: str | None) -> None:
+         out_option: str | None) -> None:
     """Build a RAFT fine-tuning dataset from question/concept pairs."""
 
     def body() -> None:
@@ -732,11 +731,10 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
             "question record",
             lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
         )
-        seed = derive_seed(seed_option if seed_option is not None else cfg.seed, "raft")
         check_raft_inputs(store, questions, n_distractors)
         out_dir = cfg.output_dir
         index = OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
-        datapoints = build_raft_dataset(store, questions, n_distractors, seed, index=index)
+        datapoints = build_raft_dataset(store, questions, n_distractors, index)
         raft_path = Path(out_option) if out_option else out_dir / "raft.jsonl"
         with _manifested("raft", cfg, out_dir, [ontology_path, questions_path], index) as files:
             files[raft_path] = "\n".join(raft_to_jsonl(datapoints)) + "\n"

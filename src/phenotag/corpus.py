@@ -98,15 +98,15 @@ class TextSpan:
             raise ValueError(f"span ({self.begin}, {self.end}) exceeds text of length {len(text)}")
 
 
-_MESH_IDENTIFIER = re.compile(r"D\d+")
-_MESH_RENDERING = re.compile(r"mesh:(d\d+)", re.IGNORECASE)
+_MESH_IDENTIFIER = re.compile(r"D[0-9]+")
+_MESH_RENDERING = re.compile(r"mesh:(d[0-9]+)", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
 class ConceptId:
     """A MeSH descriptor id, or the NONE sentinel for unnormalized mentions.
 
-    Canonical rendering is ``mesh:D<digits>`` (or the literal ``NONE``).
+    Canonical rendering is ``mesh:D<ASCII digits>`` (or the literal ``NONE``).
     """
 
     identifier: str | None = None
@@ -122,7 +122,10 @@ class ConceptId:
     @classmethod
     def parse(cls, text: str) -> "ConceptId":
         """Parse a canonical rendering; case-insensitive on the prefix and the D."""
-        stripped = text.strip()
+        try:
+            stripped = text.strip()
+        except AttributeError:
+            raise TypeError(f"concept id must be a string, got {text!r}") from None
         if stripped.upper() == "NONE":
             return NONE_CONCEPT
         match = _MESH_RENDERING.fullmatch(stripped)
@@ -267,9 +270,9 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
     """Decode each non-blank line as JSON and return ``parse(lineno, obj)``
     for each, in file order; line numbers count blank lines too.
 
-    A line that is not JSON, or that ``parse`` rejects with a
-    ValidationError, KeyError, TypeError, ValueError or IndexError, raises
-    ValidationError("line N: bad <what>: ...").
+    A line that is not JSON, that nests too deep to decode, or that
+    ``parse`` rejects with a ValidationError, KeyError, TypeError,
+    ValueError or IndexError, raises ValidationError("line N: bad <what>: ...").
     """
     decode = _DECODER.raw_decode
     items = []
@@ -289,7 +292,7 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
             items.append(parse(lineno, obj))
         except KeyError as exc:
             raise ValidationError(f"line {lineno}: bad {what}: missing key {exc}") from exc
-        except (ValidationError, TypeError, ValueError, IndexError) as exc:
+        except (ValidationError, TypeError, ValueError, IndexError, RecursionError) as exc:
             raise ValidationError(f"line {lineno}: bad {what}: {exc}") from exc
     return items
 

@@ -59,11 +59,6 @@ class ConfusionCounts:
         if min(self.tp, self.tn, self.fp, self.fn) < 0:
             raise ValueError("confusion counts must be non-negative")
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp, self.tn + other.tn, self.fp + other.fp, self.fn + other.fn
-        )
-
     @property
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn

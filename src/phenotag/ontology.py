@@ -18,8 +18,6 @@ import io
 import json
 import os
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
@@ -28,7 +26,7 @@ from . import __version__
 from .config import atomic_write, atomic_write_text
 from .corpus import ConceptId, jsonl_lines, read_jsonl
 from .errors import BackendError, ValidationError
-from .transport import call_with_retry, post_json
+from .transport import call_with_retry, post_json, send, window_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -283,10 +281,8 @@ class RemoteEmbeddingProvider:
     def _request(self, text: str) -> np.ndarray:
         import numpy as np
 
-        try:
-            response = self._transport(self.endpoint, {"texts": [text]})
-        except (OSError, BackendError) as exc:
-            raise BackendError(f"embedding provider {self.name!r} failed: {exc}") from exc
+        response = send(f"embedding provider {self.name!r}", self._transport, self.endpoint,
+                        {"texts": [text]})
         try:
             raw = np.asarray(response["vectors"][0], dtype=np.float64)
         except Exception as exc:
@@ -310,28 +306,14 @@ class RemoteEmbeddingProvider:
         return call_with_retry(lambda: self._request(text), 1 + self.retry_budget)
 
     def embed_many(self, texts: Sequence[str]) -> np.ndarray:
-        """Embed every text, at most ``max_inflight`` at a time. Once one text
-        has failed, no further text is sent and the first failure in input
-        order is raised."""
+        """Check every text, then ``embed`` each, at most ``max_inflight`` at
+        a time. Once one text has failed, no further text is sent and the
+        first failure in input order is raised."""
         import numpy as np
 
         for text in texts:
             _check_text(text)
-        failed = threading.Event()
-
-        def one(text: str):
-            if failed.is_set():
-                return None
-            try:
-                return self.embed(text)
-            except Exception:
-                failed.set()
-                raise
-
-        with ThreadPoolExecutor(max_workers=self.max_inflight) as pool:
-            # When this raises, a failure or a Ctrl-C while waiting, map
-            # cancels every queued text; the pool waits only for those in flight.
-            rows = list(pool.map(one, texts))
+        rows = window_map(self.embed, texts, self.max_inflight)
         return np.vstack(rows) if rows else np.zeros((0, self.dimension))
 
 

@@ -19,7 +19,6 @@ import json
 import random
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -31,7 +30,7 @@ from .corpus import (
 )
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument, build_rag_document
-from .transport import call_with_retry, post_json
+from .transport import call_with_retry, post_json, send, window_map
 
 __all__ = [
     "Strategy",
@@ -144,14 +143,14 @@ class LlmVerdict:
 
 
 _VERDICT_TOKEN = re.compile(r"\b(agree|disagree)\b", re.IGNORECASE)
-_MESH_PATTERN = re.compile(r"mesh:d\d+", re.IGNORECASE)
+_MESH_PATTERN = re.compile(r"mesh:d[0-9]+", re.IGNORECASE)
 
 
 def parse_verdict(text: str) -> LlmVerdict:
     """Total parser: every string maps to a verdict.
 
     The first standalone AGREE/DISAGREE token (any case) decides the kind;
-    on DISAGREE the first mesh:D<digits> substring becomes the proposal.
+    on DISAGREE the first mesh:D<ASCII digits> substring becomes the proposal.
     """
     match = _VERDICT_TOKEN.search(text)
     if match is None:
@@ -366,6 +365,24 @@ class LlmBackend(Protocol):
     def complete(self, prompt: str, params: LlmParams) -> str: ...
 
 
+def _compile_rule(rule) -> tuple[str | re.Pattern, str]:
+    """A scripted rule's (matcher, response): the "contains" needle or the
+    compiled "regex". A rule of any other shape raises ValidationError."""
+    if not isinstance(rule, Mapping):
+        raise ValidationError("scripted rule must be an object")
+    key = "regex" if "regex" in rule else "contains"
+    for field in ("response", key):
+        if not isinstance(rule.get(field), str):
+            raise ValidationError(f"scripted rule {field!r} must be a string, got "
+                                  f"{rule.get(field)!r}")
+    if key == "contains":
+        return rule[key], rule["response"]
+    try:
+        return re.compile(rule[key], re.DOTALL), rule["response"]
+    except re.error as exc:
+        raise ValidationError(f"scripted rule has an invalid regex: {exc}") from exc
+
+
 class ScriptedLlmBackend:
     """Rule-driven backend for tests: first matching rule answers.
 
@@ -375,24 +392,15 @@ class ScriptedLlmBackend:
 
     def __init__(self, rules: Iterable[Mapping], name: str = "scripted"):
         self.name = name
-        self._rules = []
-        for rule in rules:
-            if "response" not in rule:
-                raise ValidationError("scripted rule missing 'response'")
-            if not isinstance(rule["response"], str):
-                raise ValidationError("scripted rule 'response' must be a string")
-            if "regex" in rule:
-                self._rules.append((re.compile(rule["regex"], re.DOTALL), rule["response"]))
-            elif "contains" in rule:
-                needle = rule["contains"]
-                self._rules.append((needle, rule["response"]))
-            else:
-                raise ValidationError("scripted rule needs 'contains' or 'regex'")
+        self._rules = [_compile_rule(rule) for rule in rules]
 
     @classmethod
     def from_file(cls, path: str | Path, name: str = "scripted") -> "ScriptedLlmBackend":
-        lines = jsonl_lines(path)
-        return cls(read_jsonl(lines, "scripted rule", lambda _, rule: rule), name=name)
+        def checked(_lineno: int, rule):
+            _compile_rule(rule)  # a bad rule fails naming its line
+            return rule
+
+        return cls(read_jsonl(jsonl_lines(path), "scripted rule", checked), name=name)
 
     def complete(self, prompt: str, params: LlmParams) -> str:
         for matcher, response in self._rules:
@@ -425,17 +433,13 @@ class HttpLlmBackend:
             "max_tokens": params.max_tokens,
             "temperature": params.temperature,
         }
-        # A transport fault (an OSError, which every requests error is) or a
-        # response without "text" is retried; any other exception is a bug
-        # and propagates at once.
-        try:
-            response = self._transport(self.endpoint, payload, self.timeout_ms / 1000.0)
-        except (OSError, BackendError) as exc:
-            raise BackendError(f"LLM backend {self.name!r} failed: {exc}") from exc
+        # A response without "text" is retried like a transport fault.
+        label = f"LLM backend {self.name!r}"
+        response = send(label, self._transport, self.endpoint, payload, self.timeout_ms / 1000.0)
         try:
             return str(response["text"])
         except (KeyError, TypeError) as exc:
-            raise BackendError(f"LLM backend {self.name!r} failed: {exc}") from exc
+            raise BackendError(f"{label} failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +483,8 @@ def run_strategy(
     Output order equals annotation order, and so does the order in which
     ``prompt_sink`` sees the prompts. A BackendError that survives its
     retries records an Unparseable verdict with the error detail and the
-    run continues; any other exception from the LLM propagates at once.
+    run continues; any other exception judges no further annotation and
+    propagates.
 
     At most ``max_inflight`` LLM calls (retries included) are in flight.
     With ``max_inflight > 1`` one extra worker retrieves and renders the
@@ -524,20 +529,11 @@ def run_strategy(
             verdict = parse_verdict(text)
         return annotation, flag_hallucination(verdict, store), prompt
 
-    def collect(
-        judged: Iterable[tuple[NormalizedAnnotation, LlmVerdict, str]],
-    ) -> list[tuple[NormalizedAnnotation, LlmVerdict]]:
-        results = []
-        for annotation, verdict, prompt in judged:
-            if prompt_sink is not None:
-                prompt_sink(annotation, prompt)
-            results.append((annotation, verdict))
-        return results
-
-    if max_inflight > 1:
-        with ThreadPoolExecutor(max_workers=max_inflight + 1) as pool:
-            return collect(pool.map(judge, annotations))
-    return collect(map(judge, annotations))
+    judged = window_map(judge, annotations, max_inflight + 1 if max_inflight > 1 else 1)
+    if prompt_sink is not None:
+        for annotation, _, prompt in judged:
+            prompt_sink(annotation, prompt)
+    return [(annotation, verdict) for annotation, verdict, _ in judged]
 
 
 # ---------------------------------------------------------------------------
@@ -595,37 +591,19 @@ def build_raft_dataset(
     store: OntologyStore,
     questions: Sequence[tuple[str, ConceptId]],
     n_distractors: int,
-    seed: int,
-    provider: EmbeddingProvider | None = None,
-    index: OntologyIndex | None = None,
+    index: OntologyIndex,
     templates: TemplateRegistry | None = None,
 ) -> list[RaftDatapoint]:
-    """Build one datapoint per (question, gold concept) pair.
-
-    Distractors are the nearest non-oracle concepts by retrieval (hard
-    negatives) when an embedding provider or index is available, otherwise
-    a seeded random sample. Deterministic per seed either way.
-    """
+    """Build one datapoint per (question, gold concept) pair. Distractors
+    are the nearest non-oracle concepts by retrieval (hard negatives): the
+    store holds at least n_distractors + 1 concepts, so the top
+    n_distractors + 1 minus the oracle always leaves enough."""
     check_raft_inputs(store, questions, n_distractors)
-    if index is None and provider is not None:
-        index = OntologyIndex(store, provider)
-    rng = random.Random(seed)
-    all_ids = [c.concept_id for c in store.concepts()]
     datapoints = []
     for question, gold_id in questions:
         oracle = build_rag_document(store.get(gold_id))
-        if index is not None:
-            ranked = index.top_k(question, n_distractors + 1)
-            distractor_ids = [cid for cid, _ in ranked if cid != gold_id][:n_distractors]
-            if len(distractor_ids) < n_distractors:
-                remaining = sorted(
-                    (cid for cid in all_ids if cid != gold_id and cid not in distractor_ids),
-                    key=lambda c: c.render(),
-                )
-                distractor_ids.extend(remaining[: n_distractors - len(distractor_ids)])
-        else:
-            candidates = [cid for cid in all_ids if cid != gold_id]
-            distractor_ids = rng.sample(candidates, n_distractors)
+        ranked = index.top_k(question, n_distractors + 1)
+        distractor_ids = [cid for cid, _ in ranked if cid != gold_id][:n_distractors]
         datapoints.append(
             RaftDatapoint(
                 question=question,

@@ -1,19 +1,24 @@
-"""The HTTP client and the retry policy shared by every remote backend.
+"""The HTTP client, the transport-fault rule, the retry policy and the
+in-flight window shared by every remote backend.
 
 The NER, embedding and LLM backends all POST JSON and read JSON back; each
-binds its own bearer-token variable into ``post_json``. Only BackendError
-is retried: the backends raise it for every transport or wire fault, so any
-other exception is a programming error and propagates from the first call.
+binds its own bearer-token variable into ``post_json`` and sends through
+``send``, which turns a transport fault into a BackendError. Only
+BackendError is retried, so any other exception is a programming error: it
+propagates from the first call, and ``window_map`` starts no further item.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, TypeVar
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, TypeVar
 
 from .errors import BackendError
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 def post_json(url: str, payload: dict, timeout_s: float, token_env: str) -> dict:
@@ -32,6 +37,17 @@ def post_json(url: str, payload: dict, timeout_s: float, token_env: str) -> dict
     return response.json()
 
 
+def send(label: str, transport: Callable[..., T], *args) -> T:
+    """Return ``transport(*args)``. A transport fault (an OSError, which
+    every requests error is, or a BackendError) is re-raised as
+    ``BackendError("<label> failed: ...")``; any other exception is a bug
+    and propagates unchanged."""
+    try:
+        return transport(*args)
+    except (OSError, BackendError) as exc:
+        raise BackendError(f"{label} failed: {exc}") from exc
+
+
 def call_with_retry(call: Callable[[], T], attempts: int) -> T:
     """Return ``call()``, calling it again after each BackendError up to
     ``attempts`` calls in all; the last BackendError is re-raised."""
@@ -43,3 +59,35 @@ def call_with_retry(call: Callable[[], T], attempts: int) -> T:
         except BackendError:
             pass
     return call()
+
+
+def window_map(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
+    """``[fn(item) for item in items]`` in input order, with at most
+    ``width`` calls running at once; a width of 1 runs inline on the calling
+    thread.
+
+    Once any call has raised, no further item starts, and the first
+    exception in input order is raised. A Ctrl-C while waiting cancels
+    every queued item; only the calls already running finish.
+    """
+    if width < 1:
+        raise ValueError(f"width must be >= 1, got {width}")
+    if width == 1:
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def one(item: T) -> R | None:
+        if failed.is_set():
+            return None
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        # An item is skipped only after some call has raised, and map raises
+        # that exception before the list is complete, so a skipped item's
+        # None is never returned. When map raises, it cancels every queued
+        # item; the pool then waits only for the calls in flight.
+        return list(pool.map(one, items))

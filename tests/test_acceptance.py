@@ -196,15 +196,15 @@ def test_criterion_07_raft_invariants():
             (f"Which condition affects patient {i}?", concepts[i % 50].concept_id)
             for i in range(100)
         ]
-        provider = HashedBagOfWordsProvider()
-        points = build_raft_dataset(store, questions, 3, seed=707, provider=provider)
+        index = OntologyIndex(store, HashedBagOfWordsProvider())
+        points = build_raft_dataset(store, questions, 3, index=index)
         assert len(points) == 100
         for point in points:
             ids = [d.concept_id for d in point.distractor_docs]
             assert len(ids) == 3
             assert len(set(ids)) == 3
             assert point.oracle_doc.concept_id not in ids
-        again = build_raft_dataset(store, questions, 3, seed=707, provider=provider)
+        again = build_raft_dataset(store, questions, 3, index=index)
         assert "\n".join(raft_to_jsonl(points)) == "\n".join(raft_to_jsonl(again))
 
 

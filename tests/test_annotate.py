@@ -409,6 +409,23 @@ def test_malformed_result_fails_only_that_record():
     assert [o.status for o in outcomes] == ["ok", "failed", "ok"]
 
 
+@pytest.mark.parametrize("first_result, detail", [
+    (None, "result for record 'r1' is not an object"),
+    ({"annotations": ["junk"]}, "annotation for record 'r1' is not an object"),
+    ({"annotations": [dict(entry("asthma", 4, 10), id="mesh:D001249")]},
+     "id for record 'r1' is not a list"),
+], ids=["result-not-object", "entry-not-object", "id-not-list"])
+def test_malformed_result_shape_fails_only_that_record(first_result, detail):
+    class Malformed:
+        def submit(self, texts):
+            return {"results": [first_result, {"annotations": []}]}
+
+    outcomes = annotate_batch([record("r1", "has asthma"), record("r2", "fine")], Malformed(),
+                              BackendConfig(batch_size=2))
+    assert [o.status for o in outcomes] == ["failed", "ok"]
+    assert detail in outcomes[0].error
+
+
 def test_misaligned_results_fail_whole_chunk():
     class Misaligned:
         def submit(self, texts):

@@ -501,7 +501,7 @@ def raft_setup(root, config):
 def test_raft_structural_and_reproducible(workspace):
     root, config = workspace
     raft_setup(root, config)
-    result = invoke("raft", "-c", config, "--n-distractors", "3", "--seed", "11")
+    result = invoke("raft", "-c", config, "--n-distractors", "3")
     assert result.exit_code == 0, result.output + repr(result.stderr)
     lines = (root / "out" / "raft.jsonl").read_text().splitlines()
     assert len(lines) == 10
@@ -511,7 +511,7 @@ def test_raft_structural_and_reproducible(workspace):
         assert obj["oracle"] not in obj["distractors"]
         assert obj["cot_answer"].splitlines()[-1].startswith("ANSWER: mesh:D")
     first = (root / "out" / "raft.jsonl").read_bytes()
-    assert invoke("raft", "-c", config, "--n-distractors", "3", "--seed", "11").exit_code == 0
+    assert invoke("raft", "-c", config, "--n-distractors", "3").exit_code == 0
     assert (root / "out" / "raft.jsonl").read_bytes() == first
 
 
@@ -677,6 +677,36 @@ def test_rejected_input_leaves_manifest_and_results_untouched(workspace, command
     extra = break_input(root) or []
     result = invoke(command, "-c", config, *args, *extra)
     assert result.exit_code == code, result.output + repr(result.stderr)
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+# (command, its extra arguments, the input file, the bad line appended to it)
+BAD_INPUT_LINES = {
+    "rule-is-a-string": ("run", ["--strategy", "zero-shot-cvc"], "llm_rules.jsonl", '"AGREE"'),
+    "rule-is-a-number": ("run", ["--strategy", "zero-shot-cvc"], "llm_rules.jsonl", "5"),
+    "rule-invalid-regex": ("run", ["--strategy", "zero-shot-cvc"], "llm_rules.jsonl",
+                           json.dumps({"regex": "(", "response": "AGREE"})),
+    "lexicon-term-not-string": ("annotate", [], "mock_lexicon.jsonl",
+                                json.dumps({"term": 5, "concept_id": "mesh:D000001"})),
+    "lexicon-id-not-string": ("annotate", [], "mock_lexicon.jsonl",
+                              json.dumps({"term": "croup", "concept_id": 5})),
+    "nested-too-deep": ("annotate", [], "mock_lexicon.jsonl", "[" * 100_000 + "]" * 100_000),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT_LINES))
+def test_bad_input_line_exits_1_naming_the_line(workspace, case):
+    root, config = workspace
+    command, args, name, bad_line = BAD_INPUT_LINES[case]
+    run_pipeline_through_annotate(config)
+    assert invoke(command, "-c", config, *args).exit_code == 0
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    path = root / name
+    lineno = len(path.read_text().splitlines()) + 1
+    path.write_text(path.read_text() + bad_line + "\n")
+    result = invoke(command, "-c", config, *args)
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert f"line {lineno}: bad" in result.stderr
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 

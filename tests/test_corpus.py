@@ -534,13 +534,10 @@ def test_concept_id_parsing_and_rendering():
         ConceptId("X12")
 
 
-_DIGITS = "0123456789\u0663\u0966\uff19"  # ASCII, Arabic-Indic, Devanagari, fullwidth
-
-
 @given(
     prefix=st.sampled_from(["mesh:", "MESH:", "MeSh:"]),
     d=st.sampled_from("dD"),
-    digits=st.text(alphabet=_DIGITS, min_size=1, max_size=8),
+    digits=st.text(alphabet="0123456789", min_size=1, max_size=8),
     pad=st.tuples(st.sampled_from(["", " ", "\t", "\u2028"]), st.sampled_from(["", " ", "\n"])),
 )
 def test_concept_id_parse_equals_constructed_id(prefix, d, digits, pad):
@@ -550,6 +547,21 @@ def test_concept_id_parse_equals_constructed_id(prefix, d, digits, pad):
     assert parsed == constructed
     assert hash(parsed) == hash(constructed)
     assert parsed.render() == "mesh:D" + digits
+
+
+@pytest.mark.parametrize("digit", ["\u0663", "\u0966", "\uff19"])  # Arabic-Indic, Devanagari, fullwidth
+def test_concept_id_rejects_non_ascii_digits(digit):
+    with pytest.raises(ValueError, match="cannot parse concept id"):
+        ConceptId.parse(f"mesh:D1{digit}")
+    with pytest.raises(ValueError, match="malformed MeSH identifier"):
+        ConceptId(f"D{digit}")
+
+
+@pytest.mark.parametrize("value", [5, None, ["mesh:D1"]])
+def test_concept_id_parse_rejects_non_string_with_type_error(value):
+    # A TypeError is what the JSONL readers turn into "line N: bad ..." (exit 1).
+    with pytest.raises(TypeError, match="must be a string"):
+        ConceptId.parse(value)
 
 
 @pytest.mark.parametrize("identifier", ["bad", "D", "d001", "D12x", "mesh:D001"])
@@ -758,6 +770,15 @@ def test_jsonl_lines_splits_on_newline_only(tmp_path):
     path = tmp_path / "input.jsonl"
     path.write_text('{"a": "x\u2028y"}\r\n\n{"b": 1}\x85', encoding="utf-8")
     assert jsonl_lines(path) == ['{"a": "x\u2028y"}', "", '{"b": 1}\x85']
+
+
+@pytest.mark.parametrize("bad", ['"x"', "5", "null", "[1]", "[" * 100_000 + "]" * 100_000],
+                         ids=["string", "number", "null", "list", "nested-too-deep"])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_reader_names_a_line_that_is_not_its_object(tmp_path, reader, bad):
+    first, read = _READERS[reader]
+    message = read(tmp_path, [json.dumps(first), "", bad])
+    assert message.removeprefix("error: ").startswith("line 3: ")
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
