@@ -173,8 +173,10 @@ def _optional_input(path_option: str | None, cfg: RunConfig, section: str,
     return path if path is not None and path.exists() else None
 
 
-def _preprocessed_corpus(corpus: Corpus, cfg: RunConfig) -> Corpus:
-    preprocess = cfg.preprocess()
+def _preprocessed_corpus(corpus_path: Path, cfg: RunConfig) -> tuple[Corpus, list[Path]]:
+    """The corpus preprocessed as the config sets, and every file read."""
+    corpus = load_records(corpus_path, cfg.expects_keywords())
+    preprocess, read = cfg.preprocess()
     rewritten = []
     for record in corpus:
         rewritten.append(
@@ -187,7 +189,7 @@ def _preprocessed_corpus(corpus: Corpus, cfg: RunConfig) -> Corpus:
                 ),
             )
         )
-    return Corpus(rewritten)
+    return Corpus(rewritten), [corpus_path, *read]
 
 
 def _record_to_json(record) -> str:
@@ -265,25 +267,23 @@ def annotate(config_path: str, corpus_option: str | None, mock_option: str | Non
     def body() -> None:
         cfg = load_config(config_path)
         corpus_path = _resolve(corpus_option, cfg, "paths", "corpus")
-        corpus = _preprocessed_corpus(load_records(corpus_path, cfg.expects_keywords()), cfg)
-        mock_path = Path(mock_option) if mock_option else cfg.path("ner", "mock_lexicon")
+        corpus, inputs = _preprocessed_corpus(corpus_path, cfg)
+        mock_path = (_resolve(mock_option, cfg, "ner", "mock_lexicon") if mock_option
+                     else cfg.input_path("ner", "mock_lexicon"))
         endpoint = endpoint_option or cfg.get("ner", "endpoint")
         if mock_path is not None:
-            if not mock_path.exists():
-                raise FileNotFoundError(f"mock lexicon not found: {mock_path}")
             backend = MockNerBackend(_load_mock_lexicon(mock_path))
+            inputs.append(mock_path)
         elif endpoint:
-            backend = HttpNerBackend(endpoint, timeout_ms=cfg.get_int("ner", "timeout_ms", 30_000))
+            backend = HttpNerBackend(endpoint, **cfg.settings("ner", timeout_ms=int))
         else:
             raise ValidationError("no NER backend: set [ner] endpoint or --mock-lexicon")
         backend_config = BackendConfig(
-            batch_size=cfg.get_int("ner", "batch_size", 16),
-            max_inflight=cfg.get_int("ner", "max_inflight", 4),
-            retry_budget=cfg.get_int("ner", "retry_budget", 2),
+            **cfg.settings("ner", batch_size=int, max_inflight=int, retry_budget=int)
         )
         out_dir = cfg.output_dir
         predictions_path = Path(out_option) if out_option else out_dir / "predictions.jsonl"
-        with _manifested("annotate", cfg, out_dir, [corpus_path]) as files:
+        with _manifested("annotate", cfg, out_dir, inputs) as files:
             outcomes = annotate_batch(corpus.records, backend, backend_config)
             files[predictions_path] = "\n".join(write_outcomes(outcomes)) + "\n"
         failures = sum(1 for o in outcomes if o.status == "failed")
@@ -322,51 +322,44 @@ def _build_spec(cfg: RunConfig, strategy_option: str | None, k_option: int | Non
         valid = ", ".join(sorted(_STRATEGY_NAMES))
         raise ValidationError(f"unknown strategy {name!r}; valid names: {valid}")
     strategy, cot_variant = _STRATEGY_NAMES[name]
-    k = k_option if k_option is not None else cfg.get_int("strategy", "k", 5)
-    retrieval_k = (
-        retrieval_option if retrieval_option is not None
-        else cfg.get_int("strategy", "retrieval_k", 3)
-    )
+    shape = cfg.settings("strategy", k=int, retrieval_k=int)
+    for key, option in (("k", k_option), ("retrieval_k", retrieval_option)):
+        if option is not None:
+            shape[key] = option
     use_rag, use_fsi = True, True
     if strategy is Strategy.RAG_FSI_FLAGS:
-        config_flags = cfg.get("strategy", "flags")
-        use_rag, use_fsi = _parse_flags(flags_option or config_flags)
-    if strategy is Strategy.RAG_FSI_FLAGS and use_fsi and k == 0:
-        k = 5
-    return PromptSpec(
-        strategy=strategy,
-        k=k,
-        cot_variant=cot_variant,
-        use_rag=use_rag,
-        use_fsi=use_fsi,
-        retrieval_k=retrieval_k,
-    )
+        use_rag, use_fsi = _parse_flags(flags_option or cfg.get("strategy", "flags"))
+    return PromptSpec(strategy, cot_variant=cot_variant, use_rag=use_rag, use_fsi=use_fsi,
+                      **shape)
 
 
-_EMBEDDING_TIMEOUT_MS = 30_000
+def _embedding_provider(endpoint: str | None = None, label: str | None = None,
+                        dimension: int | None = None, **remote: int):
+    """HashedBagOfWordsProvider, or RemoteEmbeddingProvider for ``endpoint``
+    with its keyword settings ``remote``. An unset label or dimension takes
+    the hashed provider's default, for the remote provider too."""
+    shape = {"name": label, "dimension": dimension}
+    hashed = HashedBagOfWordsProvider(**{k: v for k, v in shape.items() if v is not None})
+    if not endpoint:
+        return hashed
+    return RemoteEmbeddingProvider(hashed.name, endpoint, hashed.dimension, **remote)
 
 
-def _embedding_provider(cfg: RunConfig):
-    label = cfg.get("embedding", "label", "default")
-    endpoint = cfg.get("embedding", "endpoint")
-    dimension = cfg.get_int("embedding", "dimension", 256)
-    if endpoint:
-        return RemoteEmbeddingProvider(
-            label, endpoint, dimension,
-            timeout_ms=cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
-        )
-    return HashedBagOfWordsProvider(dimension=dimension, name=label)
+def _configured_embedding_provider(cfg: RunConfig):
+    return _embedding_provider(**cfg.settings(
+        "embedding", endpoint=str, label=str, dimension=int, timeout_ms=int
+    ))
 
 
 def _llm_backend(cfg: RunConfig, scripted_option: str | None):
-    scripted = Path(scripted_option) if scripted_option else cfg.path("llm", "scripted")
+    """The LLM backend the config or flag names, and the files it read."""
+    scripted = (_resolve(scripted_option, cfg, "llm", "scripted") if scripted_option
+                else cfg.input_path("llm", "scripted"))
     if scripted is not None:
-        if not scripted.exists():
-            raise FileNotFoundError(f"scripted LLM rule file not found: {scripted}")
-        return ScriptedLlmBackend.from_file(scripted)
+        return ScriptedLlmBackend.from_file(scripted), [scripted]
     endpoint = cfg.get("llm", "endpoint")
     if endpoint:
-        return HttpLlmBackend(endpoint, timeout_ms=cfg.get_int("llm", "timeout_ms", 60_000))
+        return HttpLlmBackend(endpoint, **cfg.settings("llm", timeout_ms=int)), []
     raise ValidationError("no LLM backend: set [llm] endpoint or [llm] scripted")
 
 
@@ -392,21 +385,23 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
     def body() -> None:
         cfg = load_config(config_path)
         spec = _build_spec(cfg, strategy_option, k_option, retrieval_option, flags_option)
-        corpus_path = cfg.require_path("paths", "corpus")
-        corpus = _preprocessed_corpus(load_records(corpus_path, cfg.expects_keywords()), cfg)
+        corpus, inputs = _preprocessed_corpus(cfg.require_path("paths", "corpus"), cfg)
         predictions_path = _resolve(predictions_option, cfg, "eval", "predictions")
         outcomes = read_outcomes(jsonl_lines(predictions_path))
         ontology_path = cfg.require_path("paths", "ontology")
         store = load_ontology(ontology_path)
-        llm = _llm_backend(cfg, scripted_option)
+        llm, llm_inputs = _llm_backend(cfg, scripted_option)
+        inputs += [predictions_path, ontology_path, *llm_inputs]
         example_pool = []
         if spec.fsi_enabled:
             pool_path = cfg.require_path("paths", "example_pool")
             example_pool = load_example_pool(pool_path)
+            inputs.append(pool_path)
         templates = None
-        templates_dir = cfg.path("paths", "templates")
-        if templates_dir is not None and templates_dir.exists():
+        templates_dir = cfg.input_path("paths", "templates")
+        if templates_dir is not None:
             templates = TemplateRegistry(templates_dir)
+            inputs += templates.paths
         seed = derive_seed(seed_option if seed_option is not None else cfg.seed, "run")
         ok = [outcome for outcome in outcomes if outcome.status == "ok"]
         annotations = [ann for outcome in ok for ann in outcome.annotations]
@@ -419,16 +414,12 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
                     f"record {outcome.record_id!r}: prediction text differs from the "
                     "preprocessed corpus text"
                 )
-        params = LlmParams(
-            max_tokens=cfg.get_int("llm", "max_tokens", 256),
-            temperature=cfg.get_float("llm", "temperature", 0.0),
-        )
-        retry_budget = cfg.get_int("llm", "retry_budget", 1)
-        max_inflight = cfg.get_int("llm", "max_inflight", 1)
-        check_run_settings(spec, example_pool, retry_budget, max_inflight)
+        params = LlmParams(**cfg.settings("llm", max_tokens=int, temperature=float))
+        window = cfg.settings("llm", max_inflight=int, retry_budget=int)
+        check_run_settings(spec, example_pool, **window)
         out_dir = cfg.output_dir
         index = (
-            OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
+            OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
             if spec.rag_enabled else None
         )
         dumped: list[str] = []
@@ -444,7 +435,6 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
                     ensure_ascii=False, sort_keys=True, separators=(",", ":"),
                 ))
         verdicts_path = Path(out_option) if out_option else out_dir / "verdicts.jsonl"
-        inputs = [corpus_path, predictions_path, ontology_path]
         with _manifested("run", cfg, out_dir, inputs, index) as files:
             results = run_strategy(
                 corpus, annotations, spec, llm, store,
@@ -453,9 +443,8 @@ def run(config_path: str, strategy_option: str | None, k_option: int | None,
                 index=index,
                 templates=templates,
                 params=params,
-                retry_budget=retry_budget,
-                max_inflight=max_inflight,
                 prompt_sink=sink,
+                **window,
             )
             files[verdicts_path] = "\n".join(write_verdicts(results)) + "\n"
             if dump_option:
@@ -522,11 +511,11 @@ def _check_plan_entry(section: str, entry: dict) -> None:
 
 
 def _bundle_from_plan(
-    plan_path: Path, gold_set: AnnotationSet, gold_texts, embedding_timeout_ms: int
+    plan_path: Path, gold_set: AnnotationSet, gold_texts, embedding_remote: dict
 ) -> tuple[ReportBundle, list[Path]]:
     """Build tables 2-7 from a JSON plan of labeled verdict/summary files;
     also return every file the plan named. Remote ``embeddings`` entries
-    wait up to ``embedding_timeout_ms`` per request."""
+    take the keyword settings ``embedding_remote``."""
     try:
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -603,17 +592,12 @@ def _bundle_from_plan(
             fnr=metrics.fnr,
         ))
     for entry in plan.get("embeddings", []):
-        label = entry.get("embedding", "default")
-        if entry.get("endpoint"):
-            provider = RemoteEmbeddingProvider(
-                label, entry["endpoint"], int(entry.get("dimension", 256)),
-                timeout_ms=embedding_timeout_ms,
-            )
-        else:
-            provider = HashedBagOfWordsProvider(name=label)
+        dimension = int(entry["dimension"]) if "dimension" in entry else None
+        provider = _embedding_provider(entry.get("endpoint"), entry.get("embedding"), dimension,
+                                       **embedding_remote)
         pairs = _load_summaries(_path(entry, "summaries"))
         bundle.embeddings.append(EmbeddingRow(
-            embedding=label,
+            embedding=provider.name,
             rouge1=mean_rouge(pairs, 1),
             coherence=mean_coherence(pairs, provider),
         ))
@@ -626,16 +610,13 @@ def _bundle_from_plan(
 @click.option("--gold", "gold_option", default=None)
 @click.option("--verdicts", "verdicts_option", default=None)
 @click.option("--report-plan", "plan_option", default=None)
-@click.option("--tables", "tables_option", default="all")
 @click.option("--out", "out_option", default=None, help="Report output directory.")
 def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str | None,
-             verdicts_option: str | None, plan_option: str | None, tables_option: str,
+             verdicts_option: str | None, plan_option: str | None,
              out_option: str | None) -> None:
     """Score predictions (and optional verdicts) against ground truth."""
 
     def body() -> None:
-        if tables_option != "all":
-            raise ValidationError(f"--tables accepts only 'all', got {tables_option!r}")
         cfg = load_config(config_path)
         predictions_path = _resolve(predictions_option, cfg, "eval", "predictions")
         gold_path = _resolve(gold_option, cfg, "paths", "gold")
@@ -677,8 +658,7 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
         plan_path = _optional_input(plan_option, cfg, "eval", "report_plan")
         if plan_path is not None:
             planned, plan_inputs = _bundle_from_plan(
-                plan_path, gold_set, gold_texts,
-                cfg.get_int("embedding", "timeout_ms", _EMBEDDING_TIMEOUT_MS),
+                plan_path, gold_set, gold_texts, cfg.settings("embedding", timeout_ms=int)
             )
             planned.ner_nen = bundle.ner_nen
             bundle = planned
@@ -718,7 +698,8 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
 
     def body() -> None:
         cfg = load_config(config_path)
-        n_distractors = n_option if n_option is not None else cfg.get_int("raft", "n_distractors", 3)
+        n_distractors = (n_option if n_option is not None
+                         else cfg.settings("raft", n_distractors=int).get("n_distractors", 3))
         if n_distractors < 1:
             raise ValidationError(
                 "usage: --n-distractors must be >= 1 (each datapoint needs distractors)"
@@ -733,7 +714,7 @@ def raft(config_path: str, questions_option: str | None, n_option: int | None,
         )
         check_raft_inputs(store, questions, n_distractors)
         out_dir = cfg.output_dir
-        index = OntologyIndex(store, _embedding_provider(cfg), cache_dir=out_dir)
+        index = OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
         datapoints = build_raft_dataset(store, questions, n_distractors, index)
         raft_path = Path(out_option) if out_option else out_dir / "raft.jsonl"
         with _manifested("raft", cfg, out_dir, [ontology_path, questions_path], index) as files:

@@ -14,7 +14,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable, Mapping
+from typing import IO, Callable
 
 from . import __version__
 from .corpus import PreprocessConfig, load_acronym_map, load_lexicon
@@ -37,29 +37,25 @@ class RunConfig:
         self._parser = parser
         self.base_dir = base_dir
 
-    def get(self, section: str, key: str, fallback: str | None = None) -> str | None:
-        value = self._parser.get(section, key, fallback=fallback)
-        if value is None or value == "":
-            return fallback
-        return value
+    def get(self, section: str, key: str) -> str | None:
+        """The key's value, or None when it is unset or empty."""
+        return self._parser.get(section, key, fallback=None) or None
 
-    def get_int(self, section: str, key: str, fallback: int) -> int:
-        value = self.get(section, key)
-        if value is None:
-            return fallback
-        try:
-            return int(value)
-        except ValueError:
-            raise ValidationError(f"[{section}] {key} must be an integer, got {value!r}") from None
-
-    def get_float(self, section: str, key: str, fallback: float) -> float:
-        value = self.get(section, key)
-        if value is None:
-            return fallback
-        try:
-            return float(value)
-        except ValueError:
-            raise ValidationError(f"[{section}] {key} must be a number, got {value!r}") from None
+    def settings(self, section: str, **types: type) -> dict:
+        """The keys named in ``types`` that ``section`` sets, each converted
+        by its type. An unset key is left out, so the default of whatever
+        takes these as keyword arguments applies."""
+        found = {}
+        for key, kind in types.items():
+            value = self.get(section, key)
+            if value is None:
+                continue
+            try:
+                found[key] = kind(value)
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValidationError(f"[{section}] {key} must be {what}, got {value!r}") from None
+        return found
 
     def path(self, section: str, key: str) -> Path | None:
         value = self.get(section, key)
@@ -67,38 +63,45 @@ class RunConfig:
             return None
         return (self.base_dir / value).resolve() if not os.path.isabs(value) else Path(value)
 
-    def require_path(self, section: str, key: str) -> Path:
+    def input_path(self, section: str, key: str) -> Path | None:
+        """The file a key names, or None when the key is unset; a named file
+        that does not exist raises FileNotFoundError."""
         resolved = self.path(section, key)
+        if resolved is not None and not resolved.exists():
+            raise FileNotFoundError(f"[{section}] {key}: no such file {resolved}")
+        return resolved
+
+    def require_path(self, section: str, key: str) -> Path:
+        resolved = self.input_path(section, key)
         if resolved is None:
             raise ValidationError(f"config is missing [{section}] {key}")
-        if not resolved.exists():
-            raise FileNotFoundError(f"[{section}] {key}: no such file {resolved}")
         return resolved
 
     @property
     def seed(self) -> int:
-        return self.get_int("run", "seed", 0)
+        return self.settings("run", seed=int).get("seed", 0)
 
     @property
     def output_dir(self) -> Path:
         value = self.path("paths", "output_dir")
         return value if value is not None else self.base_dir / "out"
 
-    def preprocess(self) -> PreprocessConfig:
-        acronyms: Mapping[str, str] = {}
-        acronym_path = self.path("preprocess", "acronym_map")
-        if acronym_path is not None and acronym_path.exists():
-            acronyms = load_acronym_map(acronym_path)
-        lexicon: tuple[str, ...] = ()
-        lexicon_path = self.path("preprocess", "lexicon")
-        if lexicon_path is not None and lexicon_path.exists():
-            lexicon = load_lexicon(lexicon_path)
+    def preprocess(self) -> tuple[PreprocessConfig, list[Path]]:
+        """The preprocessing this config sets, and the files it read."""
+        resources: dict = {}
+        read = []
+        for key, field, load in (("acronym_map", "acronyms", load_acronym_map),
+                                 ("lexicon", "lexicon", load_lexicon)):
+            path = self.input_path("preprocess", key)
+            if path is not None:
+                resources[field] = load(path)
+                read.append(path)
         steps_value = self.get("preprocess", "steps")
         if steps_value is None:
-            return PreprocessConfig(acronyms=acronyms, lexicon=lexicon)
+            return PreprocessConfig(**resources), read
         steps = [s.strip() for s in steps_value.split(",") if s.strip()]
         try:
-            return PreprocessConfig.only(*steps, acronyms=acronyms, lexicon=lexicon)
+            return PreprocessConfig.only(*steps, **resources), read
         except ValueError as exc:
             raise ValidationError(f"[preprocess] {exc}") from exc
 

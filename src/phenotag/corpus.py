@@ -1,8 +1,8 @@
 """Survey corpus handling.
 
 Ingests line-delimited survey records, normalizes free text through a
-fixed chain of string rewrites, draws stratified annotation samples, and
-round-trips ground truth through the Doccano JSONL format.
+fixed chain of string rewrites, and round-trips ground truth through the
+Doccano JSONL format.
 
 Every span indexes the normalized text; no map back to the raw input is
 kept. All character offsets count Unicode scalar values (Python string
@@ -12,7 +12,6 @@ indices), never bytes.
 from __future__ import annotations
 
 import json
-import random
 import re
 import unicodedata
 from collections import defaultdict
@@ -39,7 +38,6 @@ __all__ = [
     "ingest_records",
     "load_records",
     "normalize_text",
-    "stratified_sample",
     "import_doccano",
     "export_doccano",
     "load_acronym_map",
@@ -62,7 +60,6 @@ class Source(Enum):
     """Provenance of an annotation."""
 
     NER_BACKEND = "ner_backend"
-    LLM = "llm"
     HUMAN = "human"
 
 
@@ -509,56 +506,6 @@ def load_lexicon(path: str | Path) -> tuple[str, ...]:
         if word and not word.startswith("#"):
             words.append(word)
     return tuple(words)
-
-
-# ---------------------------------------------------------------------------
-# Stratified sampling
-# ---------------------------------------------------------------------------
-
-def stratified_sample(corpus: Corpus, n: int, seed: int) -> list[SurveyRecord]:
-    """Draw ``n`` records split as evenly as possible across expects_disease.
-
-    The expects_disease=true stratum receives the ceiling half. Within each
-    stratum all available field types are covered before any type repeats.
-    Pure function of (corpus, n, seed).
-    """
-    if n < 0:
-        raise ValidationError("sample size must be non-negative")
-    if n > len(corpus):
-        raise ValidationError(f"sample size {n} exceeds corpus size {len(corpus)}")
-    expected = [r for r in corpus if r.expects_disease]
-    unexpected = [r for r in corpus if not r.expects_disease]
-    quota_expected = (n + 1) // 2
-    quota_unexpected = n // 2
-    rng = random.Random(seed)
-    picked: list[SurveyRecord] = []
-    for stratum, quota, label in (
-        (expected, quota_expected, "expects_disease=true"),
-        (unexpected, quota_unexpected, "expects_disease=false"),
-    ):
-        if len(stratum) < quota:
-            raise ValidationError(
-                f"stratum {label} has {len(stratum)} records, {quota} required"
-            )
-        picked.extend(_draw_stratum(stratum, quota, rng))
-    return picked
-
-
-def _draw_stratum(records: list[SurveyRecord], quota: int, rng: random.Random) -> list[SurveyRecord]:
-    groups: dict[str, list[SurveyRecord]] = defaultdict(list)
-    for record in sorted(records, key=lambda r: r.record_id):
-        groups[record.field_type.value].append(record)
-    for group in groups.values():
-        rng.shuffle(group)
-    type_order = sorted(groups)
-    rng.shuffle(type_order)
-    picked: list[SurveyRecord] = []
-    while len(picked) < quota:
-        for field_type in type_order:
-            group = groups[field_type]
-            if group and len(picked) < quota:
-                picked.append(group.pop())
-    return picked
 
 
 # ---------------------------------------------------------------------------

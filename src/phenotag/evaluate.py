@@ -36,7 +36,6 @@ __all__ = [
     "match_concepts",
     "compute_metrics",
     "rouge_n",
-    "coherence_score",
     "mean_coherence",
     "alignment_accuracy",
     "alignment_confusions",
@@ -218,11 +217,6 @@ def mean_rouge(pairs: Sequence[tuple[str, str]], n: int) -> RougeScore | None:
         recall=sum(s.recall for s in scores) / count,
         f1=sum(s.f1 for s in scores) / count,
     )
-
-
-def coherence_score(candidate: str, reference: str, provider: EmbeddingProvider) -> float:
-    """Cosine similarity between the two texts' sentence embeddings."""
-    return cosine(provider.embed(candidate), provider.embed(reference))
 
 
 def mean_coherence(

@@ -416,7 +416,6 @@ class OntologyIndex:
 
     def __init__(self, store: OntologyStore, provider: EmbeddingProvider,
                  cache_dir: str | Path | None = None):
-        self.store = store
         self.provider = provider
         concepts = store.concepts()
         self._concept_ids: list[ConceptId] = [concept.concept_id for concept in concepts]

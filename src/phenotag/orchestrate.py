@@ -96,8 +96,8 @@ class PromptSpec:
             raise ValueError(f"shot count {self.k} not in {_ALLOWED_SHOTS}")
         if self.rag_enabled and self.retrieval_k < 1:
             raise ValueError("retrieval_k must be >= 1 when retrieval is active")
-        if self.strategy is Strategy.RAG_FSI_FLAGS and self.use_fsi and self.k == 0:
-            raise ValueError("use_fsi requires k >= 1")
+        if self.fsi_enabled and self.k == 0:
+            raise ValueError("use_fsi and the hybrid CoT carry examples: k must be >= 1")
 
     @property
     def rag_enabled(self) -> bool:
@@ -226,11 +226,13 @@ class TemplateRegistry:
 
     def __init__(self, directory: str | Path | None = None):
         self._templates: dict[str, str] = {}
+        self.paths: list[Path] = []  # the files read from ``directory``
         for name in _TEMPLATE_NAMES:
             if directory is not None:
                 path = Path(directory) / f"{name}.txt"
                 if not path.is_file():
                     raise ValidationError(f"template {name!r} missing from {directory}")
+                self.paths.append(path)
                 text = path.read_text(encoding="utf-8")
             else:
                 text = (
@@ -447,17 +449,14 @@ class HttpLlmBackend:
 # ---------------------------------------------------------------------------
 
 def check_run_settings(
-    spec: PromptSpec,
-    example_pool: Sequence[FewShotExample],
-    retry_budget: int,
-    max_inflight: int,
+    spec: PromptSpec, example_pool: Sequence[FewShotExample], **window: int
 ) -> None:
     """Raise ValidationError for any setting ``run_strategy`` rejects, so a
-    caller can check them before it writes anything."""
-    if max_inflight < 1:
-        raise ValidationError("max_inflight must be >= 1")
-    if retry_budget < 0:
-        raise ValidationError("retry_budget must be >= 0")
+    caller can check them before it writes anything. ``window`` holds the
+    ``max_inflight`` and ``retry_budget`` the caller passes on, if any."""
+    for key, least in (("max_inflight", 1), ("retry_budget", 0)):
+        if window.get(key, least) < least:
+            raise ValidationError(f"{key} must be >= {least}")
     if spec.fsi_enabled and len(example_pool) < spec.k:
         raise ValidationError(f"example pool has {len(example_pool)} entries, {spec.k} required")
 
@@ -491,7 +490,7 @@ def run_strategy(
     next prompt while the LLM slots are busy, so a freed slot never waits
     for a prompt to be built.
     """
-    check_run_settings(spec, example_pool, retry_budget, max_inflight)
+    check_run_settings(spec, example_pool, max_inflight=max_inflight, retry_budget=retry_budget)
     examples: tuple[FewShotExample, ...] = ()
     if spec.fsi_enabled:
         examples = tuple(select_few_shot(example_pool, spec.k, seed))

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 import phenotag
 from phenotag.cli import main
 from phenotag.config import derive_seed, load_config
+from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
 
 from conftest import write_e2e_workspace
@@ -254,6 +256,16 @@ def test_run_rejected_settings_keep_earlier_manifest(workspace, llm_setting, poo
     assert (root / "out" / "verdicts.jsonl").read_bytes() == verdicts
 
 
+@pytest.mark.parametrize("strategy", ["cot:hybrid", "rag-fsi-flags"])
+def test_run_zero_shots_with_examples_exits_1_before_manifest(workspace, strategy):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    result = invoke("run", "-c", config, "--strategy", strategy, "--k", "0")
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert "k must be >= 1" in result.stderr
+    assert not (root / "out" / "run_manifest.json").exists()
+
+
 def test_run_index_build_failure_keeps_earlier_manifest(workspace):
     root, config = workspace
     run_pipeline_through_annotate(config)
@@ -335,6 +347,38 @@ def test_eval_skips_missing_config_defaults(workspace):
     assert "BERN2 alignment" not in result.output
 
 
+# (command, its extra arguments, config section, key)
+CONFIGURED_INPUTS = {
+    "templates": ("run", ["--strategy", "zero-shot-cvc"], "paths", "templates"),
+    "acronym-map": ("annotate", [], "preprocess", "acronym_map"),
+    "lexicon": ("annotate", [], "preprocess", "lexicon"),
+    "mock-lexicon": ("annotate", [], "ner", "mock_lexicon"),
+    "scripted-llm": ("run", ["--strategy", "zero-shot-cvc"], "llm", "scripted"),
+}
+
+
+def set_config_key(config, section, key, value):
+    text = config.read_text()
+    if f"[{section}]\n" not in text:
+        text += f"\n[{section}]\n"
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} =")]
+    text = "\n".join(lines) + "\n"
+    config.write_text(text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+
+
+@pytest.mark.parametrize("case", list(CONFIGURED_INPUTS))
+def test_configured_input_that_is_missing_exits_2(workspace, case):
+    root, config = workspace
+    command, args, section, key = CONFIGURED_INPUTS[case]
+    run_pipeline_through_annotate(config)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    set_config_key(config, section, key, "nowhere")
+    result = invoke(command, "-c", config, *args)
+    assert result.exit_code == 2, result.output + repr(result.exception)
+    assert f"[{section}] {key}: no such file {root / 'nowhere'}" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
 def test_eval_record_mismatch_exits_1_naming_ids(workspace):
     root, config = workspace
     run_pipeline_through_annotate(config)
@@ -348,7 +392,7 @@ def test_eval_record_mismatch_exits_1_naming_ids(workspace):
 def test_eval_tables_all_emits_seven_csvs(workspace):
     root, config = workspace
     run_pipeline_through_annotate(config)
-    result = invoke("eval", "-c", config, "--tables", "all")
+    result = invoke("eval", "-c", config)
     assert result.exit_code == 0
     for i in range(1, 8):
         matches = list((root / "out").glob(f"table{i}_*.csv"))
@@ -730,6 +774,78 @@ def test_eval_manifest_names_every_file_it_read(workspace):
             root / "plan.json", root / "out" / "verdicts.jsonl", root / "summaries.jsonl"]
     assert {Path(p).resolve() for p in manifest["inputs"]} == {p.resolve() for p in read}
     assert len(manifest["outputs"]) == 8
+
+
+def write_preprocess_and_templates(root, config):
+    """Point the config at an acronym map, a spelling lexicon and a copy of
+    the built-in templates; return every file they add."""
+    (root / "acronyms.txt").write_text("xqz = never in the fixture\n")
+    (root / "spelling.txt").write_text("asthma\n")
+    templates = root / "templates"
+    templates.mkdir()
+    for source in (Path(phenotag.__file__).parent / "templates").glob("*.txt"):
+        (templates / source.name).write_text(source.read_text())
+    set_config_key(config, "preprocess", "acronym_map", "acronyms.txt")
+    set_config_key(config, "preprocess", "lexicon", "spelling.txt")
+    set_config_key(config, "paths", "templates", "templates")
+    return [root / "acronyms.txt", root / "spelling.txt"], sorted(templates.glob("*.txt"))
+
+
+@pytest.mark.parametrize("command", ["annotate", "run"])
+def test_manifest_names_every_file_its_command_read(workspace, command):
+    root, config = workspace
+    preprocess, templates = write_preprocess_and_templates(root, config)
+    run_pipeline_through_annotate(config)
+    read = [root / "records.jsonl", *preprocess]
+    if command == "annotate":
+        read.append(root / "mock_lexicon.jsonl")
+    else:
+        result = invoke("run", "-c", config, "--strategy", "few-shot", "--k", "3")
+        assert result.exit_code == 0, result.output + repr(result.stderr)
+        read += [root / "out" / "predictions.jsonl", root / "ontology.jsonl",
+                 root / "llm_rules.jsonl", root / "examples.jsonl", *templates]
+        assert len(templates) == 11
+    manifest = json.loads((root / "out" / f"{command}_manifest.json").read_text())
+    assert {Path(p).resolve() for p in manifest["inputs"]} == {p.resolve() for p in read}
+
+
+def test_report_plan_hashed_entry_honours_dimension(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    # "migraine" and "knee" share a bucket at dimension 64, not at 256.
+    pairs = [("child has migraine daily", "knee pain daily report"), ("gout", "chronic gout")]
+    (root / "summaries.jsonl").write_text(
+        "".join(json.dumps({"candidate": c, "reference": r}) + "\n" for c, r in pairs)
+    )
+    plan = {"embeddings": [{"embedding": "h64", "dimension": 64, "summaries": "summaries.jsonl"},
+                           {"embedding": "h", "summaries": "summaries.jsonl"}]}
+    (root / "plan.json").write_text(json.dumps(plan))
+    result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    rows = (root / "out" / "table7_embeddings.csv").read_text().splitlines()[1:]
+    coherence = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
+    assert coherence == {
+        "h64": mean_coherence(pairs, HashedBagOfWordsProvider(64)),
+        "h": mean_coherence(pairs, HashedBagOfWordsProvider()),
+    }
+    assert coherence["h64"] != coherence["h"]
+
+
+def test_readme_flags_are_parameters_of_their_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    checked = 0
+    for block in re.findall(r"```bash\n(.*?)```", readme, re.DOTALL):
+        for line in block.splitlines():
+            words = line.split("#")[0].split()
+            if words[:1] != ["phenotag"]:
+                continue
+            command = main.commands[words[1]]
+            known = {opt for param in command.params for opt in param.opts}
+            for word in words[2:]:
+                if word.startswith("-"):
+                    assert word in known, f"README: {word} is not an option of {words[1]!r}"
+                    checked += 1
+    assert checked
 
 
 # --- seed derivation -------------------------------------------------------------

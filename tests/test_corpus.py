@@ -13,13 +13,11 @@ from phenotag.annotate import AnnotationOutcome, read_outcomes, write_outcomes
 from phenotag.corpus import (
     AnnotationSet,
     ConceptId,
-    Corpus,
     FieldType,
     NONE_CONCEPT,
     NormalizedAnnotation,
     PreprocessConfig,
     Source,
-    SurveyRecord,
     TextSpan,
     export_doccano,
     import_doccano,
@@ -28,7 +26,6 @@ from phenotag.corpus import (
     load_records,
     normalize_text,
     read_jsonl,
-    stratified_sample,
 )
 from phenotag.errors import ValidationError
 from phenotag.evaluate import read_verdicts
@@ -344,63 +341,6 @@ def test_normalize_text_matches_seed_for_every_step_subset(raw, acronym_keys, le
             assert isinstance(normalize_text(raw, config), str)
             continue
         assert normalize_text(raw, config) == expected, config
-
-
-# --- stratified_sample ------------------------------------------------------
-
-def make_pool(n_expected, n_unexpected):
-    types = [t.value for t in FieldType]
-    records = []
-    for i in range(n_expected):
-        records.append(
-            SurveyRecord(f"e{i:04d}", "q", "a", FieldType(types[i % len(types)]), (), True)
-        )
-    for i in range(n_unexpected):
-        records.append(
-            SurveyRecord(f"u{i:04d}", "q", "a", FieldType(types[i % len(types)]), (), False)
-        )
-    return Corpus(records)
-
-
-def test_equal_proportion_split():
-    corpus = make_pool(500, 500)
-    sample = stratified_sample(corpus, 100, seed=3)
-    assert len(sample) == 100
-    assert sum(r.expects_disease for r in sample) == 50
-
-
-def test_exhaustion_takes_everything():
-    corpus = make_pool(2, 2)
-    sample = stratified_sample(corpus, 4, seed=9)
-    assert sorted(r.record_id for r in sample) == ["e0000", "e0001", "u0000", "u0001"]
-
-
-def test_sampling_deterministic():
-    corpus = make_pool(40, 40)
-    first = [r.record_id for r in stratified_sample(corpus, 10, seed=21)]
-    second = [r.record_id for r in stratified_sample(corpus, 10, seed=21)]
-    assert first == second
-    assert first != [r.record_id for r in stratified_sample(corpus, 10, seed=22)]
-
-
-def test_field_types_covered_before_repeats():
-    corpus = make_pool(30, 30)
-    sample = stratified_sample(corpus, 12, seed=5)
-    for stratum in (True, False):
-        types = [r.field_type for r in sample if r.expects_disease is stratum]
-        assert len(set(types)) == len(FieldType)  # 6 picks cover all 6 types
-
-
-def test_shortfall_reports_available_counts():
-    corpus = make_pool(3, 60)
-    with pytest.raises(ValidationError, match="3 records, 25 required"):
-        stratified_sample(corpus, 50, seed=0)
-
-
-def test_odd_n_gives_ceiling_to_expected_stratum():
-    corpus = make_pool(20, 20)
-    sample = stratified_sample(corpus, 7, seed=1)
-    assert sum(r.expects_disease for r in sample) == 4
 
 
 # --- Doccano import/export --------------------------------------------------

@@ -25,12 +25,11 @@ from phenotag.evaluate import (
     match_concepts,
     match_mentions,
     mean_coherence,
-    coherence_score,
     read_verdicts,
     rouge_n,
     write_verdicts,
 )
-from phenotag.ontology import HashedBagOfWordsProvider, RemoteEmbeddingProvider
+from phenotag.ontology import HashedBagOfWordsProvider, RemoteEmbeddingProvider, cosine
 from phenotag.orchestrate import LlmVerdict, VerdictKind, parse_verdict
 from phenotag.report import normalised_performance
 
@@ -246,12 +245,13 @@ def test_rouge_swap_symmetry():
 
 def test_coherence_identity():
     provider = HashedBagOfWordsProvider()
-    assert coherence_score("asthma summary", "asthma summary", provider) == pytest.approx(1.0, abs=1e-9)
+    pair = ("asthma summary", "asthma summary")
+    assert mean_coherence([pair], provider) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_coherence_disjoint_tokens_orthogonal():
     provider = HashedBagOfWordsProvider()
-    score = coherence_score("alpha beta", "gamma delta", provider)
+    score = mean_coherence([("alpha beta", "gamma delta")], provider)
     assert score == pytest.approx(0.0, abs=1e-9)
 
 
@@ -271,7 +271,7 @@ def test_mean_coherence_is_the_mean_of_pair_scores():
     pairs = [("asthma and eczema", "eczema"), ("gout", "chronic gout flare"),
              ("alpha beta", "gamma delta"), ("same text", "same text")]
     for provider in (reference, RemoteEmbeddingProvider("r", "fake://embed", 32, transport)):
-        scores = [coherence_score(c, r, provider) for c, r in pairs]
+        scores = [cosine(provider.embed(c), provider.embed(r)) for c, r in pairs]
         assert mean_coherence(pairs, provider) == sum(scores) / len(scores)
 
 

@@ -194,6 +194,8 @@ def test_spec_validation():
         PromptSpec(Strategy.RAG_FSI, retrieval_k=0)
     with pytest.raises(ValueError, match="use_fsi"):
         PromptSpec(Strategy.RAG_FSI_FLAGS, use_fsi=True, k=0)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        PromptSpec(Strategy.COT, cot_variant=CotVariant.HYBRID, k=0)
 
 
 # --- select_few_shot ----------------------------------------------------------
