@@ -17,13 +17,13 @@ record never aborts the batch.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .corpus import (
-    ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, TextSpan, read_jsonl,
+    ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, TextSpan, jsonl_line,
+    read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, post_json, send, window_map
@@ -319,7 +319,7 @@ def write_outcomes(outcomes: Sequence[AnnotationOutcome]) -> list[str]:
             ],
             "error": outcome.error,
         }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        lines.append(jsonl_line(obj))
     return lines
 
 

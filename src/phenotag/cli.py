@@ -11,11 +11,12 @@ backends reproduce outputs byte for byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import click
 
@@ -35,6 +36,7 @@ from .corpus import (
     ConceptId,
     Corpus,
     import_doccano,
+    jsonl_line,
     jsonl_lines,
     load_records,
     normalize_text,
@@ -104,18 +106,39 @@ _STRATEGY_NAMES = {
 }
 
 
-def _execute(body: Callable[[], None]) -> None:
-    try:
-        body()
-    except FileNotFoundError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_MISSING_INPUT)
-    except BackendError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BACKEND)
-    except (ValidationError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
+_EXIT_CODES = ((FileNotFoundError, EXIT_MISSING_INPUT), (BackendError, EXIT_BACKEND),
+               ((ValidationError, ValueError), EXIT_VALIDATION))
+
+
+def _configured(command: Callable[..., None]) -> Callable[..., None]:
+    """The click callback, with a ``--config`` option, for
+    ``command(cfg, **outputs)``; it goes right under ``main.command``.
+
+    The callback loads ``--config`` with every flag laid over it: a
+    parameter named ``<section>__<key>`` overrides that key, so the
+    ``RunConfig`` the command gets, and the manifest it writes, hold what
+    the command used. The other parameters (``--out``, ``--dump-prompts``)
+    are passed on. An exception in ``_EXIT_CODES`` becomes its exit code
+    and an ``error:`` line on stderr.
+    """
+
+    @functools.wraps(command)
+    def callback(config_path: str, **params) -> None:
+        flags = {tuple(name.split("__")): params.pop(name)
+                 for name in [name for name in params if "__" in name]}
+        try:
+            command(load_config(config_path, flags), **params)
+        except (FileNotFoundError, BackendError, ValidationError, ValueError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for kind, code in _EXIT_CODES if isinstance(exc, kind)))
+
+    return click.option("--config", "-c", "config_path", required=True,
+                        help="Run config INI file.")(callback)
+
+
+def _path_flag(*decls: str, **attrs):
+    """A flag naming an input file, relative to the working directory."""
+    return click.option(*decls, **attrs, callback=lambda _c, _p, value: value and Path(value))
 
 
 @click.group()
@@ -125,20 +148,20 @@ def main() -> None:
 
 
 @contextmanager
-def _manifested(command: str, cfg: RunConfig, out_dir: Path, inputs: Sequence[Path],
+def _manifested(command: str, cfg: RunConfig, out_dir: Path,
                 index: OntologyIndex | None = None) -> Iterator[dict[Path, str | None]]:
     """The one write path for manifests and result files.
 
-    On entry, ``<command>_manifest.json`` in ``out_dir`` names ``inputs``
-    and, with ``index``, the cache sidecar: an input when the matrix was
-    read, an output when it was written. The body fills the yielded
-    ``{path: text}`` dict; None marks a file the body already wrote. On a
-    clean exit each text is written atomically and the manifest is
-    rewritten with the output checksums. If the body raises, the first
-    manifest stays and no result file is written.
+    On entry, ``<command>_manifest.json`` in ``out_dir`` names every file
+    in ``cfg.inputs`` and, with ``index``, the cache sidecar: an input when
+    the matrix was read, an output when it was written. The body fills the
+    yielded ``{path: text}`` dict; None marks a file the body already
+    wrote. On a clean exit each text is written atomically and the
+    manifest is rewritten with the output checksums. If the body raises,
+    the first manifest stays and no result file is written.
     """
     manifest = RunManifest(command, cfg, out_dir)
-    for path in inputs:
+    for path in cfg.inputs:
         manifest.add_input(path)
     if index is not None and index.cache_read:
         manifest.add_input(index.cache_sidecar)
@@ -154,29 +177,10 @@ def _manifested(command: str, cfg: RunConfig, out_dir: Path, inputs: Sequence[Pa
     manifest.write()
 
 
-def _resolve(path_option: str | None, cfg: RunConfig, section: str, key: str) -> Path:
-    if path_option is not None:
-        path = Path(path_option)
-        if not path.exists():
-            raise FileNotFoundError(f"no such file: {path}")
-        return path
-    return cfg.require_path(section, key)
-
-
-def _optional_input(path_option: str | None, cfg: RunConfig, section: str,
-                    key: str) -> Path | None:
-    """An input a command can do without: an explicit path must exist (exit
-    2), while a config default that is unset or missing is skipped."""
-    if path_option:
-        return _resolve(path_option, cfg, section, key)
-    path = cfg.path(section, key)
-    return path if path is not None and path.exists() else None
-
-
-def _preprocessed_corpus(corpus_path: Path, cfg: RunConfig) -> tuple[Corpus, list[Path]]:
-    """The corpus preprocessed as the config sets, and every file read."""
-    corpus = load_records(corpus_path, cfg.expects_keywords())
-    preprocess, read = cfg.preprocess()
+def _preprocessed_corpus(cfg: RunConfig) -> Corpus:
+    """The [paths] corpus, preprocessed as the config sets."""
+    corpus = load_records(cfg.require_path("paths", "corpus"), cfg.expects_keywords())
+    preprocess = cfg.preprocess()
     rewritten = []
     for record in corpus:
         rewritten.append(
@@ -189,7 +193,7 @@ def _preprocessed_corpus(corpus_path: Path, cfg: RunConfig) -> tuple[Corpus, lis
                 ),
             )
         )
-    return Corpus(rewritten), [corpus_path, *read]
+    return Corpus(rewritten)
 
 
 def _record_to_json(record) -> str:
@@ -201,7 +205,7 @@ def _record_to_json(record) -> str:
         "preceding_questions": list(record.preceding_questions),
         "expects_disease": record.expects_disease,
     }
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return jsonl_line(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +213,23 @@ def _record_to_json(record) -> str:
 # ---------------------------------------------------------------------------
 
 @main.command()
-@click.option("--config", "-c", "config_path", required=True, help="Run config INI file.")
-@click.option("--records", "records_option", default=None, help="Override the record file path.")
-def ingest(config_path: str, records_option: str | None) -> None:
+@_configured
+@_path_flag("--records", "paths__corpus", help="Override the record file path.")
+def ingest(cfg: RunConfig) -> None:
     """Validate and persist the survey corpus; print record statistics."""
-
-    def body() -> None:
-        cfg = load_config(config_path)
-        records_path = _resolve(records_option, cfg, "paths", "corpus")
-        corpus = load_records(records_path, cfg.expects_keywords())
-        with _manifested("ingest", cfg, cfg.output_dir, [records_path]) as files:
-            files[cfg.output_dir / "corpus.jsonl"] = (
-                "\n".join(_record_to_json(r) for r in corpus) + "\n"
-            )
-        click.echo(f"{len(corpus)} records")
-        by_type: dict[str, int] = {}
-        for record in corpus:
-            by_type[record.field_type.value] = by_type.get(record.field_type.value, 0) + 1
-        for field_type in sorted(by_type):
-            click.echo(f"  {field_type}: {by_type[field_type]}")
-        expected = sum(r.expects_disease for r in corpus)
-        click.echo(f"  expects_disease: {expected} true / {len(corpus) - expected} false")
-
-    _execute(body)
+    corpus = load_records(cfg.require_path("paths", "corpus"), cfg.expects_keywords())
+    with _manifested("ingest", cfg, cfg.output_dir) as files:
+        files[cfg.output_dir / "corpus.jsonl"] = (
+            "\n".join(_record_to_json(r) for r in corpus) + "\n"
+        )
+    click.echo(f"{len(corpus)} records")
+    by_type: dict[str, int] = {}
+    for record in corpus:
+        by_type[record.field_type.value] = by_type.get(record.field_type.value, 0) + 1
+    for field_type in sorted(by_type):
+        click.echo(f"  {field_type}: {by_type[field_type]}")
+    expected = sum(r.expects_disease for r in corpus)
+    click.echo(f"  expects_disease: {expected} true / {len(corpus) - expected} false")
 
 
 # ---------------------------------------------------------------------------
@@ -254,55 +252,46 @@ def _load_mock_lexicon(path: Path) -> dict[str, ConceptId]:
 
 
 @main.command()
-@click.option("--config", "-c", "config_path", required=True)
-@click.option("--corpus", "corpus_option", default=None, help="Override the corpus file path.")
-@click.option("--mock-lexicon", "mock_option", default=None,
-              help="Use the deterministic mock backend with this lexicon file.")
-@click.option("--endpoint", "endpoint_option", default=None, help="NER backend URL.")
-@click.option("--out", "out_option", default=None, help="Predictions output path.")
-def annotate(config_path: str, corpus_option: str | None, mock_option: str | None,
-             endpoint_option: str | None, out_option: str | None) -> None:
+@_configured
+@_path_flag("--corpus", "paths__corpus", help="Override the corpus file path.")
+@_path_flag("--mock-lexicon", "ner__mock_lexicon",
+            help="Use the deterministic mock backend with this lexicon file.")
+@click.option("--endpoint", "ner__endpoint", help="NER backend URL.")
+@click.option("--out", help="Predictions output path.")
+def annotate(cfg: RunConfig, out: str | None) -> None:
     """Run the NER/NEN backend over the corpus and persist predictions."""
-
-    def body() -> None:
-        cfg = load_config(config_path)
-        corpus_path = _resolve(corpus_option, cfg, "paths", "corpus")
-        corpus, inputs = _preprocessed_corpus(corpus_path, cfg)
-        mock_path = (_resolve(mock_option, cfg, "ner", "mock_lexicon") if mock_option
-                     else cfg.input_path("ner", "mock_lexicon"))
-        endpoint = endpoint_option or cfg.get("ner", "endpoint")
-        if mock_path is not None:
-            backend = MockNerBackend(_load_mock_lexicon(mock_path))
-            inputs.append(mock_path)
-        elif endpoint:
-            backend = HttpNerBackend(endpoint, **cfg.settings("ner", timeout_ms=int))
-        else:
-            raise ValidationError("no NER backend: set [ner] endpoint or --mock-lexicon")
-        backend_config = BackendConfig(
-            **cfg.settings("ner", batch_size=int, max_inflight=int, retry_budget=int)
-        )
-        out_dir = cfg.output_dir
-        predictions_path = Path(out_option) if out_option else out_dir / "predictions.jsonl"
-        with _manifested("annotate", cfg, out_dir, inputs) as files:
-            outcomes = annotate_batch(corpus.records, backend, backend_config)
-            files[predictions_path] = "\n".join(write_outcomes(outcomes)) + "\n"
-        failures = sum(1 for o in outcomes if o.status == "failed")
-        click.echo(f"{len(outcomes)} records annotated, {failures} failed")
-        if outcomes and failures == len(outcomes):
-            click.echo("error: backend failed for every record", err=True)
-            sys.exit(EXIT_BACKEND)
-
-    _execute(body)
+    corpus = _preprocessed_corpus(cfg)
+    mock_path = cfg.input_path("ner", "mock_lexicon")
+    endpoint = cfg.get("ner", "endpoint")
+    if mock_path is not None:
+        backend = MockNerBackend(_load_mock_lexicon(mock_path))
+    elif endpoint:
+        backend = HttpNerBackend(endpoint, **cfg.settings("ner", timeout_ms=int))
+    else:
+        raise ValidationError("no NER backend: set [ner] endpoint or --mock-lexicon")
+    backend_config = BackendConfig(
+        **cfg.settings("ner", batch_size=int, max_inflight=int, retry_budget=int)
+    )
+    out_dir = cfg.output_dir
+    predictions_path = Path(out) if out else out_dir / "predictions.jsonl"
+    with _manifested("annotate", cfg, out_dir) as files:
+        outcomes = annotate_batch(corpus.records, backend, backend_config)
+        files[predictions_path] = "\n".join(write_outcomes(outcomes)) + "\n"
+    failures = sum(1 for o in outcomes if o.status == "failed")
+    click.echo(f"{len(outcomes)} records annotated, {failures} failed")
+    if outcomes and failures == len(outcomes):
+        click.echo("error: backend failed for every record", err=True)
+        sys.exit(EXIT_BACKEND)
 
 
 # ---------------------------------------------------------------------------
 # run (LLM verification strategies)
 # ---------------------------------------------------------------------------
 
-def _parse_flags(flags_option: str | None) -> tuple[bool, bool]:
+def _parse_flags(flags: str | None) -> tuple[bool, bool]:
     use_rag, use_fsi = True, True
-    if flags_option:
-        for part in flags_option.split(","):
+    if flags:
+        for part in flags.split(","):
             key, _, value = part.strip().partition("=")
             if key not in ("rag", "fsi") or value not in ("on", "off"):
                 raise ValidationError(
@@ -315,22 +304,17 @@ def _parse_flags(flags_option: str | None) -> tuple[bool, bool]:
     return use_rag, use_fsi
 
 
-def _build_spec(cfg: RunConfig, strategy_option: str | None, k_option: int | None,
-                retrieval_option: int | None, flags_option: str | None) -> PromptSpec:
-    name = strategy_option or cfg.get("strategy", "name")
+def _build_spec(cfg: RunConfig) -> PromptSpec:
+    name = cfg.get("strategy", "name")
     if name is None or name not in _STRATEGY_NAMES:
         valid = ", ".join(sorted(_STRATEGY_NAMES))
         raise ValidationError(f"unknown strategy {name!r}; valid names: {valid}")
     strategy, cot_variant = _STRATEGY_NAMES[name]
-    shape = cfg.settings("strategy", k=int, retrieval_k=int)
-    for key, option in (("k", k_option), ("retrieval_k", retrieval_option)):
-        if option is not None:
-            shape[key] = option
     use_rag, use_fsi = True, True
     if strategy is Strategy.RAG_FSI_FLAGS:
-        use_rag, use_fsi = _parse_flags(flags_option or cfg.get("strategy", "flags"))
+        use_rag, use_fsi = _parse_flags(cfg.get("strategy", "flags"))
     return PromptSpec(strategy, cot_variant=cot_variant, use_rag=use_rag, use_fsi=use_fsi,
-                      **shape)
+                      **cfg.settings("strategy", k=int, retrieval_k=int))
 
 
 def _embedding_provider(endpoint: str | None = None, label: str | None = None,
@@ -351,114 +335,102 @@ def _configured_embedding_provider(cfg: RunConfig):
     ))
 
 
-def _llm_backend(cfg: RunConfig, scripted_option: str | None):
-    """The LLM backend the config or flag names, and the files it read."""
-    scripted = (_resolve(scripted_option, cfg, "llm", "scripted") if scripted_option
-                else cfg.input_path("llm", "scripted"))
+def _llm_backend(cfg: RunConfig):
+    """The LLM backend the config names: [llm] scripted over an endpoint."""
+    scripted = cfg.input_path("llm", "scripted")
     if scripted is not None:
-        return ScriptedLlmBackend.from_file(scripted), [scripted]
+        return ScriptedLlmBackend.from_file(scripted)
     endpoint = cfg.get("llm", "endpoint")
     if endpoint:
-        return HttpLlmBackend(endpoint, **cfg.settings("llm", timeout_ms=int)), []
+        return HttpLlmBackend(endpoint, **cfg.settings("llm", timeout_ms=int))
     raise ValidationError("no LLM backend: set [llm] endpoint or [llm] scripted")
 
 
+def _templates(cfg: RunConfig) -> TemplateRegistry | None:
+    """The [paths] templates directory's registry, or None for the built-in
+    wording; each template file counts as an input."""
+    directory = cfg.input_path("paths", "templates")
+    if directory is None:
+        return None
+    templates = TemplateRegistry(directory)
+    cfg.inputs += templates.paths
+    return templates
+
+
 @main.command()
-@click.option("--config", "-c", "config_path", required=True)
-@click.option("--strategy", "strategy_option", default=None,
+@_configured
+@click.option("--strategy", "strategy__name",
               help="zero-shot-cvc|zero-shot-cvm|few-shot|cot:VARIANT|rag-fsi|rag-fsi-flags")
-@click.option("--k", "k_option", type=int, default=None, help="Few-shot count (0/1/2/3/5).")
-@click.option("--retrieval-k", "retrieval_option", type=int, default=None)
-@click.option("--flags", "flags_option", default=None, help="rag=on|off,fsi=on|off")
-@click.option("--seed", "seed_option", type=int, default=None)
-@click.option("--predictions", "predictions_option", default=None)
-@click.option("--scripted-llm", "scripted_option", default=None)
-@click.option("--dump-prompts", "dump_option", default=None,
-              help="Also write every rendered prompt to this file.")
-@click.option("--out", "out_option", default=None, help="Verdicts output path.")
-def run(config_path: str, strategy_option: str | None, k_option: int | None,
-        retrieval_option: int | None, flags_option: str | None, seed_option: int | None,
-        predictions_option: str | None, scripted_option: str | None,
-        dump_option: str | None, out_option: str | None) -> None:
+@click.option("--k", "strategy__k", type=int, help="Few-shot count (0/1/2/3/5).")
+@click.option("--retrieval-k", "strategy__retrieval_k", type=int)
+@click.option("--flags", "strategy__flags", help="rag=on|off,fsi=on|off")
+@click.option("--seed", "run__seed", type=int)
+@_path_flag("--predictions", "eval__predictions")
+@_path_flag("--scripted-llm", "llm__scripted")
+@click.option("--dump-prompts", help="Also write every rendered prompt to this file.")
+@click.option("--out", help="Verdicts output path.")
+def run(cfg: RunConfig, dump_prompts: str | None, out: str | None) -> None:
     """Judge backend annotations with an LLM strategy; persist verdicts."""
-
-    def body() -> None:
-        cfg = load_config(config_path)
-        spec = _build_spec(cfg, strategy_option, k_option, retrieval_option, flags_option)
-        corpus, inputs = _preprocessed_corpus(cfg.require_path("paths", "corpus"), cfg)
-        predictions_path = _resolve(predictions_option, cfg, "eval", "predictions")
-        outcomes = read_outcomes(jsonl_lines(predictions_path))
-        ontology_path = cfg.require_path("paths", "ontology")
-        store = load_ontology(ontology_path)
-        llm, llm_inputs = _llm_backend(cfg, scripted_option)
-        inputs += [predictions_path, ontology_path, *llm_inputs]
-        example_pool = []
-        if spec.fsi_enabled:
-            pool_path = cfg.require_path("paths", "example_pool")
-            example_pool = load_example_pool(pool_path)
-            inputs.append(pool_path)
-        templates = None
-        templates_dir = cfg.input_path("paths", "templates")
-        if templates_dir is not None:
-            templates = TemplateRegistry(templates_dir)
-            inputs += templates.paths
-        seed = derive_seed(seed_option if seed_option is not None else cfg.seed, "run")
-        ok = [outcome for outcome in outcomes if outcome.status == "ok"]
-        annotations = [ann for outcome in ok for ann in outcome.annotations]
-        orphans = sorted({o.record_id for o in ok if o.record_id not in corpus})
-        if orphans:
-            raise ValidationError(f"predictions reference records missing from corpus: {orphans}")
-        for outcome in ok:
-            if outcome.text != submitted_text(corpus.get(outcome.record_id))[0]:
-                raise ValidationError(
-                    f"record {outcome.record_id!r}: prediction text differs from the "
-                    "preprocessed corpus text"
-                )
-        params = LlmParams(**cfg.settings("llm", max_tokens=int, temperature=float))
-        window = cfg.settings("llm", max_inflight=int, retry_budget=int)
-        check_run_settings(spec, example_pool, **window)
-        out_dir = cfg.output_dir
-        index = (
-            OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
-            if spec.rag_enabled else None
-        )
-        dumped: list[str] = []
-        sink = None
-        if dump_option:
-            def sink(annotation, prompt):  # noqa: E306
-                dumped.append(json.dumps(
-                    {
-                        "record_id": annotation.record_id,
-                        "span": [annotation.span.begin, annotation.span.end],
-                        "prompt": prompt,
-                    },
-                    ensure_ascii=False, sort_keys=True, separators=(",", ":"),
-                ))
-        verdicts_path = Path(out_option) if out_option else out_dir / "verdicts.jsonl"
-        with _manifested("run", cfg, out_dir, inputs, index) as files:
-            results = run_strategy(
-                corpus, annotations, spec, llm, store,
-                seed=seed,
-                example_pool=example_pool,
-                index=index,
-                templates=templates,
-                params=params,
-                prompt_sink=sink,
-                **window,
+    spec = _build_spec(cfg)
+    corpus = _preprocessed_corpus(cfg)
+    outcomes = read_outcomes(jsonl_lines(cfg.require_path("eval", "predictions")))
+    store = load_ontology(cfg.require_path("paths", "ontology"))
+    llm = _llm_backend(cfg)
+    example_pool = []
+    if spec.fsi_enabled:
+        example_pool = load_example_pool(cfg.require_path("paths", "example_pool"))
+    templates = _templates(cfg)
+    ok = [outcome for outcome in outcomes if outcome.status == "ok"]
+    annotations = [ann for outcome in ok for ann in outcome.annotations]
+    orphans = sorted({o.record_id for o in ok if o.record_id not in corpus})
+    if orphans:
+        raise ValidationError(f"predictions reference records missing from corpus: {orphans}")
+    for outcome in ok:
+        if outcome.text != submitted_text(corpus.get(outcome.record_id))[0]:
+            raise ValidationError(
+                f"record {outcome.record_id!r}: prediction text differs from the "
+                "preprocessed corpus text"
             )
-            files[verdicts_path] = "\n".join(write_verdicts(results)) + "\n"
-            if dump_option:
-                files[Path(dump_option)] = "\n".join(dumped) + "\n"
-        kinds: dict[str, int] = {}
-        for _, verdict in results:
-            kinds[verdict.kind.value] = kinds.get(verdict.kind.value, 0) + 1
-        rate = hallucination_rate([v for _, v in results])
-        click.echo(f"{len(results)} verdicts: " + ", ".join(
-            f"{kind}={count}" for kind, count in sorted(kinds.items())
-        ))
-        click.echo(f"hallucination rate: {'NR' if rate is None else f'{rate:.3f}'}")
-
-    _execute(body)
+    params = LlmParams(**cfg.settings("llm", max_tokens=int, temperature=float))
+    window = cfg.settings("llm", max_inflight=int, retry_budget=int)
+    check_run_settings(spec, example_pool, **window)
+    out_dir = cfg.output_dir
+    index = (
+        OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
+        if spec.rag_enabled else None
+    )
+    dumped: list[str] = []
+    sink = None
+    if dump_prompts:
+        def sink(annotation, prompt):  # noqa: E306
+            dumped.append(jsonl_line({
+                "record_id": annotation.record_id,
+                "span": [annotation.span.begin, annotation.span.end],
+                "prompt": prompt,
+            }))
+    verdicts_path = Path(out) if out else out_dir / "verdicts.jsonl"
+    with _manifested("run", cfg, out_dir, index) as files:
+        results = run_strategy(
+            corpus, annotations, spec, llm, store,
+            seed=derive_seed(cfg.seed, "run"),
+            example_pool=example_pool,
+            index=index,
+            templates=templates,
+            params=params,
+            prompt_sink=sink,
+            **window,
+        )
+        files[verdicts_path] = "\n".join(write_verdicts(results)) + "\n"
+        if dump_prompts:
+            files[Path(dump_prompts)] = "\n".join(dumped) + "\n"
+    kinds: dict[str, int] = {}
+    for _, verdict in results:
+        kinds[verdict.kind.value] = kinds.get(verdict.kind.value, 0) + 1
+    rate = hallucination_rate([v for _, v in results])
+    click.echo(f"{len(results)} verdicts: " + ", ".join(
+        f"{kind}={count}" for kind, count in sorted(kinds.items())
+    ))
+    click.echo(f"hallucination rate: {'NR' if rate is None else f'{rate:.3f}'}")
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +445,8 @@ def _load_summaries(path: Path) -> list[tuple[str, str]]:
     )
 
 
-def _read_verdict_file(path: Path, texts):
-    return read_verdicts(jsonl_lines(path), texts)
+def _read_verdict_file(path: Path, texts, predicted: AnnotationSet | None = None):
+    return read_verdicts(jsonl_lines(path), texts, predicted)
 
 
 # The keys each report-plan section's entries may carry. "verdicts" and
@@ -510,12 +482,11 @@ def _check_plan_entry(section: str, entry: dict) -> None:
             raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
 
 
-def _bundle_from_plan(
-    plan_path: Path, gold_set: AnnotationSet, gold_texts, embedding_remote: dict
-) -> tuple[ReportBundle, list[Path]]:
-    """Build tables 2-7 from a JSON plan of labeled verdict/summary files;
-    also return every file the plan named. Remote ``embeddings`` entries
-    take the keyword settings ``embedding_remote``."""
+def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
+                      cfg: RunConfig) -> ReportBundle:
+    """Build tables 2-7 from a JSON plan of labeled verdict/summary files,
+    adding each file the plan names to ``cfg.inputs``. Remote
+    ``embeddings`` entries take the config's [embedding] timeout_ms."""
     try:
         plan = json.loads(plan_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -534,7 +505,7 @@ def _bundle_from_plan(
             _check_plan_entry(section, entry)
     base = plan_path.parent
     bundle = ReportBundle()
-    read: list[Path] = []
+    embedding_remote = cfg.settings("embedding", timeout_ms=int)
 
     def _path(entry: dict, key: str) -> Path:
         if not isinstance(entry.get(key), str):
@@ -544,7 +515,7 @@ def _bundle_from_plan(
         resolved = base / entry[key]
         if not resolved.exists():
             raise FileNotFoundError(f"report plan references missing file {resolved}")
-        read.append(resolved)
+        cfg.inputs.append(resolved)
         return resolved
 
     for entry in plan.get("zero_shot", []):
@@ -601,86 +572,79 @@ def _bundle_from_plan(
             rouge1=mean_rouge(pairs, 1),
             coherence=mean_coherence(pairs, provider),
         ))
-    return bundle, read
+    return bundle
+
+
+def _optional_input(cfg: RunConfig, section: str, key: str) -> Path | None:
+    """[eval] verdicts or report_plan: a configured file that does not exist
+    is skipped, so that part of the report is left out."""
+    path = cfg.path(section, key)
+    return cfg.input_path(section, key) if path is not None and path.exists() else None
 
 
 @main.command("eval")
-@click.option("--config", "-c", "config_path", required=True)
-@click.option("--predictions", "predictions_option", default=None)
-@click.option("--gold", "gold_option", default=None)
-@click.option("--verdicts", "verdicts_option", default=None)
-@click.option("--report-plan", "plan_option", default=None)
-@click.option("--out", "out_option", default=None, help="Report output directory.")
-def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str | None,
-             verdicts_option: str | None, plan_option: str | None,
-             out_option: str | None) -> None:
+@_configured
+@_path_flag("--predictions", "eval__predictions")
+@_path_flag("--gold", "paths__gold")
+@_path_flag("--verdicts", "eval__verdicts")
+@_path_flag("--report-plan", "eval__report_plan")
+@click.option("--out", help="Report output directory.")
+def eval_cmd(cfg: RunConfig, out: str | None) -> None:
     """Score predictions (and optional verdicts) against ground truth."""
-
-    def body() -> None:
-        cfg = load_config(config_path)
-        predictions_path = _resolve(predictions_option, cfg, "eval", "predictions")
-        gold_path = _resolve(gold_option, cfg, "paths", "gold")
-        outcomes = read_outcomes(jsonl_lines(predictions_path))
-        gold_set, gold_texts = import_doccano(jsonl_lines(gold_path))
-        universe = sorted(gold_texts)
-        known = set(universe)
-        missing = sorted(o.record_id for o in outcomes if o.record_id not in known)
-        if missing:
-            raise ValidationError(f"records missing from gold file: {missing}")
-        for outcome in outcomes:
-            if outcome.status == "ok" and gold_texts[outcome.record_id] != outcome.text:
-                raise ValidationError(
-                    f"record {outcome.record_id!r}: prediction text differs from gold text"
-                )
-        predicted = AnnotationSet(
-            ann for o in outcomes if o.status == "ok" for ann in o.annotations
-        )
-        pairs, counts = match_mentions(predicted, gold_set, universe)
-        metrics = compute_metrics(counts)
-        concept_accuracy = match_concepts(pairs)
-        out_dir = Path(out_option) if out_option else cfg.output_dir
-        inputs = [predictions_path, gold_path]
-        bundle = ReportBundle(
-            ner_nen=[NerNenRow("BERN2", metrics, concept_accuracy.accuracy, counts=counts)]
-        )
-        verdicts_path = _optional_input(verdicts_option, cfg, "eval", "verdicts")
-        if verdicts_path is not None:
-            verdicts, annotations = _read_verdict_file(verdicts_path, gold_texts)
-            inputs.append(verdicts_path)
-            if verdicts:
-                report = alignment_accuracy(verdicts, annotations, gold_set)
-                rate = hallucination_rate(verdicts)
-                click.echo(
-                    f"verdicts: BERN2 alignment {report.bern2_alignment_accuracy:.3f}, "
-                    f"GT alignment {report.gt_alignment_accuracy:.3f}, "
-                    f"hallucination rate {'NR' if rate is None else f'{rate:.3f}'}"
-                )
-        plan_path = _optional_input(plan_option, cfg, "eval", "report_plan")
-        if plan_path is not None:
-            planned, plan_inputs = _bundle_from_plan(
-                plan_path, gold_set, gold_texts, cfg.settings("embedding", timeout_ms=int)
+    outcomes = read_outcomes(jsonl_lines(cfg.require_path("eval", "predictions")))
+    gold_set, gold_texts = import_doccano(jsonl_lines(cfg.require_path("paths", "gold")))
+    universe = sorted(gold_texts)
+    known = set(universe)
+    missing = sorted(o.record_id for o in outcomes if o.record_id not in known)
+    if missing:
+        raise ValidationError(f"records missing from gold file: {missing}")
+    for outcome in outcomes:
+        if outcome.status == "ok" and gold_texts[outcome.record_id] != outcome.text:
+            raise ValidationError(
+                f"record {outcome.record_id!r}: prediction text differs from gold text"
             )
-            planned.ner_nen = bundle.ner_nen
-            bundle = planned
-            inputs += [plan_path, *plan_inputs]
-        with _manifested("eval", cfg, out_dir, inputs) as files:
-            paths = render_report(bundle, out_dir)
-            files.update(dict.fromkeys(paths.values()))
+    predicted = AnnotationSet(
+        ann for o in outcomes if o.status == "ok" for ann in o.annotations
+    )
+    pairs, counts = match_mentions(predicted, gold_set, universe)
+    metrics = compute_metrics(counts)
+    concept_accuracy = match_concepts(pairs)
+    out_dir = Path(out) if out else cfg.output_dir
+    bundle = ReportBundle(
+        ner_nen=[NerNenRow("BERN2", metrics, concept_accuracy.accuracy, counts=counts)]
+    )
+    verdicts_path = _optional_input(cfg, "eval", "verdicts")
+    if verdicts_path is not None:
+        verdicts, annotations = _read_verdict_file(verdicts_path, gold_texts, predicted)
+        if verdicts:
+            report = alignment_accuracy(verdicts, annotations, gold_set)
+            rate = hallucination_rate(verdicts)
+            click.echo(
+                f"verdicts: BERN2 alignment {report.bern2_alignment_accuracy:.3f}, "
+                f"GT alignment {report.gt_alignment_accuracy:.3f}, "
+                f"hallucination rate {'NR' if rate is None else f'{rate:.3f}'}"
+            )
+    plan_path = _optional_input(cfg, "eval", "report_plan")
+    if plan_path is not None:
+        planned = _bundle_from_plan(plan_path, gold_set, gold_texts, cfg)
+        planned.ner_nen = bundle.ner_nen
+        bundle = planned
+    with _manifested("eval", cfg, out_dir) as files:
+        paths = render_report(bundle, out_dir)
+        files.update(dict.fromkeys(paths.values()))
 
-        def fmt(value):
-            return "NR" if value is None else f"{value:.3f}"
+    def fmt(value):
+        return "NR" if value is None else f"{value:.3f}"
 
-        click.echo(
-            f"mentions: tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn}"
-        )
-        click.echo(
-            f"precision {fmt(metrics.precision)} recall {fmt(metrics.recall)} "
-            f"F1 {fmt(metrics.f1)} accuracy {fmt(metrics.accuracy)}"
-        )
-        click.echo(f"concept accuracy (NEN): {fmt(concept_accuracy.accuracy)}")
-        click.echo(f"report: {paths['report']}")
-
-    _execute(body)
+    click.echo(
+        f"mentions: tp={counts.tp} fp={counts.fp} fn={counts.fn} tn={counts.tn}"
+    )
+    click.echo(
+        f"precision {fmt(metrics.precision)} recall {fmt(metrics.recall)} "
+        f"F1 {fmt(metrics.f1)} accuracy {fmt(metrics.accuracy)}"
+    )
+    click.echo(f"concept accuracy (NEN): {fmt(concept_accuracy.accuracy)}")
+    click.echo(f"report: {paths['report']}")
 
 
 # ---------------------------------------------------------------------------
@@ -688,40 +652,32 @@ def eval_cmd(config_path: str, predictions_option: str | None, gold_option: str 
 # ---------------------------------------------------------------------------
 
 @main.command()
-@click.option("--config", "-c", "config_path", required=True)
-@click.option("--questions", "questions_option", default=None)
-@click.option("--n-distractors", "n_option", type=int, default=None)
-@click.option("--out", "out_option", default=None)
-def raft(config_path: str, questions_option: str | None, n_option: int | None,
-         out_option: str | None) -> None:
+@_configured
+@_path_flag("--questions", "raft__questions")
+@click.option("--n-distractors", "raft__n_distractors", type=int)
+@click.option("--out")
+def raft(cfg: RunConfig, out: str | None) -> None:
     """Build a RAFT fine-tuning dataset from question/concept pairs."""
-
-    def body() -> None:
-        cfg = load_config(config_path)
-        n_distractors = (n_option if n_option is not None
-                         else cfg.settings("raft", n_distractors=int).get("n_distractors", 3))
-        if n_distractors < 1:
-            raise ValidationError(
-                "usage: --n-distractors must be >= 1 (each datapoint needs distractors)"
-            )
-        ontology_path = cfg.require_path("paths", "ontology")
-        store = load_ontology(ontology_path)
-        questions_path = _resolve(questions_option, cfg, "raft", "questions")
-        questions = read_jsonl(
-            jsonl_lines(questions_path),
-            "question record",
-            lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
+    n_distractors = cfg.settings("raft", n_distractors=int).get("n_distractors", 3)
+    if n_distractors < 1:
+        raise ValidationError(
+            "usage: --n-distractors must be >= 1 (each datapoint needs distractors)"
         )
-        check_raft_inputs(store, questions, n_distractors)
-        out_dir = cfg.output_dir
-        index = OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
-        datapoints = build_raft_dataset(store, questions, n_distractors, index)
-        raft_path = Path(out_option) if out_option else out_dir / "raft.jsonl"
-        with _manifested("raft", cfg, out_dir, [ontology_path, questions_path], index) as files:
-            files[raft_path] = "\n".join(raft_to_jsonl(datapoints)) + "\n"
-        click.echo(f"{len(datapoints)} RAFT datapoints with {n_distractors} distractors each")
-
-    _execute(body)
+    store = load_ontology(cfg.require_path("paths", "ontology"))
+    questions = read_jsonl(
+        jsonl_lines(cfg.require_path("raft", "questions")),
+        "question record",
+        lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
+    )
+    templates = _templates(cfg)
+    check_raft_inputs(store, questions, n_distractors)
+    out_dir = cfg.output_dir
+    index = OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
+    datapoints = build_raft_dataset(store, questions, n_distractors, index, templates)
+    raft_path = Path(out) if out else out_dir / "raft.jsonl"
+    with _manifested("raft", cfg, out_dir, index) as files:
+        files[raft_path] = "\n".join(raft_to_jsonl(datapoints)) + "\n"
+    click.echo(f"{len(datapoints)} RAFT datapoints with {n_distractors} distractors each")
 
 
 if __name__ == "__main__":

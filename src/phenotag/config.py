@@ -1,8 +1,10 @@
 """Run configuration, reproducibility manifests, and seed derivation.
 
-Configuration is an INI file with one section per pipeline stage; command
-line flags override file values. All randomness flows from the single
-[run] seed through named per-stage sub-seeds, never from ambient entropy.
+Configuration is an INI file with one section per pipeline stage; a
+command line flag overrides one key of it, so the config a command reads,
+flags included, is the one its manifest records. All randomness flows from
+the single [run] seed through named per-stage sub-seeds, never from ambient
+entropy.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Callable, Mapping
 
 from . import __version__
 from .corpus import PreprocessConfig, load_acronym_map, load_lexicon
@@ -36,6 +38,7 @@ class RunConfig:
     def __init__(self, parser: configparser.ConfigParser, base_dir: Path):
         self._parser = parser
         self.base_dir = base_dir
+        self.inputs: list[Path] = []  # every file input_path returned
 
     def get(self, section: str, key: str) -> str | None:
         """The key's value, or None when it is unset or empty."""
@@ -65,10 +68,13 @@ class RunConfig:
 
     def input_path(self, section: str, key: str) -> Path | None:
         """The file a key names, or None when the key is unset; a named file
-        that does not exist raises FileNotFoundError."""
+        that does not exist raises FileNotFoundError. A file (not a
+        directory) is added to ``inputs``, which the manifest lists."""
         resolved = self.path(section, key)
         if resolved is not None and not resolved.exists():
             raise FileNotFoundError(f"[{section}] {key}: no such file {resolved}")
+        if resolved is not None and resolved.is_file():
+            self.inputs.append(resolved)
         return resolved
 
     def require_path(self, section: str, key: str) -> Path:
@@ -86,22 +92,20 @@ class RunConfig:
         value = self.path("paths", "output_dir")
         return value if value is not None else self.base_dir / "out"
 
-    def preprocess(self) -> tuple[PreprocessConfig, list[Path]]:
-        """The preprocessing this config sets, and the files it read."""
+    def preprocess(self) -> PreprocessConfig:
+        """The preprocessing this config sets."""
         resources: dict = {}
-        read = []
         for key, field, load in (("acronym_map", "acronyms", load_acronym_map),
                                  ("lexicon", "lexicon", load_lexicon)):
             path = self.input_path("preprocess", key)
             if path is not None:
                 resources[field] = load(path)
-                read.append(path)
         steps_value = self.get("preprocess", "steps")
         if steps_value is None:
-            return PreprocessConfig(**resources), read
+            return PreprocessConfig(**resources)
         steps = [s.strip() for s in steps_value.split(",") if s.strip()]
         try:
-            return PreprocessConfig.only(*steps, **resources), read
+            return PreprocessConfig.only(*steps, **resources)
         except ValueError as exc:
             raise ValidationError(f"[preprocess] {exc}") from exc
 
@@ -118,7 +122,12 @@ class RunConfig:
         }
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path,
+                flags: Mapping[tuple[str, str], object] | None = None) -> RunConfig:
+    """The config file with ``flags`` laid over it: each sets its
+    ``(section, key)``, except one that is None or empty. A ``Path`` flag
+    names an input relative to the working directory; it must exist and is
+    stored absolute."""
     config_path = Path(path)
     if not config_path.is_file():
         raise FileNotFoundError(f"config file not found: {config_path}")
@@ -127,6 +136,16 @@ def load_config(path: str | Path) -> RunConfig:
         parser.read(config_path, encoding="utf-8")
     except configparser.Error as exc:
         raise ValidationError(f"bad config file: {exc}") from exc
+    for (section, key), value in (flags or {}).items():
+        if value is None or value == "":
+            continue
+        if isinstance(value, Path):
+            if not value.exists():
+                raise FileNotFoundError(f"no such file: {value}")
+            value = value.resolve()
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, str(value).replace("%", "%%"))
     return RunConfig(parser, config_path.parent.resolve())
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "AnnotationSet",
     "PreprocessConfig",
     "Corpus",
+    "jsonl_line",
     "jsonl_lines",
     "read_jsonl",
     "ingest_records",
@@ -261,6 +262,12 @@ def jsonl_lines(path: str | Path) -> list[str]:
     JSON allows raw inside strings and which phenotag writes raw.
     """
     return Path(path).read_text(encoding="utf-8").split("\n")
+
+
+def jsonl_line(obj: Any) -> str:
+    """The one canonical JSON Lines writer: sorted keys, no spaces and
+    non-ASCII characters raw, so equal objects give equal bytes."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
@@ -576,5 +583,5 @@ def export_doccano(annotations: AnnotationSet, texts: Mapping[str, str]) -> list
             ann.check_against(text)
             labels.append([ann.span.begin, ann.span.end, ann.concept.render()])
         obj = {"record_id": record_id, "text": text, "label": labels}
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        lines.append(jsonl_line(obj))
     return lines

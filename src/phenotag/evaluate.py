@@ -14,13 +14,14 @@ disease mention at all.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import AnnotationSet, ConceptId, NormalizedAnnotation, Source, TextSpan, read_jsonl
+from .corpus import (
+    AnnotationSet, ConceptId, NormalizedAnnotation, Source, TextSpan, jsonl_line, read_jsonl,
+)
 from .errors import ValidationError
 from .ontology import EmbeddingProvider, cosine
 from .orchestrate import LlmVerdict, VerdictKind
@@ -378,19 +379,24 @@ def write_verdicts(
             "proposal": verdict.proposal.render() if verdict.proposal else None,
             "hallucinated": verdict.hallucinated,
         }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        lines.append(jsonl_line(obj))
     return lines
 
 
 def read_verdicts(
-    lines: Iterable[str], texts: Mapping[str, str] | None = None
+    lines: Iterable[str],
+    texts: Mapping[str, str] | None = None,
+    predicted: Iterable[NormalizedAnnotation] | None = None,
 ) -> tuple[list[LlmVerdict], list[NormalizedAnnotation]]:
     """Parse verdict lines back into aligned (verdicts, backend annotations).
 
     With ``texts``, each verdict's record must be in it and its span must
     fit that record's text, which gives the surface; without, surfaces are
-    empty. Raw model text is not persisted in this format.
+    empty. With ``predicted``, each verdict's (record_id, span,
+    backend_concept) must be one of those annotations. Raw model text is
+    not persisted in this format.
     """
+    judged = None if predicted is None else {(a.record_id, a.span, a.concept) for a in predicted}
 
     def parse(_lineno: int, obj) -> tuple[LlmVerdict, NormalizedAnnotation]:
         span = TextSpan(int(obj["span"][0]), int(obj["span"][1]))
@@ -408,6 +414,11 @@ def read_verdicts(
             concept=ConceptId.parse(obj["backend_concept"]),
             source=Source.NER_BACKEND,
         )
+        if judged is not None and (record_id, span, annotation.concept) not in judged:
+            raise ValidationError(
+                f"record {record_id!r} span ({span.begin}, {span.end}) "
+                f"{annotation.concept} is not an annotation of a scored prediction"
+            )
         verdict = LlmVerdict(
             kind=VerdictKind(obj["kind"]),
             raw_text="",

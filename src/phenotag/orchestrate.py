@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import random
 import re
 import threading
@@ -26,7 +25,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 from .corpus import (
-    ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, jsonl_lines, read_jsonl,
+    ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, jsonl_line, jsonl_lines,
+    read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument, build_rag_document
@@ -626,5 +626,5 @@ def raft_to_jsonl(datapoints: Sequence[RaftDatapoint]) -> list[str]:
             "distractors": [doc.body for doc in point.distractor_docs],
             "cot_answer": point.cot_answer,
         }
-        lines.append(json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")))
+        lines.append(jsonl_line(obj))
     return lines

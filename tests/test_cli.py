@@ -436,6 +436,36 @@ def test_eval_rejects_verdict_not_linked_to_gold(workspace, change, detail):
     assert f"error: line 2: bad verdict record: {detail}" in result.stderr
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_eval_rejects_verdict_of_no_scored_annotation(workspace, via):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    assert invoke("run", "-c", config, "--strategy", "zero-shot-cvc").exit_code == 0
+    assert invoke("eval", "-c", config).exit_code == 0
+    manifest = (root / "out" / "eval_manifest.json").read_bytes()
+    verdicts = root / "out" / "verdicts.jsonl"
+    lines = verdicts.read_text().splitlines()
+    changed = dict(json.loads(lines[1]), backend_concept="mesh:D999999")
+    lines[1] = json.dumps(changed)
+    verdicts.write_text("\n".join(lines) + "\n")
+    args = ["--verdicts", verdicts]
+    if via == "config":
+        set_config_key(config, "eval", "verdicts", "out/verdicts.jsonl")
+        args = []
+    result = invoke("eval", "-c", config, *args)
+    assert result.exit_code == 1
+    begin, end = changed["span"]
+    assert (f"error: line 2: bad verdict record: record {changed['record_id']!r} span "
+            f"({begin}, {end}) mesh:D999999 is not an annotation of a scored prediction"
+            in result.stderr)
+    assert (root / "out" / "eval_manifest.json").read_bytes() == manifest
+    # A report plan's verdict files are only checked against gold.
+    (root / "plan.json").write_text(json.dumps({"zero_shot": [{"verdicts": "out/verdicts.jsonl"}]}))
+    set_config_key(config, "eval", "verdicts", "nowhere.jsonl")
+    result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+
+
 def test_chain_keeps_unicode_line_separators_in_texts(workspace):
     # Without the whitespace step, U+2028, U+2029 and U+0085 stay in the
     # texts, and every JSONL file written with them raw must read back.
@@ -791,7 +821,7 @@ def write_preprocess_and_templates(root, config):
     return [root / "acronyms.txt", root / "spelling.txt"], sorted(templates.glob("*.txt"))
 
 
-@pytest.mark.parametrize("command", ["annotate", "run"])
+@pytest.mark.parametrize("command", ["annotate", "run", "raft"])
 def test_manifest_names_every_file_its_command_read(workspace, command):
     root, config = workspace
     preprocess, templates = write_preprocess_and_templates(root, config)
@@ -799,6 +829,12 @@ def test_manifest_names_every_file_its_command_read(workspace, command):
     read = [root / "records.jsonl", *preprocess]
     if command == "annotate":
         read.append(root / "mock_lexicon.jsonl")
+    elif command == "raft":
+        raft_setup(root, config)
+        result = invoke("raft", "-c", config, "--n-distractors", "3")
+        assert result.exit_code == 0, result.output + repr(result.stderr)
+        read = [root / "ontology.jsonl", root / "questions.jsonl", *templates]
+        assert len(templates) == 11
     else:
         result = invoke("run", "-c", config, "--strategy", "few-shot", "--k", "3")
         assert result.exit_code == 0, result.output + repr(result.stderr)
@@ -807,6 +843,69 @@ def test_manifest_names_every_file_its_command_read(workspace, command):
         assert len(templates) == 11
     manifest = json.loads((root / "out" / f"{command}_manifest.json").read_text())
     assert {Path(p).resolve() for p in manifest["inputs"]} == {p.resolve() for p in read}
+
+
+def test_raft_renders_the_configured_templates(workspace):
+    root, config = workspace
+    write_preprocess_and_templates(root, config)
+    cot_answer = root / "templates" / "cot_answer.txt"
+    cot_answer.write_text("CUSTOM " + cot_answer.read_text())
+    raft_setup(root, config)
+    result = invoke("raft", "-c", config, "--n-distractors", "3")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    lines = (root / "out" / "raft.jsonl").read_text().splitlines()
+    assert lines and all(json.loads(line)["cot_answer"].startswith("CUSTOM ") for line in lines)
+
+
+def test_run_manifest_records_flag_settings(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    result = invoke("run", "-c", config, "--strategy", "few-shot", "--k", "3", "--seed", "9")
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    manifest = json.loads((root / "out" / "run_manifest.json").read_text())
+    assert manifest["seed"] == 9
+    assert manifest["config"]["run"]["seed"] == "9"
+    assert manifest["config"]["strategy"] == {"name": "few-shot", "k": "3"}
+
+
+def test_path_flag_resolves_against_working_directory(workspace, monkeypatch):
+    root, config = workspace
+    elsewhere = root / "elsewhere"
+    elsewhere.mkdir()
+    corpus = elsewhere / "records 100%.jsonl"
+    corpus.write_bytes((root / "records.jsonl").read_bytes())
+    monkeypatch.chdir(elsewhere)
+    result = invoke("annotate", "-c", config, "--corpus", corpus.name)
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    manifest = json.loads((root / "out" / "annotate_manifest.json").read_text())
+    assert str(corpus.resolve()) in manifest["inputs"]
+    assert manifest["config"]["paths"]["corpus"] == str(corpus.resolve())
+
+
+def test_missing_flag_path_exits_2_before_other_validation(workspace):
+    root, config = workspace
+    result = invoke("run", "-c", config, "--strategy", "mystery", "--predictions", "nowhere")
+    assert result.exit_code == 2
+    assert "error: no such file: nowhere" in result.stderr
+    assert not (root / "out").exists()
+
+
+def test_load_config_lays_flags_over_the_file(workspace):
+    root, config = workspace
+    cfg = load_config(config, {
+        ("run", "seed"): 9,
+        ("paths", "corpus"): "",
+        ("ner", "endpoint"): None,
+        ("llm", "endpoint"): "http://host/complete?q=100%",
+        ("raft", "questions"): root / "gold.jsonl",
+    })
+    assert cfg.seed == 9
+    assert cfg.require_path("paths", "corpus") == (root / "records.jsonl").resolve()
+    assert cfg.get("ner", "endpoint") is None
+    assert cfg.get("llm", "endpoint") == "http://host/complete?q=100%"
+    assert cfg.snapshot()["raft"] == {"questions": str((root / "gold.jsonl").resolve())}
+    with pytest.raises(FileNotFoundError, match="no such file: nowhere"):
+        load_config(config, {("paths", "gold"): Path("nowhere")})
 
 
 def test_report_plan_hashed_entry_honours_dimension(workspace):
