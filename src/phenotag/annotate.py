@@ -126,7 +126,10 @@ class MockNerBackend:
             raise ValueError("mock lexicon must be non-empty")
         # Word tuple -> rendered id; of two terms that split alike, the first keeps it.
         self._ids: dict[tuple[str, ...], str] = {}
-        lengths: dict[str, set[int]] = {}
+        # Start word -> its terms' word counts, longest first, so "asthma
+        # episodes" beats "asthma". Most start words have one length, so only
+        # a second, different length merges and sorts.
+        self._lengths: dict[str, tuple[int, ...]] = {}
         for term, concept in lexicon.items():
             words = tuple(term.split())
             if not words or term != term.lower():
@@ -136,9 +139,11 @@ class MockNerBackend:
                     f"lexicon term {term!r} can never match: its words must be word characters only"
                 )
             self._ids.setdefault(words, concept.render())
-            lengths.setdefault(words[0], set()).add(len(words))
-        # Longest term first at each start word, so "asthma episodes" beats "asthma".
-        self._lengths = {first: sorted(ns, reverse=True) for first, ns in lengths.items()}
+            known = self._lengths.get(words[0])
+            if known is None:
+                self._lengths[words[0]] = (len(words),)
+            elif len(words) not in known:
+                self._lengths[words[0]] = tuple(sorted((*known, len(words)), reverse=True))
 
     def submit(self, texts: Sequence[str]) -> dict:
         return {"results": [{"annotations": self._scan(text)} for text in texts]}

@@ -124,10 +124,10 @@ class ConceptId:
             stripped = text.strip()
         except AttributeError:
             raise TypeError(f"concept id must be a string, got {text!r}") from None
-        if stripped.upper() == "NONE":
-            return NONE_CONCEPT
         match = _MESH_RENDERING.fullmatch(stripped)
         if match is None:
+            if stripped.upper() == "NONE":
+                return NONE_CONCEPT
             raise ValueError(f"cannot parse concept id {text!r}")
         # The match already proves "D" + digits well formed, so skip the
         # constructor's second check.

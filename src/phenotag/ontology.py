@@ -115,22 +115,28 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
     """Load an ontology from line-delimited JSON concept objects.
 
     Each line: {"concept_id": "mesh:D...", "preferred_name": ...,
-    "description": ..., "synonyms": [...]}.
+    "description": ..., "synonyms": [...]}. A repeated concept id is
+    rejected on the line that repeats it.
     """
     if isinstance(source, (str, Path)):
         lines: Iterable[str] = jsonl_lines(source)
     else:
         lines = source
-    return OntologyStore(read_jsonl(
-        lines,
-        "concept",
-        lambda _, obj: OntologyConcept(
+    seen: set[ConceptId] = set()
+
+    def parse(_lineno: int, obj) -> OntologyConcept:
+        concept = OntologyConcept(
             concept_id=ConceptId.parse(str(obj["concept_id"])),
             preferred_name=str(obj.get("preferred_name") or ""),
             description=str(obj.get("description", "")),
             synonyms=tuple(str(s) for s in obj.get("synonyms", [])),
-        ),
-    ))
+        )
+        if concept.concept_id in seen:
+            raise ValidationError(f"duplicate concept_id {concept.concept_id}")
+        seen.add(concept.concept_id)
+        return concept
+
+    return OntologyStore(read_jsonl(lines, "concept", parse))
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +443,12 @@ class OntologyIndex:
 
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;
-        ties broken by ascending concept id; at most ``k`` results."""
+        ties in the computed score broken by ascending concept id; at most
+        ``k`` results.
+
+        Mathematically equal cosines can come out of the matrix-vector
+        product a few ulps apart, so their order follows the product's
+        summation order, and any change to that order can reorder them."""
         import numpy as np
 
         if k <= 0:

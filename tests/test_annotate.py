@@ -491,6 +491,9 @@ def wire_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/annotate"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_backend_round_trip(wire_server):
@@ -542,6 +545,9 @@ def test_auth_token_travels_via_environment(monkeypatch):
         HttpNerBackend(url).submit(["one text"])
     finally:
         server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
     assert _HeaderEchoHandler.seen_auth == ["Bearer sekrit", None]
 
 

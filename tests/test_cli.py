@@ -701,6 +701,17 @@ def test_raft_rejected_input_builds_no_index(workspace, question, n_distractors,
     assert not (root / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--strategy", "rag-fsi"], ["raft"]])
+def test_duplicate_ontology_concept_exits_1_naming_its_line(workspace, command):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    raft_setup(root, config)
+    duplicate_first_line(root / "ontology.jsonl")
+    result = invoke(command[0], "-c", config, *command[1:])
+    assert result.exit_code == 1
+    assert "line 51: bad concept: duplicate concept_id mesh:D000001" in result.stderr
+
+
 def test_raft_zero_distractors_exits_1(workspace):
     root, config = workspace
     raft_setup(root, config)

@@ -58,6 +58,19 @@ def test_load_duplicate_id_rejected():
         load_ontology(lines)
 
 
+def test_load_duplicate_id_names_the_repeating_line():
+    lines = [concept_line(), "", concept_line(cid="mesh:D000002"), concept_line(name="other")]
+    with pytest.raises(ValidationError) as info:
+        load_ontology(lines)
+    assert str(info.value) == "line 4: bad concept: duplicate concept_id mesh:D001249"
+
+
+def test_store_rejects_duplicate_ids_it_is_given():
+    (concept,) = make_concepts(1)
+    with pytest.raises(ValidationError, match="duplicate concept_id mesh:D000001"):
+        OntologyStore([concept, concept])
+
+
 def test_load_empty_name_rejected():
     with pytest.raises(ValidationError, match="line 1"):
         load_ontology([concept_line(name="")])
