@@ -329,10 +329,12 @@ def write_outcomes(outcomes: Sequence[AnnotationOutcome]) -> list[str]:
 
 
 def read_outcomes(lines) -> list[AnnotationOutcome]:
-    """Parse a predictions file back into outcomes."""
+    """Parse a predictions file back into outcomes. Each annotation's span
+    must fit its line's text and its surface must be that slice."""
 
     def parse(_lineno: int, obj) -> AnnotationOutcome:
         record_id = obj["record_id"]  # first, so a line that is not an object fails here
+        text = obj["text"]
         annotations = tuple(
             NormalizedAnnotation(
                 record_id=record_id,
@@ -344,9 +346,11 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
             )
             for a in obj.get("annotations", [])
         )
+        for annotation in annotations:
+            annotation.check_against(text)
         return AnnotationOutcome(
             record_id=record_id,
-            text=obj["text"],
+            text=text,
             status=obj["status"],
             annotations=annotations,
             error=obj.get("error"),

@@ -1,11 +1,13 @@
 """Command-line entry point wiring the pipeline into reproducible runs.
 
 Exit codes are a stable contract: 0 success, 1 validation or usage
-problem, 2 missing input, 3 backend failure. Every command reads and
-validates its inputs first, then writes through ``_manifested``, the one
-write path: the run manifest goes out before any result file, and all
+problem, 2 missing input, 3 backend failure. Every command reads,
+checks and computes everything first, then calls ``_write_results``, the
+one write path: the run manifest goes out before any result file, and all
 result files are written atomically, so identical configs with scripted
-backends reproduce outputs byte for byte.
+backends reproduce outputs byte for byte. A command that fails writes no
+manifest and no result file; only the ontology index cache is written
+earlier, while the index is built.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ import dataclasses
 import functools
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import click
 
@@ -147,18 +148,16 @@ def main() -> None:
     """Disease phenotyping pipeline: ingest, annotate, verify, evaluate."""
 
 
-@contextmanager
-def _manifested(command: str, cfg: RunConfig, out_dir: Path,
-                index: OntologyIndex | None = None) -> Iterator[dict[Path, str | None]]:
-    """The one write path for manifests and result files.
+def _write_results(command: str, cfg: RunConfig, out_dir: Path, files: dict[Path, str],
+                   index: OntologyIndex | None = None) -> None:
+    """The one write path for manifests and result files, called once a
+    command has computed every ``{path: text}`` in ``files``.
 
-    On entry, ``<command>_manifest.json`` in ``out_dir`` names every file
-    in ``cfg.inputs`` and, with ``index``, the cache sidecar: an input when
-    the matrix was read, an output when it was written. The body fills the
-    yielded ``{path: text}`` dict; None marks a file the body already
-    wrote. On a clean exit each text is written atomically and the
-    manifest is rewritten with the output checksums. If the body raises,
-    the first manifest stays and no result file is written.
+    ``<command>_manifest.json`` in ``out_dir`` first names every file in
+    ``cfg.inputs`` and, with ``index``, the cache sidecar: an input when
+    the matrix was read, an output when it was written. Then each text is
+    written atomically, and the manifest is rewritten with the output
+    checksums.
     """
     manifest = RunManifest(command, cfg, out_dir)
     for path in cfg.inputs:
@@ -168,12 +167,8 @@ def _manifested(command: str, cfg: RunConfig, out_dir: Path,
     elif index is not None:
         manifest.add_output(index.cache_sidecar)
     manifest.write()
-    files: dict[Path, str | None] = {}
-    yield files
     for path, text in files.items():
-        if text is not None:
-            atomic_write_text(path, text)
-        manifest.add_output(path)
+        manifest.add_output(atomic_write_text(path, text))
     manifest.write()
 
 
@@ -218,10 +213,8 @@ def _record_to_json(record) -> str:
 def ingest(cfg: RunConfig) -> None:
     """Validate and persist the survey corpus; print record statistics."""
     corpus = load_records(cfg.require_path("paths", "corpus"), cfg.expects_keywords())
-    with _manifested("ingest", cfg, cfg.output_dir) as files:
-        files[cfg.output_dir / "corpus.jsonl"] = (
-            "\n".join(_record_to_json(r) for r in corpus) + "\n"
-        )
+    text = "\n".join(_record_to_json(r) for r in corpus) + "\n"
+    _write_results("ingest", cfg, cfg.output_dir, {cfg.output_dir / "corpus.jsonl": text})
     click.echo(f"{len(corpus)} records")
     by_type: dict[str, int] = {}
     for record in corpus:
@@ -272,11 +265,11 @@ def annotate(cfg: RunConfig, out: str | None) -> None:
     backend_config = BackendConfig(
         **cfg.settings("ner", batch_size=int, max_inflight=int, retry_budget=int)
     )
+    outcomes = annotate_batch(corpus.records, backend, backend_config)
     out_dir = cfg.output_dir
     predictions_path = Path(out) if out else out_dir / "predictions.jsonl"
-    with _manifested("annotate", cfg, out_dir) as files:
-        outcomes = annotate_batch(corpus.records, backend, backend_config)
-        files[predictions_path] = "\n".join(write_outcomes(outcomes)) + "\n"
+    _write_results("annotate", cfg, out_dir,
+                   {predictions_path: "\n".join(write_outcomes(outcomes)) + "\n"})
     failures = sum(1 for o in outcomes if o.status == "failed")
     click.echo(f"{len(outcomes)} records annotated, {failures} failed")
     if outcomes and failures == len(outcomes):
@@ -408,21 +401,21 @@ def run(cfg: RunConfig, dump_prompts: str | None, out: str | None) -> None:
                 "span": [annotation.span.begin, annotation.span.end],
                 "prompt": prompt,
             }))
+    results = run_strategy(
+        corpus, annotations, spec, llm, store,
+        seed=derive_seed(cfg.seed, "run"),
+        example_pool=example_pool,
+        index=index,
+        templates=templates,
+        params=params,
+        prompt_sink=sink,
+        **window,
+    )
     verdicts_path = Path(out) if out else out_dir / "verdicts.jsonl"
-    with _manifested("run", cfg, out_dir, index) as files:
-        results = run_strategy(
-            corpus, annotations, spec, llm, store,
-            seed=derive_seed(cfg.seed, "run"),
-            example_pool=example_pool,
-            index=index,
-            templates=templates,
-            params=params,
-            prompt_sink=sink,
-            **window,
-        )
-        files[verdicts_path] = "\n".join(write_verdicts(results)) + "\n"
-        if dump_prompts:
-            files[Path(dump_prompts)] = "\n".join(dumped) + "\n"
+    files = {verdicts_path: "\n".join(write_verdicts(results)) + "\n"}
+    if dump_prompts:
+        files[Path(dump_prompts)] = "\n".join(dumped) + "\n"
+    _write_results("run", cfg, out_dir, files, index)
     kinds: dict[str, int] = {}
     for _, verdict in results:
         kinds[verdict.kind.value] = kinds.get(verdict.kind.value, 0) + 1
@@ -438,11 +431,13 @@ def run(cfg: RunConfig, dump_prompts: str | None, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 def _load_summaries(path: Path) -> list[tuple[str, str]]:
-    return read_jsonl(
-        jsonl_lines(path),
-        "summary pair",
-        lambda _, obj: (obj["candidate"], obj["reference"]),
-    )
+    def pair(_lineno: int, obj) -> tuple[str, str]:
+        for key in ("candidate", "reference"):
+            if not isinstance(obj[key], str):
+                raise ValidationError(f"{key} must be a string, got {obj[key]!r}")
+        return obj["candidate"], obj["reference"]
+
+    return read_jsonl(jsonl_lines(path), "summary pair", pair)
 
 
 def _read_verdict_file(path: Path, texts, predicted: AnnotationSet | None = None):
@@ -629,9 +624,7 @@ def eval_cmd(cfg: RunConfig, out: str | None) -> None:
         planned = _bundle_from_plan(plan_path, gold_set, gold_texts, cfg)
         planned.ner_nen = bundle.ner_nen
         bundle = planned
-    with _manifested("eval", cfg, out_dir) as files:
-        paths = render_report(bundle, out_dir)
-        files.update(dict.fromkeys(paths.values()))
+    _write_results("eval", cfg, out_dir, render_report(bundle, out_dir))
 
     def fmt(value):
         return "NR" if value is None else f"{value:.3f}"
@@ -644,7 +637,7 @@ def eval_cmd(cfg: RunConfig, out: str | None) -> None:
         f"F1 {fmt(metrics.f1)} accuracy {fmt(metrics.accuracy)}"
     )
     click.echo(f"concept accuracy (NEN): {fmt(concept_accuracy.accuracy)}")
-    click.echo(f"report: {paths['report']}")
+    click.echo(f"report: {out_dir / 'report.md'}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +657,15 @@ def raft(cfg: RunConfig, out: str | None) -> None:
             "usage: --n-distractors must be >= 1 (each datapoint needs distractors)"
         )
     store = load_ontology(cfg.require_path("paths", "ontology"))
+
+    def question(_lineno: int, obj) -> tuple[str, ConceptId]:
+        text = obj["question"]
+        if not isinstance(text, str) or not text.strip():
+            raise ValidationError(f"question must be a non-blank string, got {text!r}")
+        return text, ConceptId.parse(obj["concept_id"])
+
     questions = read_jsonl(
-        jsonl_lines(cfg.require_path("raft", "questions")),
-        "question record",
-        lambda _, obj: (obj["question"], ConceptId.parse(obj["concept_id"])),
+        jsonl_lines(cfg.require_path("raft", "questions")), "question record", question
     )
     templates = _templates(cfg)
     check_raft_inputs(store, questions, n_distractors)
@@ -675,8 +673,8 @@ def raft(cfg: RunConfig, out: str | None) -> None:
     index = OntologyIndex(store, _configured_embedding_provider(cfg), cache_dir=out_dir)
     datapoints = build_raft_dataset(store, questions, n_distractors, index, templates)
     raft_path = Path(out) if out else out_dir / "raft.jsonl"
-    with _manifested("raft", cfg, out_dir, index) as files:
-        files[raft_path] = "\n".join(raft_to_jsonl(datapoints)) + "\n"
+    _write_results("raft", cfg, out_dir,
+                   {raft_path: "\n".join(raft_to_jsonl(datapoints)) + "\n"}, index)
     click.echo(f"{len(datapoints)} RAFT datapoints with {n_distractors} distractors each")
 
 

@@ -125,12 +125,15 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
     seen: set[ConceptId] = set()
 
     def parse(_lineno: int, obj) -> OntologyConcept:
-        concept = OntologyConcept(
-            concept_id=ConceptId.parse(str(obj["concept_id"])),
-            preferred_name=str(obj.get("preferred_name") or ""),
-            description=str(obj.get("description", "")),
-            synonyms=tuple(str(s) for s in obj.get("synonyms", [])),
-        )
+        concept_id = ConceptId.parse(obj["concept_id"])
+        texts = {key: obj.get(key, "") for key in ("preferred_name", "description")}
+        synonyms = obj.get("synonyms", [])
+        for key, value in texts.items():
+            if not isinstance(value, str):
+                raise ValidationError(f"{key} must be a string, got {value!r}")
+        if not isinstance(synonyms, list) or not all(isinstance(s, str) for s in synonyms):
+            raise ValidationError(f"synonyms must be a list of strings, got {synonyms!r}")
+        concept = OntologyConcept(concept_id=concept_id, synonyms=tuple(synonyms), **texts)
         if concept.concept_id in seen:
             raise ValidationError(f"duplicate concept_id {concept.concept_id}")
         seen.add(concept.concept_id)

@@ -452,7 +452,7 @@ def check_run_settings(
     spec: PromptSpec, example_pool: Sequence[FewShotExample], **window: int
 ) -> None:
     """Raise ValidationError for any setting ``run_strategy`` rejects, so a
-    caller can check them before it writes anything. ``window`` holds the
+    caller can check them before it builds an index. ``window`` holds the
     ``max_inflight`` and ``retry_budget`` the caller passes on, if any."""
     for key, least in (("max_inflight", 1), ("retry_budget", 0)):
         if window.get(key, least) < least:

@@ -2,7 +2,7 @@
 
 Markdown cells round to report precision (2 decimals; percentage columns
 are scaled by 100); the CSVs keep full double precision. Absent metrics
-render as "NR". Every file is written atomically.
+render as "NR". ``render_report`` returns the texts; it writes nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Sequence, TypeVar
 
-from .config import atomic_write_text
 from .errors import ValidationError
 
 __all__ = [
@@ -147,10 +146,11 @@ def _rouge(score) -> tuple:
     return (None, None, None) if score is None else (score.f1, score.precision, score.recall)
 
 
-def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
-    """Write report.md plus one CSV per table; returns the emitted paths."""
+def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[Path, str]:
+    """The ``{path: text}`` of one CSV per table, then report.md, in
+    ``out_dir``; nothing is written."""
     out = Path(out_dir)
-    paths: dict[str, Path] = {}
+    files: dict[Path, str] = {}
     sections: list[str] = ["# Evaluation report", ""]
 
     def table(title: str, name: str, headers: Sequence[str], formats: Sequence,
@@ -173,7 +173,7 @@ def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
                 values = values[1:]
             md_rows.append([fmt(value) for fmt, value in zip(formats, values)])
         sections.extend([f"## {title}", "", _md_table(headers, md_rows), ""])
-        paths[name.partition("_")[0]] = atomic_write_text(out / name, buffer.getvalue())
+        files[out / name] = buffer.getvalue()
 
     table(
         "Table 1 — NER and NEN performance", "table1_ner_nen.csv",
@@ -257,5 +257,5 @@ def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[str, Path]:
         [(row.embedding, *_rouge(row.rouge1), row.coherence) for row in bundle.embeddings],
     )
 
-    paths["report"] = atomic_write_text(out / "report.md", "\n".join(sections))
-    return paths
+    files[out / "report.md"] = "\n".join(sections)
+    return files

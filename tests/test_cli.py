@@ -13,6 +13,7 @@ from phenotag.cli import main
 from phenotag.config import derive_seed, load_config
 from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
+from phenotag.orchestrate import ScriptedLlmBackend
 
 from conftest import write_e2e_workspace
 
@@ -765,6 +766,13 @@ def test_rejected_input_leaves_manifest_and_results_untouched(workspace, command
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 
+def prediction_line(begin, end, surface):
+    """Record tp00's prediction, its one annotation moved to (begin, end)."""
+    annotation = {"begin": begin, "end": end, "surface": surface, "concept": "mesh:D001249"}
+    return json.dumps({"record_id": "tp00", "text": "the child has asthma these days",
+                       "status": "ok", "annotations": [annotation]})
+
+
 # (command, its extra arguments, the input file, the bad line appended to it)
 BAD_INPUT_LINES = {
     "rule-is-a-string": ("run", ["--strategy", "zero-shot-cvc"], "llm_rules.jsonl", '"AGREE"'),
@@ -776,6 +784,13 @@ BAD_INPUT_LINES = {
     "lexicon-id-not-string": ("annotate", [], "mock_lexicon.jsonl",
                               json.dumps({"term": "croup", "concept_id": 5})),
     "nested-too-deep": ("annotate", [], "mock_lexicon.jsonl", "[" * 100_000 + "]" * 100_000),
+    "prediction-surface-differs": ("run", ["--strategy", "zero-shot-cvc"], "out/predictions.jsonl",
+                                   prediction_line(14, 20, "zzzplague")),
+    "prediction-span-past-text": ("eval", [], "out/predictions.jsonl",
+                                  prediction_line(54, 60, "asthma")),
+    "concept-synonyms-string": ("run", ["--strategy", "zero-shot-cvc"], "ontology.jsonl",
+                                json.dumps({"concept_id": "mesh:D000051", "preferred_name": "x",
+                                            "synonyms": "wheezing"})),
 }
 
 
@@ -785,13 +800,72 @@ def test_bad_input_line_exits_1_naming_the_line(workspace, case):
     command, args, name, bad_line = BAD_INPUT_LINES[case]
     run_pipeline_through_annotate(config)
     assert invoke(command, "-c", config, *args).exit_code == 0
-    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
     path = root / name
     lineno = len(path.read_text().splitlines()) + 1
     path.write_text(path.read_text() + bad_line + "\n")
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
     result = invoke(command, "-c", config, *args)
     assert result.exit_code == 1, result.output + repr(result.exception)
     assert f"line {lineno}: bad" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+def raising(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+def remote_embeddings(config, monkeypatch):
+    set_config_key(config, "embedding", "endpoint", "http://embed.test/")
+    reference = HashedBagOfWordsProvider()
+    monkeypatch.setattr("phenotag.ontology.post_json", lambda url, payload, timeout_s, token_env: {
+        "vectors": [reference.embed(text).tolist() for text in payload["texts"]]
+    })
+
+
+def ner_endpoint_raising_type_error(config, monkeypatch):
+    config.write_text(config.read_text().replace(
+        "mock_lexicon = mock_lexicon.jsonl\n", "endpoint = http://ner.test/\n"
+    ))
+    monkeypatch.setattr("phenotag.annotate.post_json", raising(TypeError("transport bug")))
+
+
+# (command and its arguments, set up before the first run or None, the fault
+# injected into the second run's computation, the second run's exit code)
+FAULTS_DURING_COMPUTATION = {
+    # The second run reads the index from the cache, then its first query fails.
+    "embedding-query-outage": (
+        ["run", "--strategy", "rag-fsi"], remote_embeddings,
+        lambda config, monkeypatch: monkeypatch.setattr(
+            "phenotag.ontology.post_json", raising(OSError("connection refused"))),
+        3,
+    ),
+    "ner-transport-type-error": (["annotate"], None, ner_endpoint_raising_type_error, 1),
+    "llm-interrupted": (
+        ["run", "--strategy", "zero-shot-cvc"], None,
+        lambda config, monkeypatch: monkeypatch.setattr(
+            ScriptedLlmBackend, "complete", raising(KeyboardInterrupt())),
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAULTS_DURING_COMPUTATION))
+def test_fault_during_computation_leaves_every_output_as_it_was(workspace, monkeypatch, case):
+    root, config = workspace
+    args, prepare, inject, code = FAULTS_DURING_COMPUTATION[case]
+    run_pipeline_through_annotate(config)
+    if prepare is not None:
+        prepare(config, monkeypatch)
+    result = invoke(args[0], "-c", config, *args[1:])
+    assert result.exit_code == 0, result.output + repr(result.stderr)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    assert f"{args[0]}_manifest.json" in before
+    inject(config, monkeypatch)
+    result = invoke(args[0], "-c", config, *args[1:])
+    assert result.exit_code == code, result.output + repr(result.exception)
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 

@@ -726,3 +726,61 @@ def test_reader_names_malformed_line_after_blank_line(tmp_path, reader):
     first, read = _READERS[reader]
     message = read(tmp_path, [json.dumps(first), "", "{not json"])
     assert message.removeprefix("error: ").startswith("line 3: ")
+
+
+def _annotation(begin, end, surface):
+    return {"begin": begin, "end": end, "surface": surface, "concept": "mesh:D001249"}
+
+
+def _concept(**fields):
+    return {"concept_id": "mesh:D000002", **fields}  # not the first line's id
+
+
+# Lines a reader rejects for one field: (reader, the fields laid over its
+# valid first line, the error's detail). Each would be read without error
+# but for that field.
+_BAD_FIELDS = {
+    "prediction-surface-differs": (
+        "predictions", {"text": "has asthma", "annotations": [_annotation(4, 10, "zzzplague")]},
+        "surface 'zzzplague' does not match text slice 'asthma' at (4, 10)",
+    ),
+    "prediction-span-past-text": (
+        "predictions", {"text": "has asthma", "annotations": [_annotation(44, 50, "asthma")]},
+        "span (44, 50) exceeds text of length 10",
+    ),
+    "summary-candidate-not-string": (
+        "summaries", {"candidate": 5}, "candidate must be a string, got 5",
+    ),
+    "summary-reference-not-string": (
+        "summaries", {"reference": None}, "reference must be a string, got None",
+    ),
+    "question-not-string": (
+        "raft questions", {"question": 5}, "question must be a non-blank string, got 5",
+    ),
+    "question-blank": (
+        "raft questions", {"question": "  "}, "question must be a non-blank string, got '  '",
+    ),
+    "concept-name-not-string": (
+        "ontology", _concept(preferred_name=5), "preferred_name must be a string, got 5",
+    ),
+    "concept-description-null": (
+        "ontology", _concept(description=None), "description must be a string, got None",
+    ),
+    "concept-synonyms-string": (
+        "ontology", _concept(synonyms="wheezing"),
+        "synonyms must be a list of strings, got 'wheezing'",
+    ),
+    "concept-synonym-not-string": (
+        "ontology", _concept(synonyms=["wheeze", 1]),
+        "synonyms must be a list of strings, got ['wheeze', 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_FIELDS))
+def test_reader_names_a_line_with_a_bad_field(tmp_path, case):
+    reader, fields, detail = _BAD_FIELDS[case]
+    first, read = _READERS[reader]
+    message = read(tmp_path, [json.dumps(first), "", json.dumps({**first, **fields})])
+    assert message.removeprefix("error: ").startswith("line 3: bad ")
+    assert detail in message

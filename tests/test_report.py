@@ -41,6 +41,16 @@ def full_bundle():
     )
 
 
+def write_report(bundle, out_dir):
+    """Write the texts render_report returns, as eval does; return their
+    paths keyed table1 ... table7 and report."""
+    paths = {}
+    for path, text in render_report(bundle, out_dir).items():
+        path.write_text(text, encoding="utf-8")
+        paths[path.stem.partition("_")[0]] = path
+    return paths
+
+
 EXPECTED_HEADERS = {
     "Table 1": ["NER F1 (%)", "NEN accuracy (%)", "NER true positive (%)"],
     "Table 2": ["correct answers (%)", "hallucination rate (%)"],
@@ -53,7 +63,7 @@ EXPECTED_HEADERS = {
 
 
 def test_report_emits_all_seven_sections(tmp_path):
-    paths = render_report(full_bundle(), tmp_path)
+    paths = write_report(full_bundle(), tmp_path)
     report = paths["report"].read_text(encoding="utf-8")
     for table, headers in EXPECTED_HEADERS.items():
         section_at = report.index(f"## {table}")
@@ -65,7 +75,7 @@ def test_report_emits_all_seven_sections(tmp_path):
 
 
 def test_zero_denominator_cells_render_nr(tmp_path):
-    paths = render_report(full_bundle(), tmp_path)
+    paths = write_report(full_bundle(), tmp_path)
     report = paths["report"].read_text(encoding="utf-8")
     mention_row = next(l for l in report.splitlines() if l.startswith("| model-a | 58.50"))
     assert "NR" in mention_row
@@ -74,7 +84,7 @@ def test_zero_denominator_cells_render_nr(tmp_path):
 
 
 def test_table6_normalised_column_global_max(tmp_path):
-    paths = render_report(full_bundle(), tmp_path)
+    paths = write_report(full_bundle(), tmp_path)
     with open(paths["table6"], newline="") as handle:
         rows = list(csv.DictReader(handle))
     normalised = [float(r["normalised_performance"]) for r in rows]
@@ -87,7 +97,7 @@ def test_table6_normalised_column_global_max(tmp_path):
 def test_table6_normalised_column_reads_nr_without_a_positive_tpr(tmp_path, tprs):
     bundle = ReportBundle(cot=[CotRow("model-a", f"prompt {i}", tpr, 0.5)
                                for i, tpr in enumerate(tprs)])
-    paths = render_report(bundle, tmp_path)
+    paths = write_report(bundle, tmp_path)
     with open(paths["table6"], newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert [r["normalised_performance"] for r in rows] == ["NR", "NR"]
@@ -96,7 +106,7 @@ def test_table6_normalised_column_reads_nr_without_a_positive_tpr(tmp_path, tprs
 
 
 def test_percentages_rounded_in_markdown_full_precision_in_csv(tmp_path):
-    paths = render_report(full_bundle(), tmp_path)
+    paths = write_report(full_bundle(), tmp_path)
     report = paths["report"].read_text(encoding="utf-8")
     assert "| BERN2 | 80.00 | 80.00 |" in report
     with open(paths["table1"], newline="") as handle:
@@ -106,13 +116,13 @@ def test_percentages_rounded_in_markdown_full_precision_in_csv(tmp_path):
 
 
 def test_empty_bundle_still_emits_sections(tmp_path):
-    paths = render_report(ReportBundle(), tmp_path)
+    paths = write_report(ReportBundle(), tmp_path)
     report = paths["report"].read_text(encoding="utf-8")
     for i in range(1, 8):
         assert f"## Table {i}" in report
 
 
-# sha256 of every file render_report writes: the report's bytes are part of
+# sha256 of every file render_report renders: the report's bytes are part of
 # the reproducibility contract, so any change to them must be deliberate.
 GOLDEN_DIGESTS = {
     "full": {
@@ -140,7 +150,11 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("name, bundle", [("full", full_bundle), ("empty", ReportBundle)])
 def test_report_files_match_golden_digests(tmp_path, name, bundle):
-    paths = render_report(bundle(), tmp_path)
+    paths = write_report(bundle(), tmp_path)
     digests = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
     assert digests == GOLDEN_DIGESTS[name]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths.values())
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    rendered = render_report(bundle(), empty)
+    assert [path.stem.partition("_")[0] for path in rendered] == list(GOLDEN_DIGESTS[name])
+    assert not any(empty.iterdir())
