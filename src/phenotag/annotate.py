@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .corpus import (
-    ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, TextSpan, jsonl_line,
-    read_jsonl,
+    ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, json_field, jsonl_line,
+    offsets, read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, post_json, send, window_map
@@ -206,11 +206,11 @@ def parse_backend_response(
             raise ValidationError(f"backend annotation for record {record_id!r} is not an object")
         if entry.get("obj") != "disease":
             continue
-        span_obj = entry.get("span", {})
         try:
-            span = TextSpan(int(span_obj["begin"]), int(span_obj["end"]))
+            span_obj = json_field(entry, "span", dict)
+            span = offsets(span_obj["begin"], span_obj["end"])
             span.check_bounds(text)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, ValueError, ValidationError) as exc:
             raise ValidationError(f"backend span invalid for record {record_id!r}: {exc}") from exc
         mention = entry.get("mention", "")
         if text[span.begin : span.end] != mention:
@@ -333,28 +333,28 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
     must fit its line's text and its surface must be that slice."""
 
     def parse(_lineno: int, obj) -> AnnotationOutcome:
-        record_id = obj["record_id"]  # first, so a line that is not an object fails here
-        text = obj["text"]
+        record_id = json_field(obj, "record_id", str)
+        text = json_field(obj, "text", str)
         annotations = tuple(
             NormalizedAnnotation(
                 record_id=record_id,
-                span=TextSpan(int(a["begin"]), int(a["end"])),
-                surface=a["surface"],
+                span=offsets(a["begin"], a["end"]),
+                surface=json_field(a, "surface", str),
                 concept=ConceptId.parse(a["concept"]),
                 source=Source.NER_BACKEND,
-                confidence=a.get("confidence"),
+                confidence=json_field(a, "confidence", float, None),
             )
-            for a in obj.get("annotations", [])
+            for a in json_field(obj, "annotations", list, [])
         )
         for annotation in annotations:
             annotation.check_against(text)
         return AnnotationOutcome(
             record_id=record_id,
             text=text,
-            status=obj["status"],
+            status=json_field(obj, "status", str),
             annotations=annotations,
-            error=obj.get("error"),
-            question_join=int(obj.get("question_join", 0)),
+            error=json_field(obj, "error", str, None),
+            question_join=json_field(obj, "question_join", int, 0),
         )
 
     return read_jsonl(lines, "prediction record", parse)

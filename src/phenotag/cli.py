@@ -37,6 +37,7 @@ from .corpus import (
     ConceptId,
     Corpus,
     import_doccano,
+    json_field,
     jsonl_line,
     jsonl_lines,
     load_records,
@@ -233,9 +234,7 @@ def _load_mock_lexicon(path: Path) -> dict[str, ConceptId]:
     lexicon: dict[str, ConceptId] = {}
 
     def add(_lineno: int, obj) -> None:
-        term = obj["term"]
-        if not isinstance(term, str):
-            raise ValidationError(f"term must be a string, got {term!r}")
+        term = json_field(obj, "term", str)
         if term in lexicon:
             raise ValidationError(f"duplicate term {term!r}")
         lexicon[term] = ConceptId.parse(obj["concept_id"])
@@ -432,10 +431,7 @@ def run(cfg: RunConfig, dump_prompts: str | None, out: str | None) -> None:
 
 def _load_summaries(path: Path) -> list[tuple[str, str]]:
     def pair(_lineno: int, obj) -> tuple[str, str]:
-        for key in ("candidate", "reference"):
-            if not isinstance(obj[key], str):
-                raise ValidationError(f"{key} must be a string, got {obj[key]!r}")
-        return obj["candidate"], obj["reference"]
+        return json_field(obj, "candidate", str), json_field(obj, "reference", str)
 
     return read_jsonl(jsonl_lines(path), "summary pair", pair)
 
@@ -468,13 +464,9 @@ def _check_plan_entry(section: str, entry: dict) -> None:
             )
         if key in _PLAN_LABELS and not isinstance(value, str):
             raise ValidationError(f"{where}: {key!r} must be a string")
-    if "dimension" in entry:
-        try:
-            dimension = int(entry["dimension"])
-        except (TypeError, ValueError, OverflowError):
-            dimension = 0
-        if dimension < 1:
-            raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
+    dimension = entry.get("dimension", 1)
+    if type(dimension) is not int or dimension < 1:
+        raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
 
 
 def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
@@ -558,9 +550,8 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
             fnr=metrics.fnr,
         ))
     for entry in plan.get("embeddings", []):
-        dimension = int(entry["dimension"]) if "dimension" in entry else None
-        provider = _embedding_provider(entry.get("endpoint"), entry.get("embedding"), dimension,
-                                       **embedding_remote)
+        provider = _embedding_provider(entry.get("endpoint"), entry.get("embedding"),
+                                       entry.get("dimension"), **embedding_remote)
         pairs = _load_summaries(_path(entry, "summaries"))
         bundle.embeddings.append(EmbeddingRow(
             embedding=provider.name,

@@ -36,6 +36,8 @@ __all__ = [
     "jsonl_line",
     "jsonl_lines",
     "read_jsonl",
+    "json_field",
+    "offsets",
     "ingest_records",
     "load_records",
     "normalize_text",
@@ -301,6 +303,48 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
     return items
 
 
+_REQUIRED: Any = object()
+
+# The kinds json_field reads: the exact types each accepts, how an error
+# names it, and the type every item must have (list[str] only).
+_JSON_KINDS: dict[Any, tuple[tuple[type, ...], str, type | None]] = {
+    str: ((str,), "a string", None),
+    int: ((int,), "an integer", None),  # type(True) is bool, so never a bool
+    float: ((int, float), "a number", None),
+    bool: ((bool,), "a boolean", None),
+    list: ((list,), "a list", None),
+    list[str]: ((list,), "a list of strings", str),
+    dict: ((dict,), "an object", None),
+}
+
+
+def json_field(obj: Any, key: str, kind: Any, default: Any = _REQUIRED) -> Any:
+    """``obj[key]``, checked to be exactly the JSON type ``kind`` names and
+    never converted: str, int, float (any number), bool, list, list[str] or
+    dict; a bool is never a number. A missing key gives ``default``, or
+    KeyError without one; null is read only where the default is None.
+    Anything else, or an ``obj`` that is not an object, raises
+    ValidationError."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"expected an object, got {obj!r}")
+    value = obj.get(key, default)
+    if value is _REQUIRED:
+        raise KeyError(key)
+    types, name, item = _JSON_KINDS[kind]
+    if type(value) in types and (item is None or all(type(v) is item for v in value)):
+        return value
+    if value is None and default is None:
+        return None
+    raise ValidationError(f"{key} must be {name}, got {value!r}")
+
+
+def offsets(begin: Any, end: Any) -> TextSpan:
+    """The span [begin, end) of two JSON integers; any other bound raises."""
+    if type(begin) is not int or type(end) is not int:
+        raise ValidationError(f"span bounds must be integers, got [{begin!r}, {end!r}]")
+    return TextSpan(begin, end)
+
+
 # ---------------------------------------------------------------------------
 # Record ingestion
 # ---------------------------------------------------------------------------
@@ -321,29 +365,15 @@ def ingest_records(
     keywords = tuple(k.lower() for k in expects_keywords)
 
     def parse(_lineno: int, obj) -> SurveyRecord:
-        if not isinstance(obj, dict):
-            raise ValidationError("record must be an object")
-        record_id = obj["record_id"]
-        question_text = obj["question_text"]
-        answer_text = obj["answer_text"]
-        raw_field_type = obj["field_type"]
-        if not isinstance(record_id, str) or not record_id:
-            raise ValidationError("record_id must be a non-empty string")
+        record_id = json_field(obj, "record_id", str)
         if record_id in seen:
             raise ValidationError(f"duplicate record_id {record_id!r}")
-        for key, text in (("question_text", question_text), ("answer_text", answer_text)):
-            if not isinstance(text, str):
-                raise ValidationError(f"{key} must be a string")
-        field_type = FieldType(raw_field_type)
-        preceding = obj.get("preceding_questions", [])
-        if not isinstance(preceding, list) or not all(isinstance(q, str) for q in preceding):
-            raise ValidationError("preceding_questions must be a list of strings")
-        if "expects_disease" in obj:
-            expects = obj["expects_disease"]
-            if not isinstance(expects, bool):
-                raise ValidationError("expects_disease must be a boolean")
-        else:
-            expects = any(k in question_text.lower() for k in keywords)
+        question_text = json_field(obj, "question_text", str)
+        answer_text = json_field(obj, "answer_text", str)
+        field_type = FieldType(json_field(obj, "field_type", str))
+        preceding = json_field(obj, "preceding_questions", list[str], [])
+        derived = any(k in question_text.lower() for k in keywords)
+        expects = json_field(obj, "expects_disease", bool, derived)
         seen.add(record_id)
         return SurveyRecord(
             record_id=record_id,
@@ -529,31 +559,27 @@ def import_doccano(lines: Iterable[str]) -> tuple[AnnotationSet, dict[str, str]]
     texts: dict[str, str] = {}
 
     def parse(lineno: int, obj) -> list[NormalizedAnnotation]:
-        if not isinstance(obj, dict) or "text" not in obj:
-            raise ValidationError("expected an object with a 'text' key")
-        text = obj["text"]
-        if not isinstance(text, str):
-            raise ValidationError("'text' must be a string")
-        record_id = obj.get("record_id", f"line-{lineno:06d}")
+        text = json_field(obj, "text", str)
+        record_id = json_field(obj, "record_id", str, f"line-{lineno:06d}")
         if record_id in texts:
             raise ValidationError(f"duplicate record_id {record_id!r}")
         texts[record_id] = text
         annotations = []
-        for entry in obj.get("label", []):
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise ValidationError("label entries must be [begin, end, label]")
+        for entry in json_field(obj, "label", list, []):
+            if not (type(entry) is list and len(entry) == 3):
+                raise ValidationError(f"label entries must be [begin, end, label], got {entry!r}")
             begin, end, label = entry
             try:
-                span = TextSpan(int(begin), int(end))
+                span = offsets(begin, end)
                 span.check_bounds(text)
-            except (ValueError, TypeError) as exc:
+            except ValueError as exc:
                 raise ValidationError(f"span out of bounds: {exc}") from exc
             annotations.append(
                 NormalizedAnnotation(
                     record_id=record_id,
                     span=span,
                     surface=text[span.begin : span.end],
-                    concept=ConceptId.parse(str(label)),
+                    concept=ConceptId.parse(label),
                     source=Source.HUMAN,
                 )
             )

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import (
-    AnnotationSet, ConceptId, NormalizedAnnotation, Source, TextSpan, jsonl_line, read_jsonl,
+    AnnotationSet, ConceptId, NormalizedAnnotation, Source, TextSpan, json_field, jsonl_line,
+    offsets, read_jsonl,
 )
 from .errors import ValidationError
 from .ontology import EmbeddingProvider, cosine
@@ -399,8 +400,9 @@ def read_verdicts(
     judged = None if predicted is None else {(a.record_id, a.span, a.concept) for a in predicted}
 
     def parse(_lineno: int, obj) -> tuple[LlmVerdict, NormalizedAnnotation]:
-        span = TextSpan(int(obj["span"][0]), int(obj["span"][1]))
-        record_id = obj["record_id"]
+        record_id = json_field(obj, "record_id", str)
+        begin, end = json_field(obj, "span", list)
+        span = offsets(begin, end)
         surface = ""
         if texts is not None:
             if record_id not in texts:
@@ -419,11 +421,12 @@ def read_verdicts(
                 f"record {record_id!r} span ({span.begin}, {span.end}) "
                 f"{annotation.concept} is not an annotation of a scored prediction"
             )
+        proposal = json_field(obj, "proposal", str, None)
         verdict = LlmVerdict(
-            kind=VerdictKind(obj["kind"]),
+            kind=VerdictKind(json_field(obj, "kind", str)),
             raw_text="",
-            proposal=ConceptId.parse(obj["proposal"]) if obj.get("proposal") else None,
-            hallucinated=bool(obj.get("hallucinated", False)),
+            proposal=None if proposal is None else ConceptId.parse(proposal),
+            hallucinated=json_field(obj, "hallucinated", bool, False),
         )
         return verdict, annotation
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Protocol, Sequence
 
 from . import __version__
 from .config import atomic_write, atomic_write_text
-from .corpus import ConceptId, jsonl_lines, read_jsonl
+from .corpus import ConceptId, json_field, jsonl_lines, read_jsonl
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, post_json, send, window_map
 
@@ -125,15 +125,12 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
     seen: set[ConceptId] = set()
 
     def parse(_lineno: int, obj) -> OntologyConcept:
-        concept_id = ConceptId.parse(obj["concept_id"])
-        texts = {key: obj.get(key, "") for key in ("preferred_name", "description")}
-        synonyms = obj.get("synonyms", [])
-        for key, value in texts.items():
-            if not isinstance(value, str):
-                raise ValidationError(f"{key} must be a string, got {value!r}")
-        if not isinstance(synonyms, list) or not all(isinstance(s, str) for s in synonyms):
-            raise ValidationError(f"synonyms must be a list of strings, got {synonyms!r}")
-        concept = OntologyConcept(concept_id=concept_id, synonyms=tuple(synonyms), **texts)
+        concept = OntologyConcept(
+            concept_id=ConceptId.parse(obj["concept_id"]),
+            preferred_name=json_field(obj, "preferred_name", str, ""),
+            description=json_field(obj, "description", str, ""),
+            synonyms=tuple(json_field(obj, "synonyms", list[str], [])),
+        )
         if concept.concept_id in seen:
             raise ValidationError(f"duplicate concept_id {concept.concept_id}")
         seen.add(concept.concept_id)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from .corpus import (
-    ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, jsonl_line, jsonl_lines,
+    ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, json_field, jsonl_line, jsonl_lines,
     read_jsonl,
 )
 from .errors import BackendError, ValidationError
@@ -340,12 +340,9 @@ def load_example_pool(path: str | Path) -> list[FewShotExample]:
     return read_jsonl(
         jsonl_lines(path),
         "few-shot example",
-        lambda _, obj: FewShotExample(
-            question=obj["question"],
-            mention=obj["mention"],
-            concept=obj["concept"],
-            verdict=obj["verdict"],
-        ),
+        lambda _, obj: FewShotExample(*(
+            json_field(obj, key, str) for key in ("question", "mention", "concept", "verdict")
+        )),
     )
 
 
@@ -369,18 +366,13 @@ class LlmBackend(Protocol):
 
 def _compile_rule(rule) -> tuple[str | re.Pattern, str]:
     """A scripted rule's (matcher, response): the "contains" needle or the
-    compiled "regex". A rule of any other shape raises ValidationError."""
-    if not isinstance(rule, Mapping):
-        raise ValidationError("scripted rule must be an object")
-    key = "regex" if "regex" in rule else "contains"
-    for field in ("response", key):
-        if not isinstance(rule.get(field), str):
-            raise ValidationError(f"scripted rule {field!r} must be a string, got "
-                                  f"{rule.get(field)!r}")
-    if key == "contains":
-        return rule[key], rule["response"]
+    compiled "regex". A missing key raises KeyError, a bad value
+    ValidationError."""
+    response = json_field(rule, "response", str)
+    if "regex" not in rule:
+        return json_field(rule, "contains", str), response
     try:
-        return re.compile(rule[key], re.DOTALL), rule["response"]
+        return re.compile(json_field(rule, "regex", str), re.DOTALL), response
     except re.error as exc:
         raise ValidationError(f"scripted rule has an invalid regex: {exc}") from exc
 
@@ -392,7 +384,7 @@ class ScriptedLlmBackend:
     "contains" makes a catch-all. Loadable from a JSONL rule file.
     """
 
-    def __init__(self, rules: Iterable[Mapping], name: str = "scripted"):
+    def __init__(self, rules: Iterable[dict], name: str = "scripted"):
         self.name = name
         self._rules = [_compile_rule(rule) for rule in rules]
 

@@ -414,7 +414,12 @@ def test_malformed_result_fails_only_that_record():
     ({"annotations": ["junk"]}, "annotation for record 'r1' is not an object"),
     ({"annotations": [dict(entry("asthma", 4, 10), id="mesh:D001249")]},
      "id for record 'r1' is not a list"),
-], ids=["result-not-object", "entry-not-object", "id-not-list"])
+    ({"annotations": [entry("asthma", "4", 10.7)]},
+     "span invalid for record 'r1': span bounds must be integers, got ['4', 10.7]"),
+    ({"annotations": [entry("as", True, 3)]},
+     "span invalid for record 'r1': span bounds must be integers, got [True, 3]"),
+], ids=["result-not-object", "entry-not-object", "id-not-list", "span-string-and-float",
+        "span-bool"])
 def test_malformed_result_shape_fails_only_that_record(first_result, detail):
     class Malformed:
         def submit(self, texts):

@@ -517,6 +517,12 @@ def test_chain_keeps_unicode_line_separators_in_texts(workspace):
      "'dimension' must be an integer >= 1"),
     ({"embeddings": [{"summaries": "s.jsonl", "dimension": 0}]},
      "'dimension' must be an integer >= 1"),
+    ({"embeddings": [{"summaries": "s.jsonl", "dimension": True}]},
+     "'dimension' must be an integer >= 1"),
+    ({"embeddings": [{"summaries": "s.jsonl", "dimension": "8"}]},
+     "'dimension' must be an integer >= 1"),
+    ({"embeddings": [{"summaries": "s.jsonl", "dimension": 8.5}]},
+     "'dimension' must be an integer >= 1"),
 ])
 def test_eval_malformed_report_plan_exits_1(workspace, plan, detail):
     root, config = workspace

@@ -2,6 +2,7 @@ import difflib
 import json
 import re
 import unicodedata
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -549,7 +550,7 @@ def _raft_questions(tmp_path, lines):
 # Every JSONL reader: a valid first line for it, and how to run it.
 _READERS = {
     "records": (
-        json.loads(record_line("r1")),
+        json.loads(record_line("r1", preceding=["Any pain?"], expects=True)),
         lambda tmp_path, lines: _error(lambda: ingest_records(lines)),
     ),
     "doccano": (
@@ -557,7 +558,8 @@ _READERS = {
         lambda tmp_path, lines: _error(lambda: import_doccano(lines)),
     ),
     "predictions": (
-        {"record_id": "r1", "text": "t", "status": "ok"},
+        {"record_id": "r1", "text": "t", "status": "ok", "question_join": 0, "annotations": [],
+         "error": "none"},
         lambda tmp_path, lines: _error(lambda: read_outcomes(lines)),
     ),
     "ontology": (
@@ -573,7 +575,8 @@ _READERS = {
         _file_reader(ScriptedLlmBackend.from_file),
     ),
     "verdicts": (
-        {"record_id": "r1", "span": [0, 1], "backend_concept": "NONE", "kind": "agree"},
+        {"record_id": "r1", "span": [0, 1], "backend_concept": "NONE", "kind": "disagree",
+         "proposal": "mesh:D000001", "hallucinated": False},
         lambda tmp_path, lines: _error(lambda: read_verdicts(lines)),
     ),
     "mock lexicon": (
@@ -774,6 +777,65 @@ _BAD_FIELDS = {
         "ontology", _concept(synonyms=["wheeze", 1]),
         "synonyms must be a list of strings, got ['wheeze', 1]",
     ),
+    # JSON types are checked, never converted: each line below was once read
+    # as some other value.
+    "verdict-span-string-and-float": (
+        "verdicts", {"span": ["0", 1.9]}, "span bounds must be integers, got ['0', 1.9]",
+    ),
+    "verdict-hallucinated-string": (
+        "verdicts", {"hallucinated": "false"}, "hallucinated must be a boolean, got 'false'",
+    ),
+    "verdict-proposal-false": (
+        "verdicts", {"proposal": False}, "proposal must be a string, got False",
+    ),
+    "verdict-record-id-integer": (
+        "verdicts", {"record_id": 7}, "record_id must be a string, got 7",
+    ),
+    "prediction-span-bool-and-string": (
+        "predictions", {"text": "has asthma", "annotations": [_annotation(True, "3", "as")]},
+        "span bounds must be integers, got [True, '3']",
+    ),
+    "prediction-question-join-string": (
+        "predictions", {"question_join": "3"}, "question_join must be an integer, got '3'",
+    ),
+    "prediction-question-join-bool": (
+        "predictions", {"question_join": True}, "question_join must be an integer, got True",
+    ),
+    "prediction-record-id-integer": (
+        "predictions", {"record_id": 7}, "record_id must be a string, got 7",
+    ),
+    "prediction-annotations-object": (
+        "predictions", {"annotations": {}}, "annotations must be a list, got {}",
+    ),
+    "prediction-error-number": (
+        "predictions", {"status": "failed", "error": 5}, "error must be a string, got 5",
+    ),
+    "prediction-confidence-bool": (
+        "predictions",
+        {"text": "has asthma", "annotations": [{**_annotation(4, 10, "asthma"), "confidence": True}]},
+        "confidence must be a number, got True",
+    ),
+    "doccano-float-and-string-offsets": (
+        "doccano", {"label": [[4.0, "10", "mesh:D001249"]]},
+        "span bounds must be integers, got [4.0, '10']",
+    ),
+    "doccano-record-id-integer": (
+        "doccano", {"record_id": 5}, "record_id must be a string, got 5",
+    ),
+    "doccano-label-object": ("doccano", {"label": {}}, "label must be a list, got {}"),
+    "doccano-label-empty-string": ("doccano", {"label": ""}, "label must be a list, got ''"),
+    "doccano-concept-null": (
+        "doccano", {"label": [[4, 10, None]]}, "concept id must be a string, got None",
+    ),
+    "example-question-integer": (
+        "example pool", {"question": 5}, "question must be a string, got 5",
+    ),
+    "example-mention-list": (
+        "example pool", {"mention": ["x"]}, "mention must be a string, got ['x']",
+    ),
+    "example-concept-null": (
+        "example pool", {"concept": None}, "concept must be a string, got None",
+    ),
 }
 
 
@@ -784,3 +846,45 @@ def test_reader_names_a_line_with_a_bad_field(tmp_path, case):
     message = read(tmp_path, [json.dumps(first), "", json.dumps({**first, **fields})])
     assert message.removeprefix("error: ").startswith("line 3: bad ")
     assert detail in message
+
+
+# Each type json.loads gives, and its values; containers hold scalars only.
+_JSON_TYPES = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(),
+    str: st.text(max_size=4),
+    list: st.lists(st.one_of(st.integers(), st.text(max_size=2)), max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+
+# Fields whose documented type takes null as well as its own.
+_NULLABLE = {("predictions", "error"), ("verdicts", "proposal")}
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+# Each reader but raft questions, whose reader runs a CLI command per example
+# and keeps to its table cases. An integer and a float are different types.
+@pytest.mark.parametrize("reader", sorted(set(_READERS) - {"raft questions"}))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_reader_rejects_a_field_of_another_json_type(reader_dir, reader, data):
+    first, read = _READERS[reader]
+    key = data.draw(st.sampled_from(sorted(first)), label="key")
+    others = [kind for kind in _JSON_TYPES if kind is not type(first[key])
+              and not (kind is type(None) and (reader, key) in _NULLABLE)]
+    value = data.draw(_JSON_TYPES[data.draw(st.sampled_from(others))], label="value")
+    message = read(reader_dir, ["", "", json.dumps({**first, key: value})])
+    assert message.startswith("line 3: bad ")
+
+
+def test_every_jsonl_reader_is_in_the_reader_table():
+    source = Path(__file__).resolve().parents[1] / "src" / "phenotag"
+    calls = sum(len(re.findall(r"(?<!def )read_jsonl\(", path.read_text(encoding="utf-8")))
+                for path in source.glob("*.py"))
+    assert calls == len(_READERS)
