@@ -271,21 +271,20 @@ def _process_chunk(
     texts = [text for text, _ in submissions]
     joins = [join for _, join in submissions]
     attempts = 1 + config.retry_budget
+
+    def all_failed(reason: str) -> list[AnnotationOutcome]:
+        return [
+            AnnotationOutcome(record.record_id, text, "failed", error=reason, question_join=join)
+            for record, text, join in zip(chunk, texts, joins)
+        ]
+
     try:
         payload = call_with_retry(lambda: backend.submit(texts), attempts)
     except BackendError as exc:
-        reason = f"backend unreachable after {attempts} attempts: {exc}"
-        return [
-            AnnotationOutcome(record.record_id, text, "failed", error=reason, question_join=join)
-            for record, text, join in zip(chunk, texts, joins)
-        ]
+        return all_failed(f"backend unreachable after {attempts} attempts: {exc}")
     results = payload.get("results") if isinstance(payload, Mapping) else None
     if not isinstance(results, list) or len(results) != len(chunk):
-        reason = "malformed backend response: results misaligned with submitted texts"
-        return [
-            AnnotationOutcome(record.record_id, text, "failed", error=reason, question_join=join)
-            for record, text, join in zip(chunk, texts, joins)
-        ]
+        return all_failed("malformed backend response: results misaligned with submitted texts")
     outcomes = []
     for record, text, join, result in zip(chunk, texts, joins, results):
         try:

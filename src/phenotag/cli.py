@@ -95,16 +95,11 @@ EXIT_VALIDATION = 1
 EXIT_MISSING_INPUT = 2
 EXIT_BACKEND = 3
 
+# --strategy NAME -> (strategy, CoT variant): a Strategy's value, or
+# "cot:" and a CotVariant's value.
 _STRATEGY_NAMES = {
-    "zero-shot-cvc": (Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT, CotVariant.NONE),
-    "zero-shot-cvm": (Strategy.ZERO_SHOT_CONCEPT_VS_MENTION, CotVariant.NONE),
-    "few-shot": (Strategy.FEW_SHOT, CotVariant.NONE),
-    "cot:none": (Strategy.COT, CotVariant.NONE),
-    "cot:simple": (Strategy.COT, CotVariant.SIMPLE),
-    "cot:strong": (Strategy.COT, CotVariant.STRONG),
-    "cot:hybrid": (Strategy.COT, CotVariant.HYBRID),
-    "rag-fsi": (Strategy.RAG_FSI, CotVariant.NONE),
-    "rag-fsi-flags": (Strategy.RAG_FSI_FLAGS, CotVariant.NONE),
+    **{s.value: (s, CotVariant.NONE) for s in Strategy if s is not Strategy.COT},
+    **{f"cot:{v.value}": (Strategy.COT, v) for v in CotVariant},
 }
 
 
@@ -440,29 +435,54 @@ def _read_verdict_file(path: Path, texts, predicted: AnnotationSet | None = None
     return read_verdicts(jsonl_lines(path), texts, predicted)
 
 
-# The keys each report-plan section's entries may carry. "verdicts" and
-# "summaries" are paths, "dimension" is a positive integer and every other
-# key is a string label.
+def _accuracies(scored) -> tuple[float | None, float | None]:
+    report = alignment_accuracy(*scored)
+    return report.bern2_alignment_accuracy, report.gt_alignment_accuracy
+
+
+def _cot_row(entry: dict, scored, *_) -> CotRow:
+    metrics = compute_metrics(alignment_confusions(*scored)[0])
+    return CotRow(entry.get("model", ""), entry.get("prompt", ""), metrics.recall, metrics.fnr)
+
+
+def _embedding_row(entry: dict, _scored, pairs, remote: dict) -> EmbeddingRow:
+    provider = _embedding_provider(entry.get("endpoint"), entry.get("embedding"),
+                                   entry.get("dimension"), **remote)
+    return EmbeddingRow(provider.name, mean_rouge(pairs, 1), mean_coherence(pairs, provider))
+
+
+# Each report-plan section, in table order: the keys its entries may carry,
+# files first, and its row builder. The builder gets the entry, the scored
+# verdicts as ``(verdicts, annotations, gold)`` and the summary pairs, each
+# None where the section has no such file, and the [embedding] settings.
+# A file key names a path relative to the plan, "dimension" is a positive
+# integer and every other key is a string label.
+_PLAN_FILES = ("verdicts", "summaries")
 _PLAN_SECTIONS = {
-    "zero_shot": ("verdicts", "group", "model"),
-    "finetuned": ("verdicts", "group", "model"),
-    "rag_fsi": ("verdicts", "summaries", "model"),
-    "flags": ("verdicts", "model"),
-    "cot": ("verdicts", "model", "prompt"),
-    "embeddings": ("summaries", "embedding", "endpoint", "dimension"),
+    "zero_shot": (("verdicts", "group", "model"), lambda entry, scored, *_: ZeroShotRow(
+        entry.get("group", ""), entry.get("model", ""),
+        alignment_accuracy(*scored).bern2_alignment_accuracy, hallucination_rate(scored[0]))),
+    "finetuned": (("verdicts", "group", "model"), lambda entry, scored, *_: FinetunedRow(
+        entry.get("group", ""), entry.get("model", ""), *alignment_stats(*scored))),
+    "rag_fsi": (("verdicts", "summaries", "model"), lambda entry, scored, pairs, _: RagFsiRow(
+        entry.get("model", ""), mean_rouge(pairs, 1),
+        mean_coherence(pairs, HashedBagOfWordsProvider()), *_accuracies(scored))),
+    "flags": (("verdicts", "model"), lambda entry, scored, *_: FlagsRow(
+        entry.get("model", ""), *_accuracies(scored))),
+    "cot": (("verdicts", "model", "prompt"), _cot_row),
+    "embeddings": (("summaries", "embedding", "endpoint", "dimension"), _embedding_row),
 }
-_PLAN_LABELS = ("group", "model", "prompt", "embedding", "endpoint")
 
 
 def _check_plan_entry(section: str, entry: dict) -> None:
     where = f"bad report plan: {section!r} entry {json.dumps(entry)}"
-    allowed = _PLAN_SECTIONS[section]
+    allowed = _PLAN_SECTIONS[section][0]
     for key, value in entry.items():
         if key not in allowed:
             raise ValidationError(
                 f"{where}: unknown key {key!r}; allowed keys: {', '.join(allowed)}"
             )
-        if key in _PLAN_LABELS and not isinstance(value, str):
+        if key not in (*_PLAN_FILES, "dimension") and not isinstance(value, str):
             raise ValidationError(f"{where}: {key!r} must be a string")
     dimension = entry.get("dimension", 1)
     if type(dimension) is not int or dimension < 1:
@@ -490,74 +510,27 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
             raise ValidationError(f"bad report plan: {section!r} must be a list of objects")
         for entry in entries:
             _check_plan_entry(section, entry)
-    base = plan_path.parent
     bundle = ReportBundle()
-    embedding_remote = cfg.settings("embedding", timeout_ms=int)
+    remote = cfg.settings("embedding", timeout_ms=int)
 
     def _path(entry: dict, key: str) -> Path:
         if not isinstance(entry.get(key), str):
             raise ValidationError(
                 f"bad report plan: entry {json.dumps(entry)} needs a {key!r} path"
             )
-        resolved = base / entry[key]
+        resolved = plan_path.parent / entry[key]
         if not resolved.exists():
             raise FileNotFoundError(f"report plan references missing file {resolved}")
         cfg.inputs.append(resolved)
         return resolved
 
-    for entry in plan.get("zero_shot", []):
-        verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
-        report = alignment_accuracy(verdicts, annotations, gold_set)
-        bundle.zero_shot.append(ZeroShotRow(
-            prompt_group=entry.get("group", ""),
-            model=entry.get("model", ""),
-            correct_rate=report.bern2_alignment_accuracy,
-            hallucination_rate=hallucination_rate(verdicts),
-        ))
-    for entry in plan.get("finetuned", []):
-        verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
-        bern2, gt = alignment_stats(verdicts, annotations, gold_set)
-        bundle.finetuned.append(FinetunedRow(
-            group=entry.get("group", ""), model=entry.get("model", ""), bern2=bern2, gt=gt,
-        ))
-    for entry in plan.get("rag_fsi", []):
-        verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
-        report = alignment_accuracy(verdicts, annotations, gold_set)
-        pairs = _load_summaries(_path(entry, "summaries"))
-        bundle.rag_fsi.append(RagFsiRow(
-            model=entry.get("model", ""),
-            rouge1=mean_rouge(pairs, 1),
-            coherence=mean_coherence(pairs, HashedBagOfWordsProvider()),
-            bern2_alignment=report.bern2_alignment_accuracy,
-            gt_alignment=report.gt_alignment_accuracy,
-        ))
-    for entry in plan.get("flags", []):
-        verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
-        report = alignment_accuracy(verdicts, annotations, gold_set)
-        bundle.flags.append(FlagsRow(
-            model=entry.get("model", ""),
-            bern2_alignment=report.bern2_alignment_accuracy,
-            gt_alignment=report.gt_alignment_accuracy,
-        ))
-    for entry in plan.get("cot", []):
-        verdicts, annotations = _read_verdict_file(_path(entry, "verdicts"), gold_texts)
-        bern2_counts, _ = alignment_confusions(verdicts, annotations, gold_set)
-        metrics = compute_metrics(bern2_counts)
-        bundle.cot.append(CotRow(
-            model=entry.get("model", ""),
-            prompt=entry.get("prompt", ""),
-            tpr=metrics.recall,
-            fnr=metrics.fnr,
-        ))
-    for entry in plan.get("embeddings", []):
-        provider = _embedding_provider(entry.get("endpoint"), entry.get("embedding"),
-                                       entry.get("dimension"), **embedding_remote)
-        pairs = _load_summaries(_path(entry, "summaries"))
-        bundle.embeddings.append(EmbeddingRow(
-            embedding=provider.name,
-            rouge1=mean_rouge(pairs, 1),
-            coherence=mean_coherence(pairs, provider),
-        ))
+    for section, (keys, row) in _PLAN_SECTIONS.items():
+        for entry in plan.get(section, []):
+            files = {key: _path(entry, key) for key in keys if key in _PLAN_FILES}
+            scored = ((*_read_verdict_file(files["verdicts"], gold_texts), gold_set)
+                      if "verdicts" in files else None)
+            pairs = _load_summaries(files["summaries"]) if "summaries" in files else None
+            getattr(bundle, section).append(row(entry, scored, pairs, remote))
     return bundle
 
 

@@ -259,10 +259,11 @@ class RemoteEmbeddingProvider:
 
     Each text is one request, made up to ``1 + retry_budget`` times. A
     transport fault (an ``OSError``, which every ``requests`` error is) and
-    every wire fault (no ``vectors`` row, a wrong shape, a non-finite or zero
-    vector) is a BackendError and is retried; any other exception from the
-    transport is a bug and propagates at once. ``embed_many`` keeps up to
-    ``max_inflight`` requests in flight.
+    every wire fault (no ``vectors`` row, a row that is not a list of JSON
+    numbers, a wrong shape, a non-finite or zero vector) is a BackendError
+    and is retried; any other exception from the transport is a bug and
+    propagates at once. ``embed_many`` keeps up to ``max_inflight`` requests
+    in flight.
     """
 
     def __init__(
@@ -289,12 +290,15 @@ class RemoteEmbeddingProvider:
 
         response = send(f"embedding provider {self.name!r}", self._transport, self.endpoint,
                         {"texts": [text]})
+        malformed = f"embedding provider {self.name!r} returned a malformed response"
         try:
-            raw = np.asarray(response["vectors"][0], dtype=np.float64)
-        except Exception as exc:
-            raise BackendError(
-                f"embedding provider {self.name!r} returned a malformed response: {exc}"
-            ) from exc
+            row = response["vectors"][0]
+            # JSON numbers only: asarray would convert strings and booleans.
+            if not isinstance(row, list) or not set(map(type, row)) <= {int, float}:
+                raise BackendError(f"{malformed}: vector entries must be JSON numbers")
+            raw = np.asarray(row, dtype=np.float64)
+        except (KeyError, IndexError, TypeError, OverflowError) as exc:
+            raise BackendError(f"{malformed}: {exc}") from exc
         if raw.shape != (self.dimension,):
             raise BackendError(
                 f"embedding provider {self.name!r} returned shape {raw.shape}, "

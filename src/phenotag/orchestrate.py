@@ -427,13 +427,16 @@ class HttpLlmBackend:
             "max_tokens": params.max_tokens,
             "temperature": params.temperature,
         }
-        # A response without "text" is retried like a transport fault.
+        # A response without a string "text" is retried like a transport fault.
         label = f"LLM backend {self.name!r}"
         response = send(label, self._transport, self.endpoint, payload, self.timeout_ms / 1000.0)
         try:
-            return str(response["text"])
+            text = response["text"]
         except (KeyError, TypeError) as exc:
             raise BackendError(f"{label} failed: {exc}") from exc
+        if not isinstance(text, str):
+            raise BackendError(f"{label} failed: text must be a string, got {text!r}")
+        return text
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import phenotag
-from phenotag.cli import main
+from phenotag.cli import _PLAN_SECTIONS, main
 from phenotag.config import derive_seed, load_config
 from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
@@ -1036,6 +1036,18 @@ def test_readme_flags_are_parameters_of_their_command():
                     assert word in known, f"README: {word} is not an option of {words[1]!r}"
                     checked += 1
     assert checked
+
+
+def test_readme_report_plan_table_lists_each_sections_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Section | Keys |\n|---------|------|\n")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines():
+        section, keys = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        documented[section] = tuple(re.findall(r"`(\w+)`", keys))
+    assert list(documented.items()) == [
+        (section, keys) for section, (keys, _) in _PLAN_SECTIONS.items()
+    ]
 
 
 # --- seed derivation -------------------------------------------------------------

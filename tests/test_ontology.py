@@ -501,6 +501,13 @@ def test_transport_programming_error_is_not_retried():
     ({"vectors": [[1.0] * 15]}, "shape"),
     ({"vectors": [[math.nan] + [1.0] * 15]}, "non-finite"),
     ({"vectors": [[0.0] * 16]}, "zero vector"),
+    ({"vectors": [["0.5"] + [1.0] * 15]}, "malformed"),
+    ({"vectors": [[True] + [1.0] * 15]}, "malformed"),
+    ({"vectors": [[None] + [1.0] * 15]}, "malformed"),
+    ({"vectors": [[[1.0]] + [1.0] * 15]}, "malformed"),
+    ({"vectors": [[[1.0] * 16]]}, "malformed"),
+    ({"vectors": ["1" * 16]}, "malformed"),
+    ({"vectors": [[10**400] + [1.0] * 15]}, "malformed"),
 ])
 def test_malformed_response_is_a_retried_backend_error(response, detail):
     calls = []

@@ -673,6 +673,9 @@ def test_http_llm_transport_programming_error_is_not_retried(store10, max_inflig
     (TimeoutError("slow"), "slow"),
     ({"txt": "AGREE"}, "'text'"),
     (["AGREE"], "list indices"),
+    ({"text": ["AGREE"]}, "text must be a string, got ['AGREE']"),
+    ({"text": None}, "text must be a string, got None"),
+    ({"text": 7}, "text must be a string, got 7"),
 ])
 def test_http_llm_transport_faults_are_retried(store10, fault, detail):
     from phenotag.orchestrate import HttpLlmBackend
