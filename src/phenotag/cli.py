@@ -144,18 +144,28 @@ def main() -> None:
     """Disease phenotyping pipeline: ingest, annotate, verify, evaluate."""
 
 
-def _write_results(command: str, cfg: RunConfig, out_dir: Path, files: dict[Path, str],
-                   index: OntologyIndex | None = None) -> None:
+def _write_results(command: str, cfg: RunConfig, out_dir: Path,
+                   files: list[tuple[Path, str]], index: OntologyIndex | None = None) -> None:
     """The one write path for manifests and result files, called once a
-    command has computed every ``{path: text}`` in ``files``.
+    command has computed every ``(path, text)`` in ``files``.
 
-    ``<command>_manifest.json`` in ``out_dir`` first names every file in
+    A result path, the manifest's included, that is one of ``cfg.inputs``
+    or another result raises ValidationError before anything is written.
+    Then ``<command>_manifest.json`` in ``out_dir`` first names every file in
     ``cfg.inputs`` and, with ``index``, the cache sidecar: an input when
     the matrix was read, an output when it was written. Then each text is
     written atomically, and the manifest is rewritten with the output
     checksums.
     """
     manifest = RunManifest(command, cfg, out_dir)
+    inputs = {path.resolve() for path in cfg.inputs}
+    written: set[Path] = set()
+    for path in [manifest.path, *(path for path, _ in files)]:
+        resolved = path.resolve()
+        if resolved in inputs or resolved in written:
+            what = "an input" if resolved in inputs else "another result file"
+            raise ValidationError(f"result file {path} would overwrite {what}")
+        written.add(resolved)
     for path in cfg.inputs:
         manifest.add_input(path)
     if index is not None and index.cache_read:
@@ -163,7 +173,7 @@ def _write_results(command: str, cfg: RunConfig, out_dir: Path, files: dict[Path
     elif index is not None:
         manifest.add_output(index.cache_sidecar)
     manifest.write()
-    for path, text in files.items():
+    for path, text in files:
         manifest.add_output(atomic_write_text(path, text))
     manifest.write()
 
@@ -210,7 +220,7 @@ def ingest(cfg: RunConfig) -> None:
     """Validate and persist the survey corpus; print record statistics."""
     corpus = load_records(cfg.require_path("paths", "corpus"), cfg.expects_keywords())
     text = "\n".join(_record_to_json(r) for r in corpus) + "\n"
-    _write_results("ingest", cfg, cfg.output_dir, {cfg.output_dir / "corpus.jsonl": text})
+    _write_results("ingest", cfg, cfg.output_dir, [(cfg.output_dir / "corpus.jsonl", text)])
     click.echo(f"{len(corpus)} records")
     by_type: dict[str, int] = {}
     for record in corpus:
@@ -263,7 +273,7 @@ def annotate(cfg: RunConfig, out: str | None) -> None:
     out_dir = cfg.output_dir
     predictions_path = Path(out) if out else out_dir / "predictions.jsonl"
     _write_results("annotate", cfg, out_dir,
-                   {predictions_path: "\n".join(write_outcomes(outcomes)) + "\n"})
+                   [(predictions_path, "\n".join(write_outcomes(outcomes)) + "\n")])
     failures = sum(1 for o in outcomes if o.status == "failed")
     click.echo(f"{len(outcomes)} records annotated, {failures} failed")
     if outcomes and failures == len(outcomes):
@@ -406,9 +416,9 @@ def run(cfg: RunConfig, dump_prompts: str | None, out: str | None) -> None:
         **window,
     )
     verdicts_path = Path(out) if out else out_dir / "verdicts.jsonl"
-    files = {verdicts_path: "\n".join(write_verdicts(results)) + "\n"}
+    files = [(verdicts_path, "\n".join(write_verdicts(results)) + "\n")]
     if dump_prompts:
-        files[Path(dump_prompts)] = "\n".join(dumped) + "\n"
+        files.append((Path(dump_prompts), "\n".join(dumped) + "\n"))
     _write_results("run", cfg, out_dir, files, index)
     kinds: dict[str, int] = {}
     for _, verdict in results:
@@ -429,10 +439,6 @@ def _load_summaries(path: Path) -> list[tuple[str, str]]:
         return json_field(obj, "candidate", str), json_field(obj, "reference", str)
 
     return read_jsonl(jsonl_lines(path), "summary pair", pair)
-
-
-def _read_verdict_file(path: Path, texts, predicted: AnnotationSet | None = None):
-    return read_verdicts(jsonl_lines(path), texts, predicted)
 
 
 def _accuracies(scored) -> tuple[float | None, float | None]:
@@ -527,7 +533,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
     for section, (keys, row) in _PLAN_SECTIONS.items():
         for entry in plan.get(section, []):
             files = {key: _path(entry, key) for key in keys if key in _PLAN_FILES}
-            scored = ((*_read_verdict_file(files["verdicts"], gold_texts), gold_set)
+            scored = ((*read_verdicts(jsonl_lines(files["verdicts"]), gold_texts), gold_set)
                       if "verdicts" in files else None)
             pairs = _load_summaries(files["summaries"]) if "summaries" in files else None
             getattr(bundle, section).append(row(entry, scored, pairs, remote))
@@ -574,7 +580,7 @@ def eval_cmd(cfg: RunConfig, out: str | None) -> None:
     )
     verdicts_path = _optional_input(cfg, "eval", "verdicts")
     if verdicts_path is not None:
-        verdicts, annotations = _read_verdict_file(verdicts_path, gold_texts, predicted)
+        verdicts, annotations = read_verdicts(jsonl_lines(verdicts_path), gold_texts, predicted)
         if verdicts:
             report = alignment_accuracy(verdicts, annotations, gold_set)
             rate = hallucination_rate(verdicts)
@@ -588,7 +594,7 @@ def eval_cmd(cfg: RunConfig, out: str | None) -> None:
         planned = _bundle_from_plan(plan_path, gold_set, gold_texts, cfg)
         planned.ner_nen = bundle.ner_nen
         bundle = planned
-    _write_results("eval", cfg, out_dir, render_report(bundle, out_dir))
+    _write_results("eval", cfg, out_dir, list(render_report(bundle, out_dir).items()))
 
     def fmt(value):
         return "NR" if value is None else f"{value:.3f}"
@@ -638,7 +644,7 @@ def raft(cfg: RunConfig, out: str | None) -> None:
     datapoints = build_raft_dataset(store, questions, n_distractors, index, templates)
     raft_path = Path(out) if out else out_dir / "raft.jsonl"
     _write_results("raft", cfg, out_dir,
-                   {raft_path: "\n".join(raft_to_jsonl(datapoints)) + "\n"}, index)
+                   [(raft_path, "\n".join(raft_to_jsonl(datapoints)) + "\n")], index)
     click.echo(f"{len(datapoints)} RAFT datapoints with {n_distractors} distractors each")
 
 

@@ -131,7 +131,7 @@ def load_config(path: str | Path,
     config_path = Path(path)
     if not config_path.is_file():
         raise FileNotFoundError(f"config file not found: {config_path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are read as written
     try:
         parser.read(config_path, encoding="utf-8")
     except configparser.Error as exc:
@@ -145,7 +145,7 @@ def load_config(path: str | Path,
             value = value.resolve()
         if not parser.has_section(section):
             parser.add_section(section)
-        parser.set(section, key, str(value).replace("%", "%%"))
+        parser.set(section, key, str(value))
     return RunConfig(parser, config_path.parent.resolve())
 
 

@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import random
 import re
+import string
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -202,75 +203,71 @@ class PromptContext:
 # Templates and prompt assembly
 # ---------------------------------------------------------------------------
 
-_TEMPLATE_NAMES = (
-    "task_concept_vs_concept",
-    "task_concept_vs_mention",
-    "documents_section",
-    "examples_section",
-    "example_item",
-    "cot_simple",
-    "cot_strong",
-    "case_concept_vs_concept",
-    "case_concept_vs_mention",
-    "answer_format",
-    "cot_answer",
+# Each prompt template, in load order, and the fields it is rendered with.
+# Both case templates get the same fields, so either renders from one call.
+_CASE_FIELDS = (
+    "preceding_questions", "question", "answer", "mention", "concept_name", "concept_id",
 )
+_TEMPLATE_FIELDS = {
+    "task_concept_vs_concept": (),
+    "task_concept_vs_mention": (),
+    "documents_section": ("documents",),
+    "examples_section": ("examples",),
+    "example_item": tuple(field.name for field in dataclasses.fields(FewShotExample)),
+    "cot_simple": (),
+    "cot_strong": (),
+    "case_concept_vs_concept": _CASE_FIELDS,
+    "case_concept_vs_mention": _CASE_FIELDS,
+    "answer_format": (),
+    "cot_answer": ("question", "concept_name", "concept_id"),
+}
 
 
 class TemplateRegistry:
     """Named prompt templates, loaded from a directory or the built-ins.
 
     Wordings iterate faster than code: pointing the registry at a directory
-    swaps every prompt without a rebuild.
+    swaps every prompt without a rebuild. A template that does not parse, or
+    whose placeholders are not all bare names of its fields, fails at load.
     """
 
     def __init__(self, directory: str | Path | None = None):
+        root = resources.files("phenotag") / "templates" if directory is None else Path(directory)
         self._templates: dict[str, str] = {}
-        self.paths: list[Path] = []  # the files read from ``directory``
-        for name in _TEMPLATE_NAMES:
-            if directory is not None:
-                path = Path(directory) / f"{name}.txt"
-                if not path.is_file():
-                    raise ValidationError(f"template {name!r} missing from {directory}")
-                self.paths.append(path)
-                text = path.read_text(encoding="utf-8")
-            else:
-                text = (
-                    resources.files("phenotag").joinpath(f"templates/{name}.txt").read_text("utf-8")
-                )
-            self._templates[name] = text.rstrip("\n")
+        self.paths: list = []  # the files read; Paths when read from ``directory``
+        for name, fields in _TEMPLATE_FIELDS.items():
+            path = root / f"{name}.txt"
+            if not path.is_file():
+                raise ValidationError(f"template {name!r} missing from {root}")
+            text = path.read_text(encoding="utf-8").rstrip("\n")
+            try:
+                for _, field, _, _ in string.Formatter().parse(text):
+                    if field is not None and field not in fields:
+                        raise ValidationError(f"template {name!r} uses {{{field}}}; "
+                                              f"its fields: {', '.join(fields) or 'none'}")
+                text.format(**dict.fromkeys(fields, ""))  # a bad conversion or spec fails here
+            except (ValueError, KeyError, IndexError) as exc:
+                raise ValidationError(f"template {name!r}: {exc}") from None
+            self.paths.append(path)
+            self._templates[name] = text
 
     def render(self, name: str, **fields: str) -> str:
         return self._templates[name].format(**fields)
 
 
-_DEFAULT_REGISTRY: TemplateRegistry | None = None
-
-
-def _default_registry() -> TemplateRegistry:
-    global _DEFAULT_REGISTRY
-    if _DEFAULT_REGISTRY is None:
-        _DEFAULT_REGISTRY = TemplateRegistry()
-    return _DEFAULT_REGISTRY
-
-
-def _render_preceding(questions: Sequence[str]) -> str:
-    if not questions:
-        return "(none)"
-    return "\n".join(f"- {q}" for q in questions)
+@functools.cache
+def _builtin_templates() -> TemplateRegistry:
+    return TemplateRegistry()
 
 
 def build_prompt(
     spec: PromptSpec, ctx: PromptContext, templates: TemplateRegistry | None = None
 ) -> str:
     """Deterministic prompt rendering; identical (spec, ctx) gives identical bytes."""
-    registry = templates or _default_registry()
+    registry = templates or _builtin_templates()
     concept_vs_mention = spec.strategy is Strategy.ZERO_SHOT_CONCEPT_VS_MENTION
-    sections = [
-        registry.render(
-            "task_concept_vs_mention" if concept_vs_mention else "task_concept_vs_concept"
-        )
-    ]
+    kind = "concept_vs_mention" if concept_vs_mention else "concept_vs_concept"
+    sections = [registry.render(f"task_{kind}")]
     if spec.rag_enabled:
         if not ctx.retrieved_docs:
             raise ValidationError("prompt requires the 'retrieved_docs' section but context has none")
@@ -284,14 +281,7 @@ def build_prompt(
         if not ctx.examples:
             raise ValidationError("prompt requires the 'examples' section but context has none")
         rendered = "\n\n".join(
-            registry.render(
-                "example_item",
-                question=example.question,
-                mention=example.mention,
-                concept=example.concept,
-                verdict=example.verdict,
-            )
-            for example in ctx.examples
+            registry.render("example_item", **vars(example)) for example in ctx.examples
         )
         sections.append(registry.render("examples_section", examples=rendered))
     if spec.cot_variant is CotVariant.SIMPLE:
@@ -301,24 +291,18 @@ def build_prompt(
     concept_name = ctx.backend_concept_name or (
         "no concept" if ctx.backend_concept.is_none else "unknown concept"
     )
-    if concept_vs_mention:
-        case = registry.render(
-            "case_concept_vs_mention",
-            mention=ctx.mention.surface,
-            concept_name=concept_name,
-            concept_id=ctx.backend_concept.render(),
-        )
-    else:
-        case = registry.render(
-            "case_concept_vs_concept",
-            preceding_questions=_render_preceding(ctx.record.preceding_questions),
+    preceding = "\n".join(f"- {q}" for q in ctx.record.preceding_questions) or "(none)"
+    sections.append(
+        registry.render(
+            f"case_{kind}",
+            preceding_questions=preceding,
             question=ctx.record.question_text,
             answer=ctx.record.answer_text,
             mention=ctx.mention.surface,
             concept_name=concept_name,
             concept_id=ctx.backend_concept.render(),
         )
-    sections.append(case)
+    )
     sections.append(registry.render("answer_format"))
     return "\n\n".join(sections)
 
@@ -556,8 +540,7 @@ def render_cot_answer(
 ) -> str:
     """Reasoned answer quoting the oracle document's name and id, ending
     with the canonical concept id on the final ANSWER line."""
-    registry = templates or _default_registry()
-    return registry.render(
+    return (templates or _builtin_templates()).render(
         "cot_answer",
         question=question,
         concept_name=concept.preferred_name,

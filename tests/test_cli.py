@@ -11,9 +11,10 @@ from click.testing import CliRunner
 import phenotag
 from phenotag.cli import _PLAN_SECTIONS, main
 from phenotag.config import derive_seed, load_config
+from phenotag.errors import ValidationError
 from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
-from phenotag.orchestrate import ScriptedLlmBackend
+from phenotag.orchestrate import _TEMPLATE_FIELDS, ScriptedLlmBackend, TemplateRegistry
 
 from conftest import write_e2e_workspace
 
@@ -92,6 +93,17 @@ def test_missing_config_exits_2(tmp_path):
     assert result.exit_code == 2
 
 
+def test_config_values_are_read_as_written(workspace):
+    root, config = workspace
+    config.write_text(config.read_text()
+                      + "\n[embedding]\nendpoint = http://x/a%20b\nlabel = %(endpoint)s\n")
+    result = invoke("ingest", "-c", config)
+    assert result.exit_code == 0, result.output + repr(result.exception)
+    manifest = json.loads((root / "out" / "ingest_manifest.json").read_text())
+    assert manifest["config"]["embedding"] == {"endpoint": "http://x/a%20b",
+                                               "label": "%(endpoint)s"}
+
+
 # --- annotate -----------------------------------------------------------------
 
 def test_annotate_mock_deterministic(workspace):
@@ -103,6 +115,17 @@ def test_annotate_mock_deterministic(workspace):
     assert second.exit_code == 0
     assert (root / "out" / "predictions.jsonl").read_bytes() == predictions
     assert "20 records annotated, 0 failed" in first.output
+
+
+def test_annotate_out_naming_its_corpus_exits_1(workspace):
+    root, config = workspace
+    corpus = (root / "records.jsonl").read_bytes()
+    result = invoke("annotate", "-c", config, "--out", root / "records.jsonl")
+    assert result.exit_code == 1
+    assert (f"error: result file {root / 'records.jsonl'} would overwrite an input"
+            in result.stderr)
+    assert (root / "records.jsonl").read_bytes() == corpus
+    assert not (root / "out" / "annotate_manifest.json").exists()
 
 
 def test_annotate_mock_lexicon_flag(workspace, tmp_path):
@@ -377,6 +400,19 @@ def test_configured_input_that_is_missing_exits_2(workspace, case):
     result = invoke(command, "-c", config, *args)
     assert result.exit_code == 2, result.output + repr(result.exception)
     assert f"[{section}] {key}: no such file {root / 'nowhere'}" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+def test_run_out_and_dump_prompts_naming_one_file_exits_1(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    same = root / "same.jsonl"
+    result = invoke("run", "-c", config, "--strategy", "zero-shot-cvc",
+                    "--out", same, "--dump-prompts", same)
+    assert result.exit_code == 1
+    assert f"error: result file {same} would overwrite another result file" in result.stderr
+    assert not same.exists()
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 
@@ -936,6 +972,26 @@ def test_manifest_names_every_file_its_command_read(workspace, command):
     assert {Path(p).resolve() for p in manifest["inputs"]} == {p.resolve() for p in read}
 
 
+@pytest.mark.parametrize("name, text", [
+    ("answer_format", "Answer {verdict_word}."),
+    ("answer_format", "Answer {}."),
+    ("answer_format", "Answer AGREE {"),
+    ("case_concept_vs_mention", 'Detected mention: "{mention.upper}"'),
+])
+def test_bad_custom_template_exits_1_at_load(workspace, name, text):
+    root, config = workspace
+    write_preprocess_and_templates(root, config)
+    run_pipeline_through_annotate(config)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    (root / "templates" / f"{name}.txt").write_text(text + "\n")
+    with pytest.raises(ValidationError, match=f"^template {name!r}"):
+        TemplateRegistry(root / "templates")
+    result = invoke("run", "-c", config, "--strategy", "rag-fsi")
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert f"error: template {name!r}" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
 def test_raft_renders_the_configured_templates(workspace):
     root, config = workspace
     write_preprocess_and_templates(root, config)
@@ -1048,6 +1104,25 @@ def test_readme_report_plan_table_lists_each_sections_keys():
     assert list(documented.items()) == [
         (section, keys) for section, (keys, _) in _PLAN_SECTIONS.items()
     ]
+
+
+def test_readme_template_table_lists_each_templates_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| Template | Fields |\n|----------|--------|\n")[1].split("\n\n")[0]
+    documented = {}
+    for line in table.splitlines():
+        name, fields = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+        documented[name] = tuple(re.findall(r"`(\w+)`", fields))
+    assert list(documented.items()) == list(_TEMPLATE_FIELDS.items())
+
+
+def test_readme_quick_start_config_loads_as_written(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start")[1].split("```ini\n")[1].split("```")[0]
+    (tmp_path / "config.ini").write_text(block, encoding="utf-8")
+    cfg = load_config(tmp_path / "config.ini")
+    assert cfg.get("ner", "mock_lexicon") == "mock_lexicon.jsonl"
+    assert cfg.get("llm", "scripted") == "llm_rules.jsonl"
 
 
 # --- seed derivation -------------------------------------------------------------

@@ -681,7 +681,7 @@ _FILE_READERS = {
     ),
     "verdicts": (
         {"record_id": _SEPARATORS, "span": [0, 1], "backend_concept": "NONE", "kind": "agree"},
-        lambda tmp_path, path: cli._read_verdict_file(path, {_SEPARATORS: "x"})[1][0].record_id,
+        lambda tmp_path, path: read_verdicts(jsonl_lines(path), {_SEPARATORS: "x"})[1][0].record_id,
     ),
     "mock lexicon": (
         # U+0085, U+2028 and U+2029 are whitespace, so this is a four-word term.

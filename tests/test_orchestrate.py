@@ -18,6 +18,7 @@ from phenotag.orchestrate import (
     Strategy,
     TemplateRegistry,
     VerdictKind,
+    _TEMPLATE_FIELDS,
     build_prompt,
     build_raft_dataset,
     detect_hallucination,
@@ -185,6 +186,13 @@ def test_template_directory_with_the_eleven_prompt_templates_renders(tmp_path):
 def test_template_directory_missing_file(tmp_path):
     with pytest.raises(ValidationError, match="task_concept_vs_concept"):
         TemplateRegistry(tmp_path)
+
+
+def test_package_templates_are_the_tables_templates():
+    from importlib import resources
+
+    names = {item.name for item in (resources.files("phenotag") / "templates").iterdir()}
+    assert names == {f"{name}.txt" for name in _TEMPLATE_FIELDS}
 
 
 def test_spec_validation():
