@@ -59,6 +59,7 @@ from .evaluate import (
     write_verdicts,
 )
 from .ontology import (
+    INDEX_FILE,
     HashedBagOfWordsProvider,
     OntologyIndex,
     RemoteEmbeddingProvider,
@@ -149,23 +150,25 @@ def _write_results(command: str, cfg: RunConfig, out_dir: Path,
     """The one write path for manifests and result files, called once a
     command has computed every ``(path, text)`` in ``files``.
 
-    A result path, the manifest's included, that is one of ``cfg.inputs``
-    or another result raises ValidationError before anything is written.
-    Then ``<command>_manifest.json`` in ``out_dir`` first names every file in
+    A result path, the manifest's included, that is one of ``cfg.inputs``,
+    another result or one of the index cache's two files raises
+    ValidationError before anything is written. Then
+    ``<command>_manifest.json`` in ``out_dir`` first names every file in
     ``cfg.inputs`` and, with ``index``, the cache sidecar: an input when
     the matrix was read, an output when it was written. Then each text is
     written atomically, and the manifest is rewritten with the output
     checksums.
     """
     manifest = RunManifest(command, cfg, out_dir)
-    inputs = {path.resolve() for path in cfg.inputs}
-    written: set[Path] = set()
+    taken = {path.resolve(): "an input" for path in cfg.inputs}
+    if index is not None and index.cache_sidecar is not None:
+        for path in (index.cache_sidecar, index.cache_sidecar.with_name(INDEX_FILE)):
+            taken[path.resolve()] = "the ontology index cache"
     for path in [manifest.path, *(path for path, _ in files)]:
         resolved = path.resolve()
-        if resolved in inputs or resolved in written:
-            what = "an input" if resolved in inputs else "another result file"
-            raise ValidationError(f"result file {path} would overwrite {what}")
-        written.add(resolved)
+        if resolved in taken:
+            raise ValidationError(f"result file {path} would overwrite {taken[resolved]}")
+        taken[resolved] = "another result file"
     for path in cfg.inputs:
         manifest.add_input(path)
     if index is not None and index.cache_read:

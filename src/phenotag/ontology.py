@@ -90,9 +90,14 @@ class OntologyStore:
     def __init__(self, concepts: Iterable[OntologyConcept]):
         self._by_id: dict[ConceptId, OntologyConcept] = {}
         for concept in concepts:
-            if concept.concept_id in self._by_id:
-                raise ValidationError(f"duplicate concept_id {concept.concept_id}")
-            self._by_id[concept.concept_id] = concept
+            self._add(concept)
+
+    def _add(self, concept: OntologyConcept) -> None:
+        """Add ``concept``, rejecting an id the store already holds; the one
+        duplicate check, shared with ``load_ontology``."""
+        if concept.concept_id in self._by_id:
+            raise ValidationError(f"duplicate concept_id {concept.concept_id}")
+        self._by_id[concept.concept_id] = concept
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -122,21 +127,18 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
         lines: Iterable[str] = jsonl_lines(source)
     else:
         lines = source
-    seen: set[ConceptId] = set()
+    store = OntologyStore(())
 
-    def parse(_lineno: int, obj) -> OntologyConcept:
-        concept = OntologyConcept(
+    def parse(_lineno: int, obj) -> None:
+        store._add(OntologyConcept(
             concept_id=ConceptId.parse(obj["concept_id"]),
             preferred_name=json_field(obj, "preferred_name", str, ""),
             description=json_field(obj, "description", str, ""),
             synonyms=tuple(json_field(obj, "synonyms", list[str], [])),
-        )
-        if concept.concept_id in seen:
-            raise ValidationError(f"duplicate concept_id {concept.concept_id}")
-        seen.add(concept.concept_id)
-        return concept
+        ))
 
-    return OntologyStore(read_jsonl(lines, "concept", parse))
+    read_jsonl(lines, "concept", parse)
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +417,9 @@ class OntologyIndex:
 
     Immutable after build; rebuilding from the same store and provider
     yields identical vectors. Exhaustive scan is deliberate: at the
-    disease-subset scale nothing fancier pays for itself.
+    disease-subset scale nothing fancier pays for itself. The index serves
+    each concept's retrieval document (``document``) and ranks each
+    distinct query vector once (``top_k``).
 
     With ``cache_dir``, the matrix is read from ``INDEX_FILE`` there when
     its sidecar holds this store's and provider's key and the matrix's
@@ -429,7 +433,13 @@ class OntologyIndex:
         self.provider = provider
         concepts = store.concepts()
         self._concept_ids: list[ConceptId] = [concept.concept_id for concept in concepts]
-        bodies = [build_rag_document(concept).body for concept in concepts]
+        self._rows = dict(zip(self._concept_ids, range(len(concepts))))
+        # Bodies, not RagDocuments: a long-lived document object per concept
+        # costs more in garbage-collector passes than one built per
+        # ``document`` call.
+        self._bodies = bodies = [build_rag_document(concept).body for concept in concepts]
+        # (k, query vector bytes) -> that query's ranking; see top_k.
+        self._rankings: dict[tuple[int, bytes], tuple[tuple[ConceptId, float], ...]] = {}
         self.cache_sidecar: Path | None = None
         self.cache_read = False
         if cache_dir is None:
@@ -445,14 +455,23 @@ class OntologyIndex:
             _write_index(cache_dir, key, matrix)
         self._matrix = matrix
 
+    def document(self, concept_id: ConceptId) -> RagDocument:
+        """The retrieval document this index embedded for ``concept_id``."""
+        return RagDocument(concept_id, self._bodies[self._rows[concept_id]])
+
     def top_k(self, query_text: str, k: int) -> list[tuple[ConceptId, float]]:
         """Concepts ranked by descending cosine against the query embedding;
-        ties in the computed score broken by ascending concept id; at most
-        ``k`` results.
+        at most ``k`` results. Scores that are equal as the matrix-vector
+        product rounds them rank by ascending concept id.
 
-        Mathematically equal cosines can come out of the matrix-vector
-        product a few ulps apart, so their order follows the product's
-        summation order, and any change to that order can reorder them."""
+        Mathematically equal cosines can come out of the product a few ulps
+        apart, so their order follows the product's summation order, and any
+        change to that order can reorder them.
+
+        Every query is embedded, but each distinct (``k``, query vector
+        bytes) is ranked once per index: the same vector gives the same
+        product bytes, so a repeat gets a copy of the first ranking, ties
+        included, exactly as ranking it again would."""
         import numpy as np
 
         if k <= 0:
@@ -460,6 +479,10 @@ class OntologyIndex:
         if not query_text.strip():
             raise ValidationError("empty retrieval query")
         query = self.provider.embed(query_text)
+        key = (k, query.tobytes())
+        ranking = self._rankings.get(key)
+        if ranking is not None:
+            return list(ranking)
         scores = self._matrix @ query
         # Rows follow store.concepts(), which is ascending id rendering, so a
         # stable sort on -score ranks exactly as sorting on (-score, id) would.
@@ -473,4 +496,8 @@ class OntologyIndex:
             top = candidates[np.argsort(-scores[candidates], kind="stable")][:k]
         else:
             top = np.argsort(-scores, kind="stable")
-        return [(self._concept_ids[row], float(scores[row])) for row in top.tolist()]
+        # Concurrent callers may both rank one miss; they store equal tuples.
+        ranking = self._rankings[key] = tuple(
+            (self._concept_ids[row], float(scores[row])) for row in top.tolist()
+        )
+        return list(ranking)

@@ -30,7 +30,7 @@ from .corpus import (
     read_jsonl,
 )
 from .errors import BackendError, ValidationError
-from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument, build_rag_document
+from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument
 from .transport import call_with_retry, post_json, send, window_map
 
 __all__ = [
@@ -485,7 +485,7 @@ def run_strategy(
         if spec.rag_enabled:
             query = " ".join(part for part in (annotation.surface, record.question_text) if part)
             ranked = index.top_k(query, spec.retrieval_k)
-            docs = tuple(build_rag_document(store.get(cid)) for cid, _ in ranked)
+            docs = tuple(index.document(cid) for cid, _ in ranked)
         name = None
         if annotation.concept in store:
             name = store.get(annotation.concept).preferred_name
@@ -578,16 +578,13 @@ def build_raft_dataset(
     check_raft_inputs(store, questions, n_distractors)
     datapoints = []
     for question, gold_id in questions:
-        oracle = build_rag_document(store.get(gold_id))
         ranked = index.top_k(question, n_distractors + 1)
         distractor_ids = [cid for cid, _ in ranked if cid != gold_id][:n_distractors]
         datapoints.append(
             RaftDatapoint(
                 question=question,
-                oracle_doc=oracle,
-                distractor_docs=tuple(
-                    build_rag_document(store.get(cid)) for cid in distractor_ids
-                ),
+                oracle_doc=index.document(gold_id),
+                distractor_docs=tuple(index.document(cid) for cid in distractor_ids),
                 cot_answer=render_cot_answer(store.get(gold_id), question, templates),
             )
         )

@@ -416,6 +416,22 @@ def test_run_out_and_dump_prompts_naming_one_file_exits_1(workspace):
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 
+@pytest.mark.parametrize("cache_file", [INDEX_FILE, INDEX_SIDECAR])
+@pytest.mark.parametrize("command", [["run", "--strategy", "rag-fsi"], ["raft"]])
+def test_out_naming_the_index_cache_exits_1(workspace, command, cache_file):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    raft_setup(root, config)
+    assert invoke(command[0], "-c", config, *command[1:]).exit_code == 0
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    target = root / "out" / cache_file
+    result = invoke(command[0], "-c", config, *command[1:], "--out", target)
+    assert result.exit_code == 1
+    assert (f"error: result file {target} would overwrite the ontology index cache"
+            in result.stderr)
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
 def test_eval_record_mismatch_exits_1_naming_ids(workspace):
     root, config = workspace
     run_pipeline_through_annotate(config)

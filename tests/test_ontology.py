@@ -381,6 +381,65 @@ def test_top_k_matches_seed_ranking_with_more_than_k_tied_at_kth():
         assert index.top_k("asthma", k) == seed_top_k(store, "asthma", k)
 
 
+# --- the ranking memo -------------------------------------------------------
+
+@st.composite
+def _repeated_queries(draw, max_k):
+    """(query, k) pairs over a few word lists, each rendered with its own
+    case, separators and end punctuation, so many pairs embed alike."""
+    bases = draw(st.lists(st.lists(
+        st.sampled_from(_DISEASE_WORDS + ("migraine", "fever")), min_size=1, max_size=3,
+    ), min_size=1, max_size=3))
+    queries = []
+    for _ in range(draw(st.integers(1, 12))):
+        case = draw(st.sampled_from((str.lower, str.upper, str.title)))
+        separator = draw(st.sampled_from((" ", ", ", " - ", "\n", "; ")))
+        words = separator.join(case(word) for word in draw(st.sampled_from(bases)))
+        queries.append((words + draw(st.sampled_from(("", "?", " ."))),
+                        draw(st.integers(1, max_k))))
+    return queries
+
+
+@given(store=_tied_stores(), data=st.data())
+def test_repeated_queries_rank_as_on_a_fresh_index(store, data):
+    index = OntologyIndex(store, HashedBagOfWordsProvider())
+    for query, k in data.draw(_repeated_queries(len(store) + 2), label="queries"):
+        got = index.top_k(query, k)
+        assert got == OntologyIndex(store, HashedBagOfWordsProvider()).top_k(query, k)
+        got.reverse()  # a caller's edits must not reach later answers
+        got.pop()
+
+
+class CountingMatrix:
+    """Stands in for an index matrix and counts the products taken with it."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.products = 0
+
+    def __matmul__(self, query):
+        self.products += 1
+        return self.matrix @ query
+
+
+def test_each_distinct_query_vector_is_ranked_once(store10):
+    index = OntologyIndex(store10, HashedBagOfWordsProvider())
+    index._matrix = CountingMatrix(index._matrix)
+    first = index.top_k("chronic disorder", 3)
+    for query in ("chronic disorder", "Chronic, DISORDER?", "disorder chronic"):
+        assert index.top_k(query, 3) == first
+    assert index._matrix.products == 1
+    index.top_k("chronic disorder", 4)
+    index.top_k("chronic heart disorder", 3)
+    assert index._matrix.products == 3
+
+
+def test_index_documents_are_the_rendered_documents(store10):
+    index = OntologyIndex(store10, HashedBagOfWordsProvider())
+    for concept in store10.concepts():
+        assert index.document(concept.concept_id) == build_rag_document(concept)
+
+
 def test_stemmer_consistency():
     assert stem_token("classes") == "class"
     assert stem_token("allergies") == "allergy"
@@ -519,6 +578,16 @@ def test_malformed_response_is_a_retried_backend_error(response, detail):
     with pytest.raises(BackendError, match=detail):
         remote(transport, retry_budget=1).embed("asthma")
     assert len(calls) == 2
+
+
+def test_remote_provider_embeds_every_top_k_call_when_queries_repeat():
+    transport = HashedTransport(16)
+    index = OntologyIndex(numbered_store(10), remote(transport))
+    reference = OntologyIndex(numbered_store(10), remote(HashedTransport(16)))
+    queries = ["disease number 3", "Disease, number 3?", "disease number 3", "number 7"] * 3
+    for calls, query in enumerate(queries, start=11):
+        assert index.top_k(query, 3) == reference.top_k(query, 3)
+        assert transport.calls == calls
 
 
 def test_interrupted_index_build_sends_no_queued_text(monkeypatch):

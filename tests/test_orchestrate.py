@@ -523,6 +523,47 @@ def test_prompt_sink_follows_annotation_order_under_concurrency(store10):
         assert sunk == annotations
 
 
+def test_repeated_mentions_judge_alike_under_concurrent_retrieval(store10):
+    # Every record asks one question and mentions one of three concepts, so
+    # retrieval queries repeat; embedding sleeps, so workers race on a query.
+    concepts = store10.concepts()[:3]
+    records, annotations = [], []
+    for i in range(30):
+        name = concepts[i % 3].preferred_name
+        answer = f"the patient reports {name} daily"
+        records.append(SurveyRecord(f"r{i:03d}", "Any conditions?", answer, FieldType.DESCRIPTIVE))
+        begin = answer.index(name)
+        annotations.append(NormalizedAnnotation(
+            f"r{i:03d}", TextSpan(begin, begin + len(name)), name, concepts[i % 3].concept_id,
+            Source.NER_BACKEND,
+        ))
+
+    class SlowProvider(HashedBagOfWordsProvider):
+        def embed(self, text):
+            time.sleep(random.uniform(0, 0.002))
+            return super().embed(text)
+
+    llm = ScriptedLlmBackend([
+        {"contains": f"ID: {concepts[1].concept_id.render()}",
+         "response": f"DISAGREE {concepts[2].concept_id.render()}"},
+        {"contains": "", "response": "AGREE"},
+    ])
+
+    def run(max_inflight):
+        prompts = []
+        results = run_strategy(
+            Corpus(records), annotations, PromptSpec(Strategy.RAG_FSI, k=0, retrieval_k=2),
+            llm, store10, index=OntologyIndex(store10, SlowProvider()), seed=1,
+            max_inflight=max_inflight, prompt_sink=lambda a, p: prompts.append(p),
+        )
+        return results, prompts
+
+    serial = run(1)
+    assert {verdict.kind for _, verdict in serial[0]} == {VerdictKind.AGREE, VerdictKind.DISAGREE}
+    for _ in range(3):
+        assert run(4) == serial
+
+
 class RecordingLlm:
     """Answers AGREE to every prompt and keeps each prompt it was sent."""
 
