@@ -119,18 +119,22 @@ class MockNerBackend:
     "Asthma, episodes" and "asthma\\n\\nepisodes". A term must be lowercase
     and non-empty, and each of its whitespace-separated words must be all
     word characters; any other term could never match and is rejected.
+
+    The lexicon maps each term to a canonical concept-id string (as
+    ``ConceptId.canonical`` gives, e.g. ``"mesh:D001249"``), which each
+    annotation's ``"id"`` carries unchanged; the ids are not checked again.
     """
 
-    def __init__(self, lexicon: Mapping[str, ConceptId]):
+    def __init__(self, lexicon: Mapping[str, str]):
         if not lexicon:
             raise ValueError("mock lexicon must be non-empty")
-        # Word tuple -> rendered id; of two terms that split alike, the first keeps it.
+        # Word tuple -> concept id; of two terms that split alike, the first keeps it.
         self._ids: dict[tuple[str, ...], str] = {}
         # Start word -> its terms' word counts, longest first, so "asthma
         # episodes" beats "asthma". Most start words have one length, so only
         # a second, different length merges and sorts.
         self._lengths: dict[str, tuple[int, ...]] = {}
-        for term, concept in lexicon.items():
+        for term, concept_id in lexicon.items():
             words = tuple(term.split())
             if not words or term != term.lower():
                 raise ValueError(f"lexicon terms must be non-empty lowercase, got {term!r}")
@@ -138,7 +142,7 @@ class MockNerBackend:
                 raise ValueError(
                     f"lexicon term {term!r} can never match: its words must be word characters only"
                 )
-            self._ids.setdefault(words, concept.render())
+            self._ids.setdefault(words, concept_id)
             known = self._lengths.get(words[0])
             if known is None:
                 self._lengths[words[0]] = (len(words),)
@@ -190,10 +194,11 @@ def parse_backend_response(
 ) -> list[NormalizedAnnotation]:
     """Parse one text's result entry into disease annotations.
 
-    Keeps only obj == "disease". An id list that is empty or all sentinel
-    ("CUI-less") maps to the NONE concept; otherwise the first id that
-    parses as a MeSH concept wins. A result or entry that is not an object,
-    or a kept entry whose id is not a list, raises ValidationError.
+    Keeps only obj == "disease". The first id that parses as a MeSH concept
+    wins; an id list with none (empty, or only "CUI-less", "NONE" and
+    unparseable ids) maps to the NONE concept. A result or entry that is
+    not an object, or a kept entry whose id is not a list, raises
+    ValidationError.
     """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"backend result for record {record_id!r} is not an object")
@@ -226,10 +231,12 @@ def parse_backend_response(
             if not isinstance(candidate, str) or candidate.strip().upper() == "CUI-LESS":
                 continue
             try:
-                concept = ConceptId.parse(candidate)
-                break
+                parsed = ConceptId.parse(candidate)
             except ValueError:
                 continue
+            if not parsed.is_none:
+                concept = parsed
+                break
         annotations.append(
             NormalizedAnnotation(
                 record_id=record_id,

@@ -238,14 +238,15 @@ def ingest(cfg: RunConfig) -> None:
 # annotate
 # ---------------------------------------------------------------------------
 
-def _load_mock_lexicon(path: Path) -> dict[str, ConceptId]:
-    lexicon: dict[str, ConceptId] = {}
+def _load_mock_lexicon(path: Path) -> dict[str, str]:
+    """Term -> canonical concept id; the one check of the file's ids."""
+    lexicon: dict[str, str] = {}
 
     def add(_lineno: int, obj) -> None:
         term = json_field(obj, "term", str)
         if term in lexicon:
             raise ValidationError(f"duplicate term {term!r}")
-        lexicon[term] = ConceptId.parse(obj["concept_id"])
+        lexicon[term] = ConceptId.canonical(obj["concept_id"])
 
     read_jsonl(jsonl_lines(path), "lexicon entry", add)
     return lexicon

@@ -13,7 +13,6 @@ import configparser
 import hashlib
 import json
 import os
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Callable, Mapping
@@ -155,12 +154,24 @@ def derive_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest, "big")
 
 
+# Mode 0666 lets the umask set the file's permissions, as for a plain create.
+_TEMP_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+               | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
+
+
 def atomic_write(path: str | Path, write: Callable[[IO], object], mode: str = "w") -> Path:
     """Write-temp-then-rename so readers never see a partial file: ``write``
-    gets the temp file, opened in ``mode``, beside ``path``."""
+    gets the temp file, opened in ``mode``, beside ``path``. The file gets
+    the permissions ``open(path, "w")`` would give it (0666 less the umask)."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
+    while True:
+        tmp_name = target.parent / f".{target.name}.{os.urandom(6).hex()}"
+        try:
+            fd = os.open(tmp_name, _TEMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8") as handle:
             write(handle)

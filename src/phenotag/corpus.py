@@ -100,6 +100,7 @@ class TextSpan:
 
 _MESH_IDENTIFIER = re.compile(r"D[0-9]+")
 _MESH_RENDERING = re.compile(r"mesh:(d[0-9]+)", re.IGNORECASE)
+_MESH_CANONICAL = re.compile(r"mesh:D[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -136,6 +137,14 @@ class ConceptId:
         concept = object.__new__(cls)
         object.__setattr__(concept, "identifier", "D" + match.group(1)[1:])
         return concept
+
+    @classmethod
+    def canonical(cls, text: str) -> str:
+        """``parse(text).render()``, raising as ``parse`` does; a text that is
+        already canonical MeSH is returned as it is, building nothing."""
+        if isinstance(text, str) and _MESH_CANONICAL.fullmatch(text):
+            return text
+        return cls.parse(text).render()
 
     def render(self) -> str:
         return "NONE" if self.identifier is None else f"mesh:{self.identifier}"

@@ -58,6 +58,19 @@ def test_parse_first_mesh_id_wins():
     assert ann.concept == ASTHMA
 
 
+@pytest.mark.parametrize("ids", [["NONE", "mesh:D001249"], ["omim:123", "mesh:D001249"]])
+def test_parse_mesh_id_after_a_none_or_foreign_id_wins(ids):
+    payload = {"annotations": [entry("asthma", 0, 6, ids=ids)]}
+    (ann,) = parse_backend_response(payload, "asthma attack", "r1")
+    assert ann.concept == ASTHMA
+
+
+def test_parse_all_none_ids_map_to_none():
+    payload = {"annotations": [entry("asthma", 0, 6, ids=["NONE", " none ", "CUI-less"])]}
+    (ann,) = parse_backend_response(payload, "asthma attack", "r1")
+    assert ann.concept is NONE_CONCEPT
+
+
 def test_parse_span_out_of_bounds_is_error():
     payload = {"annotations": [entry("asthma", 10, 20)]}
     with pytest.raises(ValidationError, match="span"):
@@ -73,7 +86,7 @@ def test_parse_mention_mismatch_is_error():
 # --- mock backend -----------------------------------------------------------
 
 def test_mock_longest_match_wins():
-    backend = MockNerBackend({"asthma": ASTHMA, "asthma episodes": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA.render(), "asthma episodes": ASTHMA.render()})
     result = backend.submit(["asthma episodes daily"])
     (ann,) = result["results"][0]["annotations"]
     assert (ann["span"]["begin"], ann["span"]["end"]) == (0, 15)
@@ -81,18 +94,18 @@ def test_mock_longest_match_wins():
 
 
 def test_mock_no_term_no_annotations():
-    backend = MockNerBackend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA.render()})
     assert backend.submit(["feeling fine"])["results"][0]["annotations"] == []
 
 
 def test_mock_deterministic():
-    backend = MockNerBackend({"asthma": ASTHMA, "eczema": ConceptId("D004485")})
+    backend = MockNerBackend({"asthma": ASTHMA.render(), "eczema": ConceptId("D004485").render()})
     text = "eczema then asthma then eczema"
     assert backend.submit([text]) == backend.submit([text])
 
 
 def test_mock_is_case_insensitive_whole_token():
-    backend = MockNerBackend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA.render()})
     result = backend.submit(["ASTHMA but not asthmatic"])
     anns = result["results"][0]["annotations"]
     assert len(anns) == 1
@@ -103,19 +116,19 @@ def test_mock_rejects_bad_lexicon():
     with pytest.raises(ValueError):
         MockNerBackend({})
     with pytest.raises(ValueError):
-        MockNerBackend({"Asthma": ASTHMA})
+        MockNerBackend({"Asthma": ASTHMA.render()})
 
 
 def test_mock_rejects_whitespace_only_term():
     # split() gives no words: a term of length 0 would never advance the scan
     with pytest.raises(ValueError, match="non-empty lowercase"):
-        MockNerBackend({"asthma": ASTHMA, "   ": ASTHMA})
+        MockNerBackend({"asthma": ASTHMA.render(), "   ": ASTHMA.render()})
 
 
 @pytest.mark.parametrize("term", ["crohn's disease", "covid-19"])
 def test_mock_rejects_term_with_non_word_characters(term):
     with pytest.raises(ValueError, match=term):
-        MockNerBackend({"asthma": ASTHMA, term: ASTHMA})
+        MockNerBackend({"asthma": ASTHMA.render(), term: ASTHMA.render()})
 
 
 def seed_term_error(term):
@@ -141,7 +154,7 @@ _TERM_ALPHABET = (
 @given(term=st.one_of(st.text(alphabet=_TERM_ALPHABET, max_size=12), st.text(max_size=12)))
 def test_mock_term_check_matches_seed_check(term):
     try:
-        MockNerBackend({term: ASTHMA})
+        MockNerBackend({term: ASTHMA.render()})
     except ValueError as exc:
         assert str(exc) == seed_term_error(term)
     else:
@@ -149,7 +162,7 @@ def test_mock_term_check_matches_seed_check(term):
 
 
 def test_mock_multiword_term_spans_any_non_word_run():
-    backend = MockNerBackend({"asthma episodes": ASTHMA})
+    backend = MockNerBackend({"asthma episodes": ASTHMA.render()})
     texts = ["asthma episodes", "Asthma, episodes", "asthma\n\nepisodes", "asthma-episodes"]
     results = backend.submit(texts)["results"]
     assert [[a["mention"] for a in r["annotations"]] for r in results] == [[t] for t in texts]
@@ -225,7 +238,8 @@ def test_mock_scan_matches_seed_scan(data):
     lexicon = data.draw(_lexicons(), label="lexicon")
     texts = data.draw(st.lists(_texts(tuple(lexicon) + _TEXT_WORDS), min_size=1, max_size=4),
                       label="texts")
-    results = MockNerBackend(lexicon).submit(texts)["results"]
+    rendered = {term: concept.render() for term, concept in lexicon.items()}
+    results = MockNerBackend(rendered).submit(texts)["results"]
     assert [r["annotations"] for r in results] == [seed_scan(lexicon, t) for t in texts]
 
 
@@ -246,12 +260,12 @@ def test_submitted_text_empty_question_sends_answer_alone():
 # --- annotate_batch ---------------------------------------------------------
 
 def test_empty_record_list():
-    backend = MockNerBackend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA.render()})
     assert annotate_batch([], backend, BackendConfig()) == []
 
 
 def test_lexicon_annotation_span_hand_counted():
-    backend = MockNerBackend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA.render()})
     outcomes = annotate_batch([record("r1", "child has asthma")], backend, BackendConfig())
     (outcome,) = outcomes
     assert outcome.status == "ok"
@@ -272,7 +286,7 @@ class ErrorOnTextBackend:
 
 
 def test_failure_isolation_ok_failed_ok():
-    inner = MockNerBackend({"asthma": ASTHMA})
+    inner = MockNerBackend({"asthma": ASTHMA.render()})
     backend = ErrorOnTextBackend(inner, poison="BROKEN")
     records = [record("r1", "has asthma"), record("r2", "BROKEN"), record("r3", "no issues")]
     outcomes = annotate_batch(records, backend, BackendConfig(batch_size=1, retry_budget=1))
@@ -296,14 +310,14 @@ class FlakyBackend:
 
 
 def test_retry_budget_consumed_then_success():
-    backend = FlakyBackend(MockNerBackend({"asthma": ASTHMA}), failures_before_success=2)
+    backend = FlakyBackend(MockNerBackend({"asthma": ASTHMA.render()}), failures_before_success=2)
     outcomes = annotate_batch([record("r1", "has asthma")], backend, BackendConfig(retry_budget=2))
     assert outcomes[0].status == "ok"
     assert backend.attempts == 3
 
 
 def test_retry_budget_exhausted_fails_record():
-    backend = FlakyBackend(MockNerBackend({"asthma": ASTHMA}), failures_before_success=5)
+    backend = FlakyBackend(MockNerBackend({"asthma": ASTHMA.render()}), failures_before_success=5)
     outcomes = annotate_batch([record("r1", "has asthma")], backend, BackendConfig(retry_budget=1))
     assert outcomes[0].status == "failed"
     assert backend.attempts == 2
@@ -341,7 +355,7 @@ class JitterBackend:
 
 def test_output_order_matches_input_order_under_concurrency():
     records = [record(f"r{i:02d}", f"case {i} asthma") for i in range(16)]
-    backend = JitterBackend(MockNerBackend({"asthma": ASTHMA}))
+    backend = JitterBackend(MockNerBackend({"asthma": ASTHMA.render()}))
     outcomes = annotate_batch(records, backend, BackendConfig(batch_size=1, max_inflight=8))
     assert [o.record_id for o in outcomes] == [r.record_id for r in records]
     assert all(o.status == "ok" for o in outcomes)
@@ -374,7 +388,7 @@ class InflightProbe:
 
 def test_max_inflight_never_exceeded():
     records = [record(f"r{i:02d}", "has asthma") for i in range(12)]
-    probe = InflightProbe(MockNerBackend({"asthma": ASTHMA}), delay_s=0.01)
+    probe = InflightProbe(MockNerBackend({"asthma": ASTHMA.render()}), delay_s=0.01)
     annotate_batch(records, probe, BackendConfig(batch_size=1, max_inflight=3))
     assert probe.calls == 12
     assert probe.high_water <= 3
@@ -444,7 +458,7 @@ def test_misaligned_results_fail_whole_chunk():
 def test_question_join_recorded_and_round_trips():
     from phenotag.annotate import read_outcomes, write_outcomes
 
-    backend = MockNerBackend({"asthma": ASTHMA})
+    backend = MockNerBackend({"asthma": ASTHMA.render()})
     records = [
         record("r1", "has asthma", question="Any conditions?"),
         record("r2", "has asthma"),
@@ -457,7 +471,7 @@ def test_question_join_recorded_and_round_trips():
 
 
 def test_all_annotations_carry_backend_source():
-    backend = MockNerBackend({"asthma": ASTHMA, "eczema": ConceptId("D004485")})
+    backend = MockNerBackend({"asthma": ASTHMA.render(), "eczema": ConceptId("D004485").render()})
     records = [record(f"r{i}", "asthma and eczema here") for i in range(4)]
     for outcome in annotate_batch(records, backend, BackendConfig(batch_size=2)):
         assert outcome.annotations

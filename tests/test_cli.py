@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import phenotag
 from phenotag.cli import _PLAN_SECTIONS, main
-from phenotag.config import derive_seed, load_config
+from phenotag.config import atomic_write, atomic_write_text, derive_seed, load_config
 from phenotag.errors import ValidationError
 from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
@@ -144,6 +144,37 @@ def test_annotate_duplicate_lexicon_term_exits_1(workspace):
     result = invoke("annotate", "-c", config)
     assert result.exit_code == 1
     assert "line 5" in result.stderr and "duplicate term 'asthma'" in result.stderr
+    assert not (root / "out" / "predictions.jsonl").exists()
+
+
+def write_lexicon(path, ids):
+    path.write_text("".join(json.dumps({"term": term, "concept_id": concept_id}) + "\n"
+                            for term, concept_id in ids.items()))
+
+
+def test_annotate_lexicon_ids_in_any_accepted_form_give_the_same_predictions(workspace):
+    root, config = workspace
+    lexicon, predictions = root / "mock_lexicon.jsonl", root / "out" / "predictions.jsonl"
+    written = {"asthma": "MESH:d001249", "eczema": " mesh:D004485 ", "migraine": "none"}
+    canonical = {"asthma": "mesh:D001249", "eczema": "mesh:D004485", "migraine": "NONE"}
+    outputs = []
+    for ids in (written, canonical):
+        write_lexicon(lexicon, ids)
+        result = invoke("annotate", "-c", config)
+        assert result.exit_code == 0, result.output
+        outputs.append(predictions.read_bytes())
+    assert outputs[0] == outputs[1]
+    concepts = {annotation["concept"] for line in outputs[1].decode().splitlines()
+                for annotation in json.loads(line)["annotations"]}
+    assert concepts == set(canonical.values())
+
+
+def test_annotate_malformed_lexicon_id_exits_1_naming_its_line(workspace):
+    root, config = workspace
+    write_lexicon(root / "mock_lexicon.jsonl", {"asthma": "mesh:D001249", "croup": "mesh:X"})
+    result = invoke("annotate", "-c", config)
+    assert result.exit_code == 1
+    assert "line 2: bad lexicon entry: cannot parse concept id 'mesh:X'" in result.stderr
     assert not (root / "out" / "predictions.jsonl").exists()
 
 
@@ -618,6 +649,33 @@ def test_manifest_written_with_config_and_checksums(workspace):
     assert manifest["config"]["run"]["seed"] == "7"
     assert manifest["inputs"] and manifest["outputs"]
     assert all(len(v) == 64 for v in manifest["inputs"].values())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_atomic_writes_get_a_plain_creates_permissions(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        (tmp_path / "plain.txt").write_text("x")
+        atomic_write_text(tmp_path / "atomic.txt", "x")
+        atomic_write(tmp_path / "atomic.bin", lambda handle: handle.write(b"x"), "wb")
+    finally:
+        os.umask(previous)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(["plain.txt", "atomic.txt", "atomic.bin"], 0o666 & ~umask)
+
+
+def test_failed_atomic_write_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "result.txt"
+    target.write_text("before")
+
+    def fail(handle):
+        handle.write("partial")
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="write failed"):
+        atomic_write(target, fail)
+    assert [p.name for p in tmp_path.iterdir()] == ["result.txt"]
+    assert target.read_text() == "before"
 
 
 # --- raft ----------------------------------------------------------------------

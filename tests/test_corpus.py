@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phenotag import cli
@@ -503,6 +503,52 @@ def test_concept_id_parse_rejects_non_string_with_type_error(value):
     # A TypeError is what the JSONL readers turn into "line N: bad ..." (exit 1).
     with pytest.raises(TypeError, match="must be a string"):
         ConceptId.parse(value)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Canonical ids, their case and whitespace variants ("ſ" folds to "s" under
+# re.IGNORECASE), missing or non-ASCII digits, NONE in any case, any text
+# and values that are not strings.
+_CONCEPT_ID_INPUTS = st.one_of(
+    st.builds(
+        lambda lead, prefix, d, digits, trail: lead + prefix + d + digits + trail,
+        st.sampled_from(["", "", " ", "\t", "\u2028"]),
+        st.sampled_from(["mesh:", "MESH:", "MeSh:", "me\u017fh:", "mesh", ""]),
+        st.sampled_from(["D", "d", ""]),
+        st.one_of(st.text(alphabet="0123456789", min_size=1, max_size=6),
+                  st.text(alphabet="0123456789\u0661\uff19x", max_size=6)),
+        st.sampled_from(["", "", " ", "\n"]),
+    ),
+    st.sampled_from(["NONE", "none", " None\n", "NONE1", "mesh:NONE"]),
+    st.text(max_size=12),
+    st.one_of(st.none(), st.integers(), st.floats(), st.binary(max_size=8),
+              st.lists(st.text(max_size=3), max_size=2)),
+)
+
+
+@settings(max_examples=500)
+@given(text=_CONCEPT_ID_INPUTS)
+@example(text="mesh:D001249")
+@example(text="MESH:d001249")
+@example(text=" mesh:D001249 ")
+@example(text="none")
+@example(text="mesh:D")
+@example(text="mesh:D\u0661")
+@example(text=b"mesh:D001249")
+@example(text=None)
+def test_concept_id_canonical_equals_parse_then_render(text):
+    assert _outcome(lambda: ConceptId.canonical(text)) == _outcome(
+        lambda: ConceptId.parse(text).render()
+    )
+    if isinstance(text, str) and re.fullmatch(r"mesh:D[0-9]+", text):
+        assert ConceptId.canonical(text) is text
 
 
 @pytest.mark.parametrize("identifier", ["bad", "D", "d001", "D12x", "mesh:D001"])
