@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .corpus import (
-    ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, json_field, jsonl_line,
-    offsets, read_jsonl,
+    MESH_ID, ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, json_field,
+    jsonl_line, offsets, read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, post_json, send, window_map
@@ -194,11 +194,11 @@ def parse_backend_response(
 ) -> list[NormalizedAnnotation]:
     """Parse one text's result entry into disease annotations.
 
-    Keeps only obj == "disease". The first id that parses as a MeSH concept
-    wins; an id list with none (empty, or only "CUI-less", "NONE" and
-    unparseable ids) maps to the NONE concept. A result or entry that is
-    not an object, or a kept entry whose id is not a list, raises
-    ValidationError.
+    Keeps only obj == "disease". The first string id whose ``strip()`` is in
+    the concept-id grammar (``corpus.MESH_ID``) wins; an id list with none
+    (empty, or only "CUI-less", "NONE" and other ids) maps to the NONE
+    concept. A result or entry that is not an object, or a kept entry whose
+    id is not a list, raises ValidationError.
     """
     if not isinstance(payload, Mapping):
         raise ValidationError(f"backend result for record {record_id!r} is not an object")
@@ -226,17 +226,8 @@ def parse_backend_response(
         candidates = entry.get("id", [])
         if not isinstance(candidates, list):
             raise ValidationError(f"backend id for record {record_id!r} is not a list")
-        concept = NONE_CONCEPT
-        for candidate in candidates:
-            if not isinstance(candidate, str) or candidate.strip().upper() == "CUI-LESS":
-                continue
-            try:
-                parsed = ConceptId.parse(candidate)
-            except ValueError:
-                continue
-            if not parsed.is_none:
-                concept = parsed
-                break
+        concept = next((ConceptId.parse(c) for c in candidates
+                        if isinstance(c, str) and MESH_ID.fullmatch(c.strip())), NONE_CONCEPT)
         annotations.append(
             NormalizedAnnotation(
                 record_id=record_id,

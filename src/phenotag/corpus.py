@@ -28,6 +28,7 @@ __all__ = [
     "SurveyRecord",
     "TextSpan",
     "ConceptId",
+    "MESH_ID",
     "NONE_CONCEPT",
     "NormalizedAnnotation",
     "AnnotationSet",
@@ -98,8 +99,9 @@ class TextSpan:
             raise ValueError(f"span ({self.begin}, {self.end}) exceeds text of length {len(text)}")
 
 
-_MESH_IDENTIFIER = re.compile(r"D[0-9]+")
-_MESH_RENDERING = re.compile(r"mesh:(d[0-9]+)", re.IGNORECASE)
+# The one MeSH id grammar: "mesh:" and "D" in any ASCII case, then ASCII
+# digits. re.ASCII keeps Unicode case folding out ("meſh" is not "mesh").
+MESH_ID = re.compile(r"mesh:D[0-9]+", re.IGNORECASE | re.ASCII)
 _MESH_CANONICAL = re.compile(r"mesh:D[0-9]+")
 
 
@@ -113,7 +115,7 @@ class ConceptId:
     identifier: str | None = None
 
     def __post_init__(self) -> None:
-        if self.identifier is not None and not _MESH_IDENTIFIER.fullmatch(self.identifier):
+        if self.identifier is not None and not _MESH_CANONICAL.fullmatch("mesh:" + self.identifier):
             raise ValueError(f"malformed MeSH identifier {self.identifier!r}")
 
     @property
@@ -122,20 +124,19 @@ class ConceptId:
 
     @classmethod
     def parse(cls, text: str) -> "ConceptId":
-        """Parse a canonical rendering; case-insensitive on the prefix and the D."""
+        """Parse a ``MESH_ID`` (surrounding whitespace allowed) or NONE in any case."""
         try:
             stripped = text.strip()
         except AttributeError:
             raise TypeError(f"concept id must be a string, got {text!r}") from None
-        match = _MESH_RENDERING.fullmatch(stripped)
-        if match is None:
+        if MESH_ID.fullmatch(stripped) is None:
             if stripped.upper() == "NONE":
                 return NONE_CONCEPT
             raise ValueError(f"cannot parse concept id {text!r}")
         # The match already proves "D" + digits well formed, so skip the
         # constructor's second check.
         concept = object.__new__(cls)
-        object.__setattr__(concept, "identifier", "D" + match.group(1)[1:])
+        object.__setattr__(concept, "identifier", "D" + stripped[len("mesh:D"):])
         return concept
 
     @classmethod
@@ -267,7 +268,8 @@ _DECODER = json.JSONDecoder()
 
 
 def jsonl_lines(path: str | Path) -> list[str]:
-    """The lines of a JSON Lines file, split on ``\\n`` only.
+    """The lines of a text file, split on ``\\n`` only: the one line splitter
+    for JSON Lines files, the acronym map and the spelling lexicon.
 
     ``str.splitlines`` would also split on U+0085, U+2028 and U+2029, which
     JSON allows raw inside strings and which phenotag writes raw.
@@ -533,7 +535,7 @@ def normalize_text(raw: str, config: PreprocessConfig | None = None) -> str:
 def load_acronym_map(path: str | Path) -> dict[str, str]:
     """Read "acronym = expansion" lines; keys are folded to lowercase."""
     acronyms: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(jsonl_lines(path), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -547,7 +549,7 @@ def load_acronym_map(path: str | Path) -> dict[str, str]:
 def load_lexicon(path: str | Path) -> tuple[str, ...]:
     """Read a one-word-per-line spelling lexicon, preserving file order."""
     words = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in jsonl_lines(path):
         word = line.strip().lower()
         if word and not word.startswith("#"):
             words.append(word)

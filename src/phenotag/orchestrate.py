@@ -26,8 +26,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Protocol, Sequence
 
 from .corpus import (
-    ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, json_field, jsonl_line, jsonl_lines,
-    read_jsonl,
+    MESH_ID, ConceptId, Corpus, NormalizedAnnotation, SurveyRecord, json_field, jsonl_line,
+    jsonl_lines, read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument
@@ -144,21 +144,22 @@ class LlmVerdict:
 
 
 _VERDICT_TOKEN = re.compile(r"\b(agree|disagree)\b", re.IGNORECASE)
-_MESH_PATTERN = re.compile(r"mesh:d[0-9]+", re.IGNORECASE)
 
 
 def parse_verdict(text: str) -> LlmVerdict:
     """Total parser: every string maps to a verdict.
 
     The first standalone AGREE/DISAGREE token (any case) decides the kind;
-    on DISAGREE the first mesh:D<ASCII digits> substring becomes the proposal.
+    on DISAGREE the first substring in the concept-id grammar
+    (``corpus.MESH_ID``: ``mesh:`` and ``D`` in any ASCII case, then ASCII
+    digits) becomes the proposal.
     """
     match = _VERDICT_TOKEN.search(text)
     if match is None:
         return LlmVerdict(VerdictKind.UNPARSEABLE, raw_text=text)
     if match.group(1).lower() == "agree":
         return LlmVerdict(VerdictKind.AGREE, raw_text=text)
-    proposal_match = _MESH_PATTERN.search(text)
+    proposal_match = MESH_ID.search(text)
     proposal = ConceptId.parse(proposal_match.group(0)) if proposal_match else None
     return LlmVerdict(VerdictKind.DISAGREE, raw_text=text, proposal=proposal)
 

@@ -65,6 +65,16 @@ def test_parse_mesh_id_after_a_none_or_foreign_id_wins(ids):
     assert ann.concept == ASTHMA
 
 
+@pytest.mark.parametrize("ids, expected", [
+    (["me\u017fh:D1", "mesh:D000002"], ConceptId("D000002")),  # U+017F LATIN SMALL LETTER LONG S
+    (["me\u017fh:D1"], NONE_CONCEPT),
+])
+def test_parse_id_with_a_non_ascii_prefix_letter_is_not_mesh(ids, expected):
+    payload = {"annotations": [entry("asthma", 0, 6, ids=ids)]}
+    (ann,) = parse_backend_response(payload, "asthma attack", "r1")
+    assert ann.concept == expected
+
+
 def test_parse_all_none_ids_map_to_none():
     payload = {"annotations": [entry("asthma", 0, 6, ids=["NONE", " none ", "CUI-less"])]}
     (ann,) = parse_backend_response(payload, "asthma attack", "r1")

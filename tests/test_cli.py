@@ -225,6 +225,22 @@ def test_annotate_total_outage_exits_3_with_partial_results(workspace):
     assert (root / "out" / "annotate_manifest.json").is_file()
 
 
+@pytest.mark.parametrize("key, value, detail", [
+    ("max_inflight", "0", "max_inflight must be >= 1"),
+    ("batch_size", "0", "batch_size must be >= 1"),
+    ("retry_budget", "-1", "retry_budget must be >= 0"),
+])
+def test_annotate_rejected_window_settings_write_nothing(workspace, key, value, detail):
+    root, config = workspace
+    assert invoke("ingest", "-c", config).exit_code == 0
+    set_config_key(config, "ner", key, value)
+    result = invoke("annotate", "-c", config)
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert detail in result.stderr
+    assert not (root / "out" / "annotate_manifest.json").exists()
+    assert not (root / "out" / "predictions.jsonl").exists()
+
+
 # --- run ----------------------------------------------------------------------
 
 def run_pipeline_through_annotate(config):

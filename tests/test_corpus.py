@@ -24,6 +24,8 @@ from phenotag.corpus import (
     import_doccano,
     ingest_records,
     jsonl_lines,
+    load_acronym_map,
+    load_lexicon,
     load_records,
     normalize_text,
     read_jsonl,
@@ -344,6 +346,27 @@ def test_normalize_text_matches_seed_for_every_step_subset(raw, acronym_keys, le
         assert normalize_text(raw, config) == expected, config
 
 
+# --- acronym map and spelling lexicon files ---------------------------------
+
+@pytest.mark.parametrize("separator", ["\x85", "\u2028"])
+def test_acronym_expansion_and_lexicon_word_may_hold_a_unicode_line_separator(
+    tmp_path, separator
+):
+    acronyms = tmp_path / "acronyms.txt"
+    acronyms.write_text(f"rsv = respiratory{separator}syncytial virus", encoding="utf-8")
+    assert load_acronym_map(acronyms) == {"rsv": f"respiratory{separator}syncytial virus"}
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(f"asthma\nrespiratory{separator}syncytial\n", encoding="utf-8")
+    assert load_lexicon(lexicon) == ("asthma", f"respiratory{separator}syncytial")
+
+
+def test_acronym_map_bad_line_number_counts_only_newlines(tmp_path):
+    path = tmp_path / "acronyms.txt"
+    path.write_text("dx = diagnosis\u2028 rsv = virus\r\nno equals sign\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"^line 2: expected 'acronym = expansion'$"):
+        load_acronym_map(path)
+
+
 # --- Doccano import/export --------------------------------------------------
 
 def test_import_single_annotation_hand_counted():
@@ -498,6 +521,14 @@ def test_concept_id_rejects_non_ascii_digits(digit):
         ConceptId(f"D{digit}")
 
 
+@pytest.mark.parametrize("text", ["me\u017fh:D1", "ME\u017fH:d1"])  # U+017F LATIN SMALL LETTER LONG S
+def test_concept_id_rejects_a_non_ascii_letter_in_its_prefix(text):
+    # Unicode case folding takes "ſ" for "s"; the grammar folds ASCII only.
+    for read in (ConceptId.parse, ConceptId.canonical):
+        with pytest.raises(ValueError, match="cannot parse concept id"):
+            read(text)
+
+
 @pytest.mark.parametrize("value", [5, None, ["mesh:D1"]])
 def test_concept_id_parse_rejects_non_string_with_type_error(value):
     # A TypeError is what the JSONL readers turn into "line N: bad ..." (exit 1).
@@ -513,9 +544,9 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-# Canonical ids, their case and whitespace variants ("ſ" folds to "s" under
-# re.IGNORECASE), missing or non-ASCII digits, NONE in any case, any text
-# and values that are not strings.
+# Canonical ids, their case and whitespace variants (and "ſ", which only
+# Unicode case folding takes for "s"), missing or non-ASCII digits, NONE in
+# any case, any text and values that are not strings.
 _CONCEPT_ID_INPUTS = st.one_of(
     st.builds(
         lambda lead, prefix, d, digits, trail: lead + prefix + d + digits + trail,

@@ -1,8 +1,11 @@
 import random
+import re
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phenotag.corpus import ConceptId, Corpus, FieldType, NormalizedAnnotation, Source, SurveyRecord, TextSpan
 from phenotag.errors import BackendError, ValidationError
@@ -282,6 +285,51 @@ def test_parse_totality_fuzz():
         verdict = parse_verdict(text)
         assert verdict.kind in VerdictKind
         assert verdict.raw_text == text
+
+
+@pytest.mark.parametrize("text", ["DISAGREE me\u017fh:D1", "disagree ME\u017fH:d1"])
+def test_parse_disagree_with_a_non_ascii_prefix_letter_has_no_proposal(text):
+    verdict = parse_verdict(text)  # U+017F LATIN SMALL LETTER LONG S
+    assert verdict.kind is VerdictKind.DISAGREE
+    assert verdict.proposal is None
+
+
+# Pieces of verdicts and ids, with letters that Unicode case folding takes
+# for ASCII ones ("ſ" for s, "ı" and "İ" for i, the Kelvin sign for k) and
+# non-ASCII digits.
+_VERDICT_PIECES = st.sampled_from([
+    "disagree", "DISAGREE", "di\u017fagree", "d\u0131sagree", "D\u0130SAGREE", "agree", " ",
+    "mesh:", "MESH:", "me\u017fh:", "ME\u017fH:", "mesh", ":", "D", "d", "0", "1", "42",
+    "\u0661", "\u0966", "\uff19", "\u212a", "\u017f", "\u0131", "\u0130", ".", "\n",
+])
+
+
+def _first_ascii_mesh_id(text):
+    """The first "mesh:D" (ASCII letters, any case) plus ASCII digits in
+    ``text``, rendered canonically; found without a regex."""
+    for i in range(len(text)):
+        head = text[i : i + 6]
+        if head.isascii() and head.lower() == "mesh:d":
+            end = i + 6
+            while end < len(text) and text[end] in "0123456789":
+                end += 1
+            if end > i + 6:
+                return "mesh:D" + text[i + 6 : end]
+    return None
+
+
+@settings(max_examples=300)
+@given(text=st.one_of(st.lists(_VERDICT_PIECES, max_size=12).map("".join), st.text(max_size=30)))
+@example(text="DISAGREE me\u017fh:D1 mesh:D2")
+@example(text="disagree ME\u017fH:d1")
+def test_parse_verdict_proposals_are_canonical_ascii_mesh_ids(text):
+    verdict = parse_verdict(text)
+    assert verdict.raw_text == text
+    proposal = None if verdict.proposal is None else verdict.proposal.render()
+    if proposal is not None:
+        assert proposal.isascii() and re.fullmatch(r"mesh:D[0-9]+", proposal)
+    if verdict.kind is VerdictKind.DISAGREE:
+        assert proposal == _first_ascii_mesh_id(text)
 
 
 # --- detect_hallucination ------------------------------------------------------
