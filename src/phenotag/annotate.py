@@ -110,6 +110,16 @@ _TOKEN = re.compile(r"\w+")
 _TERM_CHARS = re.compile(r"[\w\s]+")
 
 
+def _check_term(term: str) -> None:
+    """Raise ValueError for a mock lexicon term that could never match."""
+    if not term.split() or term != term.lower():
+        raise ValueError(f"lexicon terms must be non-empty lowercase, got {term!r}")
+    if not _TERM_CHARS.fullmatch(term):
+        raise ValueError(
+            f"lexicon term {term!r} can never match: its words must be word characters only"
+        )
+
+
 class MockNerBackend:
     """Deterministic lexicon-driven backend speaking the same wire contract.
 
@@ -128,6 +138,14 @@ class MockNerBackend:
     def __init__(self, lexicon: Mapping[str, str]):
         if not lexicon:
             raise ValueError("mock lexicon must be non-empty")
+        # Both character checks run once over all terms: "\n" matches \s,
+        # and lowercasing is per character except for U+03A3, which is never
+        # lowercase. Only a failure checks term by term, to name the first
+        # bad term; a blank term passes here and is caught below.
+        joined = "\n".join(lexicon)
+        if joined != joined.lower() or not _TERM_CHARS.fullmatch(joined):
+            for term in lexicon:
+                _check_term(term)
         # Word tuple -> concept id; of two terms that split alike, the first keeps it.
         self._ids: dict[tuple[str, ...], str] = {}
         # Start word -> its terms' word counts, longest first, so "asthma
@@ -136,12 +154,8 @@ class MockNerBackend:
         self._lengths: dict[str, tuple[int, ...]] = {}
         for term, concept_id in lexicon.items():
             words = tuple(term.split())
-            if not words or term != term.lower():
-                raise ValueError(f"lexicon terms must be non-empty lowercase, got {term!r}")
-            if not _TERM_CHARS.fullmatch(term):
-                raise ValueError(
-                    f"lexicon term {term!r} can never match: its words must be word characters only"
-                )
+            if not words:
+                _check_term(term)
             self._ids.setdefault(words, concept_id)
             known = self._lengths.get(words[0])
             if known is None:

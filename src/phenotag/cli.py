@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -31,7 +32,7 @@ from .annotate import (
     submitted_text,
     write_outcomes,
 )
-from .config import RunConfig, RunManifest, atomic_write_text, derive_seed, load_config
+from .config import RunConfig, RunManifest, atomic_write, derive_seed, load_config
 from .corpus import (
     AnnotationSet,
     ConceptId,
@@ -145,30 +146,46 @@ def main() -> None:
     """Disease phenotyping pipeline: ingest, annotate, verify, evaluate."""
 
 
+def _realpath(path: Path, parents: dict[str, str]) -> str:
+    """``os.path.realpath(path)``, resolving each parent directory once per
+    ``parents`` memo: only the last component is looked at on its own, and
+    only a symlink, ".", ".." or "" there is resolved in full."""
+    head, name = os.path.split(path)
+    if name in ("", ".", ".."):
+        return os.path.realpath(path)
+    if head not in parents:
+        parents[head] = os.path.realpath(head)
+    joined = os.path.join(parents[head], name)
+    return os.path.realpath(joined) if os.path.islink(joined) else joined
+
+
 def _write_results(command: str, cfg: RunConfig, out_dir: Path,
                    files: list[tuple[Path, str]], index: OntologyIndex | None = None) -> None:
     """The one write path for manifests and result files, called once a
     command has computed every ``(path, text)`` in ``files``.
 
-    A result path, the manifest's included, that is one of ``cfg.inputs``,
-    another result or one of the index cache's two files raises
-    ValidationError before anything is written. Then
-    ``<command>_manifest.json`` in ``out_dir`` first names every file in
-    ``cfg.inputs`` and, with ``index``, the cache sidecar: an input when
-    the matrix was read, an output when it was written. Then each text is
-    written atomically, and the manifest is rewritten with the output
-    checksums.
+    Nothing is written if a result path, the manifest's included, resolves
+    to one of ``cfg.inputs``, another result or one of the index cache's
+    two files (ValidationError), or if UTF-8 cannot encode a text, as with
+    a lone surrogate (UnicodeEncodeError). Then ``<command>_manifest.json``
+    in ``out_dir`` first names every file in ``cfg.inputs`` and, with
+    ``index``, the cache sidecar: an input when the matrix was read, an
+    output when it was written. Then each text's UTF-8 bytes are written
+    atomically, and the manifest is rewritten with the checksums of the
+    bytes written.
     """
     manifest = RunManifest(command, cfg, out_dir)
-    taken = {path.resolve(): "an input" for path in cfg.inputs}
+    parents: dict[str, str] = {}
+    taken = {_realpath(path, parents): "an input" for path in cfg.inputs}
     if index is not None and index.cache_sidecar is not None:
         for path in (index.cache_sidecar, index.cache_sidecar.with_name(INDEX_FILE)):
-            taken[path.resolve()] = "the ontology index cache"
+            taken[_realpath(path, parents)] = "the ontology index cache"
     for path in [manifest.path, *(path for path, _ in files)]:
-        resolved = path.resolve()
+        resolved = _realpath(path, parents)
         if resolved in taken:
             raise ValidationError(f"result file {path} would overwrite {taken[resolved]}")
         taken[resolved] = "another result file"
+    encoded = [(path, text.encode("utf-8")) for path, text in files]
     for path in cfg.inputs:
         manifest.add_input(path)
     if index is not None and index.cache_read:
@@ -176,8 +193,9 @@ def _write_results(command: str, cfg: RunConfig, out_dir: Path,
     elif index is not None:
         manifest.add_output(index.cache_sidecar)
     manifest.write()
-    for path, text in files:
-        manifest.add_output(atomic_write_text(path, text))
+    for path, data in encoded:
+        atomic_write(path, lambda handle: handle.write(data), "wb")
+        manifest.add_output(path, data)
     manifest.write()
 
 

@@ -219,8 +219,11 @@ class RunManifest:
     def add_input(self, path: str | Path) -> None:
         self._payload["inputs"][str(path)] = sha256_of(path)
 
-    def add_output(self, path: str | Path) -> None:
-        self._payload["outputs"][str(path)] = sha256_of(path)
+    def add_output(self, path: str | Path, data: bytes | None = None) -> None:
+        """Record the sha256 of ``data``, the bytes just written to ``path``,
+        or without it of the file at ``path``."""
+        digest = sha256_of(path) if data is None else hashlib.sha256(data).hexdigest()
+        self._payload["outputs"][str(path)] = digest
 
     def write(self) -> Path:
         return atomic_write_text(self.path, json.dumps(self._payload, indent=2, sort_keys=True))

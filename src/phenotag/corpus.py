@@ -265,6 +265,7 @@ T = TypeVar("T")
 
 
 _DECODER = json.JSONDecoder()
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 def jsonl_lines(path: str | Path) -> list[str]:
@@ -280,7 +281,7 @@ def jsonl_lines(path: str | Path) -> list[str]:
 def jsonl_line(obj: Any) -> str:
     """The one canonical JSON Lines writer: sorted keys, no spaces and
     non-ASCII characters raw, so equal objects give equal bytes."""
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
@@ -291,7 +292,7 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
     ``parse`` rejects with a ValidationError, KeyError, TypeError,
     ValueError or IndexError, raises ValidationError("line N: bad <what>: ...").
     """
-    decode = _DECODER.raw_decode
+    scan = _DECODER.scan_once
     items = []
     for lineno, line in enumerate(lines, start=1):
         if not line or line.isspace():
@@ -299,10 +300,11 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
         try:
             # One C call for a line that is exactly one JSON value; json.loads
             # gives the same object and owns every other case (edge
-            # whitespace, a BOM, extra data) and its error message.
+            # whitespace, a BOM, extra data) and its error message. The
+            # scanner raises StopIteration where no value starts.
             try:
-                obj, end = decode(line)
-            except ValueError:
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
                 end = -1
             if end != len(line):
                 obj = json.loads(line)
@@ -518,9 +520,10 @@ def normalize_text(raw: str, config: PreprocessConfig | None = None) -> str:
     if config.nfc:
         text = unicodedata.normalize("NFC", text)
     if config.lowercase:
-        # Per character: str.lower() would give a word-final sigma its final
-        # form ("ΟΔΟΣ" -> "οδος" rather than "οδοσ").
-        text = "".join(c.lower() for c in text)
+        # Per character where it matters: str.lower() would give a word-final
+        # sigma its final form ("ΟΔΟΣ" -> "οδος" rather than "οδοσ"), and
+        # U+03A3 is the only character whose lowercase depends on context.
+        text = "".join(c.lower() for c in text) if "\u03a3" in text else text.lower()
     if config.expand_acronyms:
         text = _expand_acronyms(text, config.acronyms)
     if config.normalize_punctuation:

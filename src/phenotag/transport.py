@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 from .errors import BackendError
@@ -74,6 +73,10 @@ def window_map(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
         raise ValueError(f"width must be >= 1, got {width}")
     if width == 1:
         return [fn(item) for item in items]
+    # Imported here: a width of 1 starts no thread, and at module level it
+    # would load concurrent.futures and logging on every CLI start.
+    from concurrent.futures import ThreadPoolExecutor
+
     failed = threading.Event()
 
     def one(item: T) -> R | None:

@@ -171,6 +171,47 @@ def test_mock_term_check_matches_seed_check(term):
         assert seed_term_error(term) is None
 
 
+def seed_build(lexicon):
+    """The seed's term-by-term check and build, kept as an oracle: the
+    first bad term's error, or the ``(_ids, _lengths)`` items in order."""
+    ids, lengths = {}, {}
+    for term, concept_id in lexicon.items():
+        error = seed_term_error(term)
+        if error is not None:
+            return error
+        words = tuple(term.split())
+        ids.setdefault(words, concept_id)
+        known = lengths.get(words[0])
+        if known is None:
+            lengths[words[0]] = (len(words),)
+        elif len(words) not in known:
+            lengths[words[0]] = tuple(sorted((*known, len(words)), reverse=True))
+    return list(ids.items()), list(lengths.items())
+
+
+# Uppercase (a capital sigma too, final or not), punctuation, empty, blank.
+_BAD_TERMS = st.sampled_from(
+    ["Asthma", "asthma Chronic", "οδοΣ", "Σ", "σΣσ", "a-b", "x.y", "a, b", "asthma!", "", " ",
+     "\t\n", "\u2028"]
+)
+
+
+@given(data=st.data())
+def test_mock_lexicon_checks_and_builds_as_term_by_term(data):
+    lexicon = data.draw(_lexicons(), label="lexicon")
+    items = [(term, concept.render()) for term, concept in lexicon.items()]
+    for bad in data.draw(st.lists(_BAD_TERMS, unique=True, max_size=2), label="bad terms"):
+        items.insert(data.draw(st.integers(0, len(items)), label="position"),
+                     (bad, ASTHMA.render()))
+    expected = seed_build(dict(items))
+    try:
+        backend = MockNerBackend(dict(items))
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert (list(backend._ids.items()), list(backend._lengths.items())) == expected
+
+
 def test_mock_multiword_term_spans_any_non_word_run():
     backend = MockNerBackend({"asthma episodes": ASTHMA.render()})
     texts = ["asthma episodes", "Asthma, episodes", "asthma\n\nepisodes", "asthma-episodes"]

@@ -1,16 +1,22 @@
+import configparser
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import phenotag
-from phenotag.cli import _PLAN_SECTIONS, main
-from phenotag.config import atomic_write, atomic_write_text, derive_seed, load_config
+from phenotag.cli import _PLAN_SECTIONS, _write_results, main
+from phenotag.config import (
+    RunConfig, atomic_write, atomic_write_text, derive_seed, load_config, sha256_of,
+)
 from phenotag.errors import ValidationError
 from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
@@ -86,6 +92,17 @@ def test_ingest_non_string_question_exits_1(workspace):
     result = invoke("ingest", "-c", config)
     assert result.exit_code == 1
     assert "line 2: bad record: question_text must be a string" in result.stderr
+
+
+def test_ingest_text_utf8_cannot_encode_exits_1_writing_nothing(workspace):
+    root, config = workspace
+    with open(root / "records.jsonl", "a", encoding="utf-8") as handle:
+        handle.write('{"record_id":"s1","question_text":"q","answer_text":"a \\ud800",'
+                     '"field_type":"descriptive"}\n')
+    result = invoke("ingest", "-c", config)
+    assert result.exit_code == 1
+    assert "surrogates not allowed" in result.stderr
+    assert not (root / "out").exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -463,6 +480,84 @@ def test_run_out_and_dump_prompts_naming_one_file_exits_1(workspace):
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 
+def make_guard_layout(root):
+    """Files and directories under ``root``, reached through relative and
+    absolute symlinks to directories and files, a link to a link, a link to
+    ".." and a dangling link."""
+    (root / "d" / "sub").mkdir(parents=True)
+    for name in ("a.txt", "b.txt", INDEX_FILE, INDEX_SIDECAR):
+        (root / "d" / name).write_text(name)
+    (root / "d" / "sub" / "c.txt").write_text("c")
+    (root / "ld").symlink_to("d")
+    (root / "la").symlink_to(root / "d" / "a.txt")
+    (root / "d" / "lb").symlink_to("b.txt")
+    (root / "d" / "sub" / "lc").symlink_to("../lb")
+    (root / "d" / "sub" / "up").symlink_to("..")
+    (root / "dangling").symlink_to(root / "d" / "missing.txt")
+
+
+# Spellings of the layout's directories and files, so that results often
+# collide with inputs, the cache or each other, and any path at all.
+_GUARD_DIRS = st.sampled_from(["d", "ld", "d/sub/up", "ld/sub/up", "d/sub/..", "la/.."])
+_GUARD_FILE_LINKS = ["la", "d/lb", "d/sub/lc", "ld/sub/lc", "d/sub/up/lb"]
+_GUARD_INPUTS = st.one_of(
+    st.tuples(_GUARD_DIRS, st.sampled_from(["a.txt", "b.txt", "sub/c.txt"])).map("/".join),
+    st.sampled_from(_GUARD_FILE_LINKS),
+)
+_GUARD_RESULTS = st.one_of(
+    st.tuples(_GUARD_DIRS, st.sampled_from(
+        ["a.txt", "b.txt", "missing.txt", "new.txt", INDEX_FILE, INDEX_SIDECAR, "."]
+    )).map("/".join),
+    st.sampled_from([*_GUARD_FILE_LINKS, "dangling"]),
+    _GUARD_DIRS,
+    st.lists(st.sampled_from(["d", "ld", "sub", "up", ".", "..", "a.txt", "la", "lc",
+                              "dangling", "new.txt"]), min_size=1, max_size=4).map("/".join),
+)
+
+
+def resolve_guard(inputs, sidecar, manifest_path, results):
+    """The overwrite guard with one Path.resolve() per path, kept as an
+    oracle: the refusal message, or None."""
+    taken = {path.resolve(): "an input" for path in inputs}
+    if sidecar is not None:
+        for path in (sidecar, sidecar.with_name(INDEX_FILE)):
+            taken[path.resolve()] = "the ontology index cache"
+    for path in [manifest_path, *results]:
+        resolved = path.resolve()
+        if resolved in taken:
+            return f"result file {path} would overwrite {taken[resolved]}"
+        taken[resolved] = "another result file"
+    return None
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_overwrite_guard_refuses_what_path_resolve_says_collides(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        make_guard_layout(root)
+        inputs = [root / path for path in data.draw(st.lists(_GUARD_INPUTS, max_size=3),
+                                                    label="inputs")]
+        sidecar_dir = data.draw(st.none() | _GUARD_DIRS, label="sidecar directory")
+        sidecar = None if sidecar_dir is None else root / sidecar_dir / INDEX_SIDECAR
+        out_dir = root / data.draw(_GUARD_DIRS, label="output directory")
+        results = [root / path for path in data.draw(st.lists(_GUARD_RESULTS, max_size=4),
+                                                     label="results")]
+        index = None if sidecar is None else SimpleNamespace(
+            cache_sidecar=sidecar, cache_read=data.draw(st.booleans(), label="cache read"))
+        cfg = RunConfig(configparser.ConfigParser(), root)
+        cfg.inputs = inputs
+        expected = resolve_guard(inputs, sidecar, out_dir / "guard_manifest.json", results)
+        try:
+            _write_results("guard", cfg, out_dir, [(path, "x") for path in results], index)
+        except ValidationError as exc:
+            assert str(exc) == expected
+        except OSError:  # a result path through a file, or naming a directory
+            assert expected is None
+        else:
+            assert expected is None
+
+
 @pytest.mark.parametrize("cache_file", [INDEX_FILE, INDEX_SIDECAR])
 @pytest.mark.parametrize("command", [["run", "--strategy", "rag-fsi"], ["raft"]])
 def test_out_naming_the_index_cache_exits_1(workspace, command, cache_file):
@@ -665,6 +760,41 @@ def test_manifest_written_with_config_and_checksums(workspace):
     assert manifest["config"]["run"]["seed"] == "7"
     assert manifest["inputs"] and manifest["outputs"]
     assert all(len(v) == 64 for v in manifest["inputs"].values())
+
+
+def test_manifest_output_checksums_are_of_the_files_written(workspace):
+    # Without the whitespace step, U+2028 stays in the texts; "é" and the
+    # Greek letters are two UTF-8 bytes each.
+    root, config = workspace
+    config.write_text(config.read_text() + "\n[preprocess]\n"
+                      "steps = nfc, lowercase, expand_acronyms, normalize_punctuation\n")
+    answer = "the child has asthma\u2028and eczema, café ΟΔΟΣ"
+    record = {"record_id": "na00", "question_text": "", "answer_text": answer,
+              "field_type": "descriptive", "expects_disease": True}
+    gold = {"record_id": "na00", "text": answer.replace("ΟΔΟΣ", "οδοσ"),
+            "label": [[14, 20, "mesh:D001249"]]}
+    for name, obj in (("records.jsonl", record), ("gold.jsonl", gold)):
+        with open(root / name, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    raft_setup(root, config)
+    out = root / "out"
+    for command in (["ingest"], ["annotate"],
+                    ["run", "--strategy", "rag-fsi", "--dump-prompts", out / "prompts.jsonl"],
+                    ["raft"], ["eval", "--verdicts", out / "verdicts.jsonl"]):
+        result = invoke(command[0], "-c", config, *command[1:])
+        assert result.exit_code == 0, result.output + result.stderr
+    assert "\u2028" in (out / "prompts.jsonl").read_text(encoding="utf-8")
+    assert "café οδοσ" in (out / "predictions.jsonl").read_text(encoding="utf-8")
+    checked = 0
+    for manifest_path in out.glob("*_manifest.json"):
+        outputs = json.loads(manifest_path.read_text(encoding="utf-8"))["outputs"]
+        assert outputs, manifest_path.name
+        for path, digest in outputs.items():
+            assert digest == sha256_of(path), path
+            checked += 1
+    # ingest 1, annotate 1, run 3 (the index sidecar too), raft 1, eval 8 (the
+    # report and its tables)
+    assert checked == 14
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])

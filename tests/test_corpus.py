@@ -346,6 +346,17 @@ def test_normalize_text_matches_seed_for_every_step_subset(raw, acronym_keys, le
         assert normalize_text(raw, config) == expected, config
 
 
+@given(text=st.one_of(
+    st.lists(st.sampled_from(
+        ["ΟΔΟΣ", "ΣΑΣ", "Σ", "ΑΣ.", "ΟΔΟΣ'", "ΑΣ\u0301", "σ", "ς", "İ", "ſ", "ß", "x", " ", "\n"]
+    ), max_size=8).map("".join),
+    st.text(),
+))
+def test_lowercase_step_matches_a_per_character_lowercase(text):
+    assert (normalize_text(text, PreprocessConfig.only("lowercase"))
+            == "".join(c.lower() for c in text))
+
+
 # --- acronym map and spelling lexicon files ---------------------------------
 
 @pytest.mark.parametrize("separator", ["\x85", "\u2028"])
@@ -712,6 +723,39 @@ def test_read_jsonl_matches_per_line_json_loads(lines):
     else:
         assert message is None
         assert repr(got) == repr(expected)  # repr: NaN equals itself, -0.0 differs from 0.0
+
+
+# Words that are JSON, almost JSON or not JSON, and arrays nested far
+# beyond the recursion limit or well within it.
+_SCANNED_CORES = st.one_of(
+    st.sampled_from(["true", "false", "null", "NaN", "Infinity", "-Infinity", "tru", "nul",
+                     "x", "-", "1e", "01", "1.", '"', '"a', "[", "{", "}", "[1,]", '{"a"}']),
+    st.sampled_from([1, 2, 40, 100_000]).map(lambda depth: "[" * depth + "]" * depth),
+    _json_values().map(json.dumps),
+)
+
+
+@given(lines=st.lists(
+    st.tuples(_EDGES, _SCANNED_CORES, _EDGES, st.sampled_from(["", "1", " {}", "x", "true"]))
+    .map("".join), max_size=4,
+))
+def test_read_jsonl_scans_like_per_line_json_loads(lines):
+    expected, message = [], None
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            expected.append(json.loads(line))
+        except (ValueError, RecursionError) as exc:
+            message = f"line {lineno}: bad thing: {exc}"
+            break
+    try:
+        got = read_jsonl(lines, "thing", lambda _, obj: obj)
+    except ValidationError as exc:
+        assert str(exc) == message
+    else:
+        assert message is None
+        assert repr(got) == repr(expected)
 
 
 # Raw characters that str.splitlines() breaks a line at, but JSON allows

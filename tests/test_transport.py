@@ -72,6 +72,13 @@ def test_importing_the_cli_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    # Only a window wider than 1 starts threads; ingest, eval and raft never do.
+    env = dict(os.environ, PYTHONPATH=str(Path(phenotag.__file__).resolve().parents[1]))
+    code = "import sys, phenotag.cli; sys.exit('concurrent.futures' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 def test_retry_stops_at_first_success():
     calls = []
 
