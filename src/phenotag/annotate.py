@@ -339,9 +339,15 @@ def write_outcomes(outcomes: Sequence[AnnotationOutcome]) -> list[str]:
     return lines
 
 
-def read_outcomes(lines) -> list[AnnotationOutcome]:
-    """Parse a predictions file back into outcomes. Each annotation's span
-    must fit its line's text and its surface must be that slice."""
+def read_outcomes(lines, texts: Mapping[str, str]) -> list[AnnotationOutcome]:
+    """Parse a predictions file back into outcomes, checked against
+    ``texts``, each upstream record's id and the text it must carry.
+
+    Each annotation's span must fit its line's text and its surface must be
+    that slice. Then the line must name a record of ``texts`` that no
+    earlier line names, and an ``ok`` line's text must be that record's.
+    """
+    seen: set[str] = set()
 
     def parse(_lineno: int, obj) -> AnnotationOutcome:
         record_id = json_field(obj, "record_id", str)
@@ -359,7 +365,7 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
         )
         for annotation in annotations:
             annotation.check_against(text)
-        return AnnotationOutcome(
+        outcome = AnnotationOutcome(
             record_id=record_id,
             text=text,
             status=json_field(obj, "status", str),
@@ -367,5 +373,13 @@ def read_outcomes(lines) -> list[AnnotationOutcome]:
             error=json_field(obj, "error", str, None),
             question_join=json_field(obj, "question_join", int, 0),
         )
+        if record_id not in texts:
+            raise ValidationError(f"unknown record_id {record_id!r}")
+        if record_id in seen:
+            raise ValidationError(f"record {record_id!r} repeats an earlier line")
+        seen.add(record_id)
+        if outcome.status == "ok" and text != texts[record_id]:
+            raise ValidationError(f"record {record_id!r}: text differs from the upstream text")
+        return outcome
 
     return read_jsonl(lines, "prediction record", parse)

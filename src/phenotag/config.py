@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import os
 from datetime import datetime, timezone
 from pathlib import Path
@@ -54,16 +55,17 @@ class RunConfig:
                 continue
             try:
                 found[key] = kind(value)
+                if kind is float and not math.isfinite(found[key]):
+                    raise ValueError(value)
             except ValueError:
-                what = "an integer" if kind is int else "a number"
+                what = "an integer" if kind is int else "a finite number"
                 raise ValidationError(f"[{section}] {key} must be {what}, got {value!r}") from None
         return found
 
     def path(self, section: str, key: str) -> Path | None:
+        """The key's path, relative to ``base_dir`` unless it is absolute."""
         value = self.get(section, key)
-        if value is None:
-            return None
-        return (self.base_dir / value).resolve() if not os.path.isabs(value) else Path(value)
+        return None if value is None else self.base_dir / value
 
     def input_path(self, section: str, key: str) -> Path | None:
         """The file a key names, or None when the key is unset; a named file

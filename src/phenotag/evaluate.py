@@ -386,16 +386,15 @@ def write_verdicts(
 
 def read_verdicts(
     lines: Iterable[str],
-    texts: Mapping[str, str] | None = None,
+    texts: Mapping[str, str],
     predicted: Iterable[NormalizedAnnotation] | None = None,
 ) -> tuple[list[LlmVerdict], list[NormalizedAnnotation]]:
     """Parse verdict lines back into aligned (verdicts, backend annotations).
 
-    With ``texts``, each verdict's record must be in it and its span must
-    fit that record's text, which gives the surface; without, surfaces are
-    empty. With ``predicted``, each verdict's (record_id, span,
-    backend_concept) must be one of those annotations. Raw model text is
-    not persisted in this format.
+    Each verdict's record must be in ``texts`` and its span must fit that
+    record's text, which gives the surface. With ``predicted``, each
+    verdict's (record_id, span, backend_concept) must be one of those
+    annotations. Raw model text is not persisted in this format.
     """
     judged = None if predicted is None else {(a.record_id, a.span, a.concept) for a in predicted}
 
@@ -403,16 +402,13 @@ def read_verdicts(
         record_id = json_field(obj, "record_id", str)
         begin, end = json_field(obj, "span", list)
         span = offsets(begin, end)
-        surface = ""
-        if texts is not None:
-            if record_id not in texts:
-                raise ValidationError(f"unknown record_id {record_id!r}")
-            span.check_bounds(texts[record_id])
-            surface = texts[record_id][span.begin : span.end]
+        if record_id not in texts:
+            raise ValidationError(f"unknown record_id {record_id!r}")
+        span.check_bounds(texts[record_id])
         annotation = NormalizedAnnotation(
             record_id=record_id,
             span=span,
-            surface=surface,
+            surface=texts[record_id][span.begin : span.end],
             concept=ConceptId.parse(obj["backend_concept"]),
             source=Source.NER_BACKEND,
         )

@@ -517,7 +517,7 @@ def test_question_join_recorded_and_round_trips():
     outcomes = annotate_batch(records, backend, BackendConfig())
     assert outcomes[0].question_join == len("Any conditions?") + 1
     assert outcomes[1].question_join == 0
-    restored = read_outcomes(write_outcomes(outcomes))
+    restored = read_outcomes(write_outcomes(outcomes), {o.record_id: o.text for o in outcomes})
     assert restored == list(outcomes)
 
 

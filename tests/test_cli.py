@@ -327,6 +327,9 @@ def test_run_max_inflight_zero_exits_1(workspace):
     ("max_inflight = 0", 12, "max_inflight must be >= 1"),
     ("retry_budget = -1", 12, "retry_budget must be >= 0"),
     ("", 3, "example pool has 3 entries, 5 required"),
+    # An HTTP backend could not encode a non-finite temperature as JSON.
+    ("temperature = nan", 12, "[llm] temperature must be a finite number, got 'nan'"),
+    ("temperature = -inf", 12, "[llm] temperature must be a finite number, got '-inf'"),
 ])
 def test_run_rejected_settings_keep_earlier_manifest(workspace, llm_setting, pool_size, detail):
     root, config = workspace
@@ -369,9 +372,9 @@ def test_run_index_build_failure_keeps_earlier_manifest(workspace):
 
 @pytest.mark.parametrize("record_id, answer, detail", [
     ("tp03", "the child has migraine most days",
-     "record 'tp03': prediction text differs from the preprocessed corpus text"),
+     "bad prediction record: record 'tp03': text differs from the upstream text"),
     # tn00 has no annotations, so only its id still ties it to the corpus.
-    ("tn00", None, "predictions reference records missing from corpus: ['tn00']"),
+    ("tn00", None, "bad prediction record: unknown record_id 'tn00'"),
 ], ids=["text-changed", "record-removed"])
 def test_run_stale_predictions_exit_1(workspace, record_id, answer, detail):
     root, config = workspace
@@ -980,7 +983,7 @@ def test_raft_zero_distractors_exits_1(workspace):
     raft_setup(root, config)
     result = invoke("raft", "-c", config, "--n-distractors", "0")
     assert result.exit_code == 1
-    assert "usage" in result.stderr
+    assert "n_distractors must be >= 1" in result.stderr
 
 
 
@@ -1069,6 +1072,42 @@ def test_bad_input_line_exits_1_naming_the_line(workspace, case):
     result = invoke(command, "-c", config, *args)
     assert result.exit_code == 1, result.output + repr(result.exception)
     assert f"line {lineno}: bad" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+def edited_text(line):
+    obj = json.loads(line)
+    return json.dumps({**obj, "text": obj["text"] + " and more"})
+
+
+# Predictions that no longer follow their upstream texts: (how the lines
+# change, the bad line's number, its detail). Each line alone is well formed.
+STALE_PREDICTIONS = {
+    "repeated-line": (lambda lines: lines + lines[:1], 21,
+                      "record 'tp00' repeats an earlier line"),
+    "unknown-record": (lambda lines: lines + [lines[0].replace('"tp00"', '"zz99"')], 21,
+                       "unknown record_id 'zz99'"),
+    "ok-text-changed": (lambda lines: [edited_text(lines[0]), *lines[1:]], 1,
+                        "record 'tp00': text differs from the upstream text"),
+}
+
+
+@pytest.mark.parametrize("command, args", [("run", ["--strategy", "zero-shot-cvc"]),
+                                           ("eval", [])], ids=["run", "eval"])
+@pytest.mark.parametrize("case", list(STALE_PREDICTIONS))
+def test_stale_predictions_exit_1_naming_the_line(workspace, command, args, case):
+    root, config = workspace
+    change, lineno, detail = STALE_PREDICTIONS[case]
+    run_pipeline_through_annotate(config)
+    assert invoke(command, "-c", config, *args).exit_code == 0
+    path = root / "out" / "predictions.jsonl"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 20 and json.loads(lines[0])["record_id"] == "tp00"
+    path.write_text("\n".join(change(lines)) + "\n")
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    result = invoke(command, "-c", config, *args)
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert f"line {lineno}: bad prediction record: {detail}" in result.stderr
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 

@@ -648,7 +648,7 @@ _READERS = {
     "predictions": (
         {"record_id": "r1", "text": "t", "status": "ok", "question_join": 0, "annotations": [],
          "error": "none"},
-        lambda tmp_path, lines: _error(lambda: read_outcomes(lines)),
+        lambda tmp_path, lines: _error(lambda: read_outcomes(lines, {"r1": "t"})),
     ),
     "ontology": (
         {"concept_id": "mesh:D000001", "preferred_name": "asthma"},
@@ -665,7 +665,7 @@ _READERS = {
     "verdicts": (
         {"record_id": "r1", "span": [0, 1], "backend_concept": "NONE", "kind": "disagree",
          "proposal": "mesh:D000001", "hallucinated": False},
-        lambda tmp_path, lines: _error(lambda: read_verdicts(lines)),
+        lambda tmp_path, lines: _error(lambda: read_verdicts(lines, {"r1": "x"})),
     ),
     "mock lexicon": (
         {"term": "asthma", "concept_id": "mesh:D001249"},
@@ -786,7 +786,7 @@ _FILE_READERS = {
     ),
     "predictions": (
         json.loads(write_outcomes([AnnotationOutcome("r1", _SEPARATORS, "ok")])[0]),
-        lambda tmp_path, path: read_outcomes(jsonl_lines(path))[0].text,
+        lambda tmp_path, path: read_outcomes(jsonl_lines(path), {"r1": _SEPARATORS})[0].text,
     ),
     "ontology": (
         {"concept_id": "mesh:D000001", "preferred_name": _SEPARATORS},

@@ -592,13 +592,13 @@ def test_verdict_must_link_to_texts(record_id, span, detail):
     assert str(info.value) == detail
 
 
-def test_verdicts_without_texts_keep_empty_surfaces():
+def test_verdict_surfaces_come_from_texts():
     lines = write_verdicts([(pred("r9", 0, 6, concept=ASTHMA, surface="asthma"), agree())])
-    assert read_verdicts(lines)[1][0].surface == ""
+    assert read_verdicts(lines, {"r9": "Asthma attack"})[1][0].surface == "Asthma"
     with pytest.raises(ValidationError, match="unknown record_id 'r9'"):
         read_verdicts(lines, texts={})
 
 
 def test_verdict_bad_line_is_error():
     with pytest.raises(ValidationError, match="line 1"):
-        read_verdicts(['{"record_id": "r1"}'])
+        read_verdicts(['{"record_id": "r1"}'], {"r1": "asthma attack"})
