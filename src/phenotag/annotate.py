@@ -26,7 +26,7 @@ from .corpus import (
     jsonl_line, offsets, read_jsonl,
 )
 from .errors import BackendError, ValidationError
-from .transport import call_with_retry, post_json, send, window_map
+from .transport import call_with_retry, checked_endpoint, post_json, send, window_map
 
 __all__ = [
     "BackendConfig",
@@ -94,7 +94,7 @@ class HttpNerBackend:
         timeout_ms: int = 30_000,
         transport: Callable[[str, dict, float], dict] | None = None,
     ):
-        self.endpoint = endpoint
+        self.endpoint = endpoint if transport else checked_endpoint(endpoint, timeout_ms)
         self.timeout_ms = timeout_ms
         self._transport = transport or functools.partial(post_json, token_env="PHENOTAG_NER_TOKEN")
 

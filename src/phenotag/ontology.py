@@ -26,7 +26,7 @@ from . import __version__
 from .config import atomic_write, atomic_write_text
 from .corpus import ConceptId, json_field, jsonl_lines, read_jsonl
 from .errors import BackendError, ValidationError
-from .transport import call_with_retry, post_json, send, window_map
+from .transport import call_with_retry, checked_endpoint, post_json, send, window_map
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,12 +260,11 @@ class RemoteEmbeddingProvider:
     request {"texts": [...]} -> response {"vectors": [[...], ...]}.
 
     Each text is one request, made up to ``1 + retry_budget`` times. A
-    transport fault (an ``OSError``, which every ``requests`` error is) and
-    every wire fault (no ``vectors`` row, a row that is not a list of JSON
-    numbers, a wrong shape, a non-finite or zero vector) is a BackendError
-    and is retried; any other exception from the transport is a bug and
-    propagates at once. ``embed_many`` keeps up to ``max_inflight`` requests
-    in flight.
+    transport fault (see ``transport.send``) and every wire fault (no
+    ``vectors`` row, a row that is not a list of JSON numbers, a wrong
+    shape, a non-finite or zero vector) is a BackendError and is retried;
+    any other exception from the transport is a bug and propagates at once.
+    ``embed_many`` keeps up to ``max_inflight`` requests in flight.
     """
 
     def __init__(
@@ -279,7 +278,7 @@ class RemoteEmbeddingProvider:
         retry_budget: int = 2,
     ):
         self.name = name
-        self.endpoint = endpoint
+        self.endpoint = endpoint if transport else checked_endpoint(endpoint, timeout_ms)
         self.dimension = dimension
         self.max_inflight = max_inflight
         self.retry_budget = retry_budget

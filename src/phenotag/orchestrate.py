@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument
-from .transport import call_with_retry, post_json, send, window_map
+from .transport import call_with_retry, checked_endpoint, post_json, send, window_map
 
 __all__ = [
     "Strategy",
@@ -342,6 +342,10 @@ class LlmParams:
     max_tokens: int = 256
     temperature: float = 0.0
 
+    def __post_init__(self) -> None:
+        if self.max_tokens < 1:
+            raise ValueError(f"max_tokens must be >= 1, got {self.max_tokens}")
+
 
 class LlmBackend(Protocol):
     name: str
@@ -402,7 +406,7 @@ class HttpLlmBackend:
         transport: Callable[[str, dict, float], dict] | None = None,
     ):
         self.name = name
-        self.endpoint = endpoint
+        self.endpoint = endpoint if transport else checked_endpoint(endpoint, timeout_ms)
         self.timeout_ms = timeout_ms
         self._transport = transport or functools.partial(post_json, token_env="PHENOTAG_LLM_TOKEN")
 

@@ -1,5 +1,11 @@
+import gc
 import json
 import re
+import select
+import sys
+import threading
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import settings
@@ -197,3 +203,107 @@ def write_e2e_workspace(root):
         encoding="utf-8",
     )
     return root / "config.ini"
+
+
+# --- a loopback HTTP server for the default clients ----------------------------
+
+class _LoopbackHandler(BaseHTTPRequestHandler):
+    # Without this, a reply sent in two writes waits for a delayed ACK.
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        length = self.headers["Content-Length"]
+        body = json.loads(self.rfile.read(int(length))) if length else None
+        with self.server.lock:
+            self.server.seen.append(
+                (self.command, self.path, body, self.headers.get("Authorization"))
+            )
+        self.server.answer(self, body)
+
+    do_GET = do_POST  # a followed 301, 302 or 303 arrives as a GET without a body
+
+    def log_message(self, *args):
+        pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """A threading HTTP server on 127.0.0.1 that answers each POST or GET
+    with ``answer(handler, body)`` and records it in ``seen`` as (method,
+    path, JSON body or None, Authorization header).
+
+    As a context manager it serves on a thread. On exit it shuts down and
+    joins every handler thread, then asserts that no handler raised, that
+    every connection it accepted is closed, and that no client socket was
+    left for the garbage collector to close (a ResourceWarning)."""
+
+    daemon_threads = False  # so server_close joins every handler thread
+
+    def __init__(self, answer):
+        super().__init__(("127.0.0.1", 0), _LoopbackHandler)
+        self.answer = answer
+        self.lock = threading.Lock()
+        self.seen: list[tuple] = []
+        self.accepted: list = []
+        self.errors: list[BaseException] = []
+
+    @property
+    def url(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}"
+
+    def get_request(self):
+        connection, address = super().get_request()
+        self.accepted.append(connection)  # only the serving thread accepts
+        return connection, address
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
+
+    def __enter__(self):
+        self._catching = warnings.catch_warnings(record=True)
+        self._warned = self._catching.__enter__()
+        warnings.simplefilter("always", ResourceWarning)
+        # A short poll interval: shutdown waits for the serving loop's next poll.
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.01,))
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
+        gc.collect()
+        self._catching.__exit__(*exc_info)
+        if exc_info[0] is None:
+            assert self.errors == []
+            assert all(connection.fileno() == -1 for connection in self.accepted)
+            assert [w for w in self._warned if issubclass(w.category, ResourceWarning)] == []
+
+
+def reply(handler, body: bytes, status: int = 200, length: int | None = None,
+          headers: tuple[tuple[str, str], ...] = ()) -> None:
+    """Send ``body`` with ``status``; ``length`` overrides its Content-Length."""
+    handler.send_response(status)
+    for name, value in headers:
+        handler.send_header(name, value)
+    handler.send_header("Content-Length", str(len(body) if length is None else length))
+    handler.end_headers()
+    handler.wfile.write(body)
+
+
+def reply_json(handler, obj) -> None:
+    reply(handler, json.dumps(obj).encode())
+
+
+def client_closed_within(handler, seconds: float) -> bool:
+    """Wait up to ``seconds`` for the client to close its end (it has sent
+    its whole request, so the socket turns readable only at EOF)."""
+    readable, _, _ = select.select([handler.connection], [], [], seconds)
+    return bool(readable)
+
+
+def reply_after(handler, seconds: float, obj) -> None:
+    """Reply with ``obj`` after ``seconds``, unless the client gives up and
+    closes first."""
+    if not client_closed_within(handler, seconds):
+        reply_json(handler, obj)

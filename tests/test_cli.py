@@ -370,6 +370,48 @@ def test_run_index_build_failure_keeps_earlier_manifest(workspace):
     assert (root / "out" / "verdicts.jsonl").read_bytes() == verdicts
 
 
+# (command and arguments, config keys set over the e2e workspace's, with
+# None removing a key, and the message) for remote settings the default
+# HTTP client could never send with.
+UNSENDABLE_REMOTE_SETTINGS = {
+    "ner-endpoint-without-scheme": (
+        ["annotate"], {("ner", "mock_lexicon"): None, ("ner", "endpoint"): "bern2.host/annotate"},
+        "endpoint must be an http or https URL with a host, got 'bern2.host/annotate'"),
+    "llm-endpoint-without-scheme": (
+        ["run", "--strategy", "rag-fsi"],
+        {("llm", "scripted"): None, ("llm", "endpoint"): "llm.host/complete"},
+        "endpoint must be an http or https URL with a host, got 'llm.host/complete'"),
+    "embedding-endpoint-without-host": (
+        ["run", "--strategy", "rag-fsi"], {("embedding", "endpoint"): "http:///embed"},
+        "endpoint must be an http or https URL with a host, got 'http:///embed'"),
+    "llm-timeout-zero": (
+        ["run", "--strategy", "rag-fsi"],
+        {("llm", "scripted"): None, ("llm", "endpoint"): "http://127.0.0.1:1/complete",
+         ("llm", "timeout_ms"): "0"},
+        "timeout_ms must be >= 1, got 0"),
+    "llm-max-tokens-zero": (
+        ["run", "--strategy", "rag-fsi"], {("llm", "max_tokens"): "0"},
+        "max_tokens must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNSENDABLE_REMOTE_SETTINGS))
+def test_unsendable_remote_setting_exits_1_before_sending_or_writing(workspace, case):
+    root, config = workspace
+    args, keys, detail = UNSENDABLE_REMOTE_SETTINGS[case]
+    run_pipeline_through_annotate(config)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    for (section, key), value in keys.items():
+        if value is None:
+            config.write_text(re.sub(rf"(?m)^{key} = .*\n", "", config.read_text()))
+        else:
+            set_config_key(config, section, key, value)
+    result = invoke(args[0], "-c", config, *args[1:])
+    assert result.exit_code == 1, result.output + repr(result.exception)
+    assert f"error: {detail}" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
 @pytest.mark.parametrize("record_id, answer, detail", [
     ("tp03", "the child has migraine most days",
      "bad prediction record: record 'tp03': text differs from the upstream text"),

@@ -32,7 +32,7 @@ from phenotag.ontology import (
     stem_token,
 )
 
-from conftest import make_concepts, concepts_to_jsonl, tokenize
+from conftest import LoopbackServer, concepts_to_jsonl, make_concepts, reply_after, tokenize
 
 
 def concept_line(cid="mesh:D001249", name="asthma", desc="airway disease", syns=("wheeze",)):
@@ -150,23 +150,20 @@ def test_remote_provider_wire_and_failure():
 
 
 def test_remote_provider_default_transport_honours_timeout(monkeypatch):
-    seen = []
-
-    class Response:
-        def raise_for_status(self):
-            pass
-
-        def json(self):
-            return {"vectors": [[3.0, 4.0]]}
-
-    def post(url, json, timeout, headers):
-        seen.append((url, json, timeout))
-        return Response()
-
-    monkeypatch.setattr("requests.post", post)
-    provider = RemoteEmbeddingProvider("jina", "http://emb.local/v1", 2, timeout_ms=2_500)
-    assert np.allclose(provider.embed("asthma"), [0.6, 0.8])
-    assert seen == [("http://emb.local/v1", {"texts": ["asthma"]}, 2.5)]
+    # The reply comes 0.4 s after the request: within a 2.5 s timeout, and
+    # after a 0.1 s one, which every attempt then trips.
+    monkeypatch.delenv("PHENOTAG_EMBED_TOKEN", raising=False)
+    with LoopbackServer(lambda handler, body: reply_after(
+            handler, 0.4, {"vectors": [[3.0, 4.0]]})) as server:
+        provider = RemoteEmbeddingProvider("jina", server.url + "/v1", 2, timeout_ms=2_500)
+        assert np.allclose(provider.embed("asthma"), [0.6, 0.8])
+        assert server.seen == [("POST", "/v1", {"texts": ["asthma"]}, None)]
+        hasty = RemoteEmbeddingProvider("jina", server.url + "/v1", 2, timeout_ms=100)
+        started = time.monotonic()
+        with pytest.raises(BackendError, match="timed out"):
+            hasty.embed("asthma")
+        assert time.monotonic() - started < 1.2
+        assert server.seen == [("POST", "/v1", {"texts": ["asthma"]}, None)] * 4
 
 
 @pytest.mark.parametrize("vector", [[math.nan, 1.0], [math.inf, 1.0], [-math.inf, 0.0]])

@@ -1,4 +1,7 @@
+import collections
+import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -17,52 +20,128 @@ from phenotag.corpus import (
 from phenotag.errors import BackendError
 from phenotag.ontology import OntologyStore, RemoteEmbeddingProvider
 from phenotag.orchestrate import HttpLlmBackend, LlmParams, PromptSpec, Strategy, run_strategy
-from phenotag.transport import call_with_retry, send, window_map
+from phenotag.transport import call_with_retry, checked_endpoint, send, window_map
 
-from conftest import make_concepts
+from conftest import (
+    LoopbackServer, client_closed_within, make_concepts, reply, reply_after, reply_json,
+)
 
 
-class FakeResponse:
-    def __init__(self, body):
-        self._body = body
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._body
+DEFAULT_CLIENTS = {
+    # path: (a call through that backend's default client with timeout_ms,
+    #        the JSON body it sends, the reply, the token variable)
+    "/ner": (lambda url, ms: HttpNerBackend(url, timeout_ms=ms).submit(["text"]),
+             {"texts": ["text"]}, {"results": [{"annotations": []}]}, "PHENOTAG_NER_TOKEN"),
+    "/llm": (lambda url, ms: HttpLlmBackend(url, timeout_ms=ms).complete("prompt", LlmParams()),
+             {"prompt": "prompt", "max_tokens": 256, "temperature": 0.0}, {"text": "AGREE"},
+             "PHENOTAG_LLM_TOKEN"),
+    "/embed": (lambda url, ms: RemoteEmbeddingProvider("e", url, 2, timeout_ms=ms,
+                                                       retry_budget=0).embed("text").tolist(),
+               {"texts": ["text"]}, {"vectors": [[1.0, 0.0]]}, "PHENOTAG_EMBED_TOKEN"),
+}
 
 
 def test_each_default_transport_sends_its_own_token_and_timeout(monkeypatch):
-    seen = []
+    def answer(handler, body):
+        path = handler.path.removeprefix("/slow")
+        if path != handler.path:  # a reply slower than one timeout_ms and faster than the other
+            reply_after(handler, 0.4, DEFAULT_CLIENTS[path][2])
+        else:
+            reply_json(handler, DEFAULT_CLIENTS[path][2])
 
-    def post(url, json, timeout, headers):
-        seen.append((url, timeout, headers))
-        if url.endswith("/ner"):
-            return FakeResponse({"results": [{"annotations": []}]})
-        if url.endswith("/llm"):
-            return FakeResponse({"text": "AGREE"})
-        return FakeResponse({"vectors": [[1.0, 0.0]]})
-
-    monkeypatch.setattr("requests.post", post)
-    monkeypatch.setenv("PHENOTAG_NER_TOKEN", "ner-secret")
-    monkeypatch.setenv("PHENOTAG_LLM_TOKEN", "llm-secret")
-    monkeypatch.setenv("PHENOTAG_EMBED_TOKEN", "embed-secret")
-    HttpNerBackend("http://x/ner", timeout_ms=1_500).submit(["text"])
-    HttpLlmBackend("http://x/llm", timeout_ms=2_500).complete("prompt", LlmParams())
-    RemoteEmbeddingProvider("e", "http://x/embed", 2, timeout_ms=3_500).embed("text")
-    assert seen == [
-        ("http://x/ner", 1.5, {"Authorization": "Bearer ner-secret"}),
-        ("http://x/llm", 2.5, {"Authorization": "Bearer llm-secret"}),
-        ("http://x/embed", 3.5, {"Authorization": "Bearer embed-secret"}),
-    ]
+    for path, (_, _, _, token_env) in DEFAULT_CLIENTS.items():
+        monkeypatch.setenv(token_env, f"{path[1:]}-secret")
+    with LoopbackServer(answer) as server:
+        got = {path: call(server.url + path, 1_500) for path, (call, *_) in DEFAULT_CLIENTS.items()}
+        for path, (call, *_) in DEFAULT_CLIENTS.items():
+            started = time.monotonic()
+            with pytest.raises(BackendError, match="timed out"):
+                call(server.url + "/slow" + path, 100)
+            assert time.monotonic() - started < 0.4
+            assert call(server.url + "/slow" + path, 5_000) == got[path]
+    assert got == {"/ner": {"results": [{"annotations": []}]}, "/llm": "AGREE",
+                   "/embed": [1.0, 0.0]}
+    sent = [("POST", path, body, f"Bearer {path[1:]}-secret")
+            for path, (_, body, *_) in DEFAULT_CLIENTS.items()]
+    slow = [("POST", "/slow" + path, body, auth) for _, path, body, auth in sent]
+    assert server.seen == sent + [call for pair in zip(slow, slow) for call in pair]
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
-    # requests costs about as much to import as the rest of the CLI start.
+@pytest.mark.parametrize("status", [301, 302, 303])
+@pytest.mark.parametrize("elsewhere", [True, False])
+def test_the_token_never_follows_a_redirect(monkeypatch, status, elsewhere):
+    # urllib copies a request's headers onto the redirected one; the token
+    # must not go with them, neither to another host nor to the same one.
+    for path, (_, _, _, token_env) in DEFAULT_CLIENTS.items():
+        monkeypatch.setenv(token_env, f"{path[1:]}-secret")
+
+    def moved(handler, body):
+        if handler.path.startswith("/moved"):
+            reply_json(handler, DEFAULT_CLIENTS[handler.path.removeprefix("/moved")][2])
+        else:
+            target = (landing.url if elsewhere else server.url) + "/moved" + handler.path
+            reply(handler, b"", status=status, headers=(("Location", target),))
+
+    with LoopbackServer(moved) as landing, LoopbackServer(moved) as server:
+        got = [call(server.url + path, 1_500) for path, (call, *_) in DEFAULT_CLIENTS.items()]
+    assert got == [{"results": [{"annotations": []}]}, "AGREE", [1.0, 0.0]]
+    first = [("POST", path, body, f"Bearer {path[1:]}-secret")
+             for path, (_, body, *_) in DEFAULT_CLIENTS.items()]
+    followed = [("GET", "/moved" + path, None, None) for path in DEFAULT_CLIENTS]
+    if elsewhere:
+        assert (server.seen, landing.seen) == (first, followed)
+    else:
+        assert (server.seen, landing.seen) == ([c for pair in zip(first, followed) for c in pair],
+                                               [])
+
+
+def test_a_token_http_cannot_carry_is_a_bug_not_a_transport_fault(monkeypatch):
+    # http.client refuses a header value with a line break before it
+    # connects; that ValueError must stop the command, not be retried.
+    monkeypatch.setenv("PHENOTAG_LLM_TOKEN", "llm-secret\n")
+    with LoopbackServer(lambda handler, body: reply_json(handler, {"text": "AGREE"})) as server:
+        with pytest.raises(ValueError, match="Invalid header value"):
+            HttpLlmBackend(server.url + "/llm").complete("prompt", LlmParams())
+    assert server.seen == [] and server.accepted == []
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded():
+    # urllib.request (with http.client, email and ssl under it) costs a
+    # quarter to a third as much to import as phenotag.cli, and only a remote
+    # backend's call needs it.
     env = dict(os.environ, PYTHONPATH=str(Path(phenotag.__file__).resolve().parents[1]))
-    code = "import sys, phenotag.cli; sys.exit('requests' in sys.modules)"
+    code = "import sys, phenotag.cli; sys.exit('urllib.request' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+# Run in a fresh interpreter in which ``import requests`` raises ImportError.
+NO_REQUESTS_SCRIPT = """
+import json, sys
+sys.modules["requests"] = None
+from phenotag.annotate import HttpNerBackend
+from phenotag.ontology import RemoteEmbeddingProvider
+from phenotag.orchestrate import HttpLlmBackend, LlmParams
+url = sys.argv[1]
+print(json.dumps([
+    HttpNerBackend(url + "/ner").submit(["text"]),
+    HttpLlmBackend(url + "/llm").complete("prompt", LlmParams()),
+    RemoteEmbeddingProvider("e", url + "/embed", 2).embed("text").tolist(),
+]))
+"""
+
+
+def test_the_default_clients_run_without_requests():
+    env = dict(os.environ, PYTHONPATH=str(Path(phenotag.__file__).resolve().parents[1]))
+    for path, (_, _, _, token_env) in DEFAULT_CLIENTS.items():
+        env[token_env] = f"{path[1:]}-secret"
+    with LoopbackServer(lambda handler, body: reply_json(
+            handler, DEFAULT_CLIENTS[handler.path][2])) as server:
+        result = subprocess.run([sys.executable, "-c", NO_REQUESTS_SCRIPT, server.url], env=env,
+                                capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [{"results": [{"annotations": []}]}, "AGREE", [1.0, 0.0]]
+    assert server.seen == [("POST", path, body, f"Bearer {path[1:]}-secret")
+                           for path, (_, body, *_) in DEFAULT_CLIENTS.items()]
 
 
 def test_importing_the_cli_leaves_numpy_unloaded():
@@ -77,6 +156,26 @@ def test_importing_the_cli_leaves_concurrent_futures_unloaded():
     env = dict(os.environ, PYTHONPATH=str(Path(phenotag.__file__).resolve().parents[1]))
     code = "import sys, phenotag.cli; sys.exit('concurrent.futures' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("url", ["http://h/x", "https://h:8443/x", "HTTP://h", "http://[::1]:80/"])
+def test_checked_endpoint_returns_a_url_post_json_can_send_to(url):
+    assert checked_endpoint(url, 1) == url
+
+
+@pytest.mark.parametrize("url, timeout_ms, detail", [
+    ("llm.host/complete", 1, "endpoint must be an http or https URL with a host"),
+    ("ftp://h/x", 1, "endpoint must be an http or https URL with a host"),
+    ("http:///x", 1, "endpoint must be an http or https URL with a host"),
+    ("http://h:0/x", 1, "endpoint must be an http or https URL with a host"),
+    ("http://h:abc/x", 1, "Port could not be cast to integer value"),
+    ("http://h:65536/x", 1, "Port out of range"),
+    ("http://h/x", 0, "timeout_ms must be >= 1, got 0"),
+    ("http://h/x", -5, "timeout_ms must be >= 1, got -5"),
+])
+def test_checked_endpoint_rejects_what_post_json_cannot_send(url, timeout_ms, detail):
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        checked_endpoint(url, timeout_ms)
 
 
 def test_retry_stops_at_first_success():
@@ -273,3 +372,126 @@ def test_a_bug_on_the_first_item_starts_no_further_item(stage):
     with pytest.raises(TypeError, match="bug in transport"):
         run(calls)
     assert 1 <= len(calls) <= width
+
+
+# --- the default clients against a faulty loopback server ---------------------------
+
+FAULTS = ("500", "503", "307", "drop", "truncate", "not-json", "slow")
+FAULT_TIMEOUT_MS = 100  # every other reply on loopback takes a few ms
+
+
+def _faulty_server(plans, item_of, good):
+    """A LoopbackServer whose n-th request for item ``item_of(body)`` meets
+    the fault ``plans[item][n]`` while the plan lasts, and then gets
+    ``good(item)`` as its JSON reply; also returns the attempts per item."""
+    attempts = collections.Counter()
+    lock = threading.Lock()
+
+    def answer(handler, body):
+        item = item_of(body)
+        with lock:
+            n = attempts[item]
+            attempts[item] += 1
+        fault = plans[item][n] if n < len(plans[item]) else None
+        data = json.dumps(good(item)).encode()
+        if fault in ("500", "503"):
+            reply(handler, b'{"error": "busy"}', status=int(fault))
+        elif fault == "307":
+            reply(handler, b"", status=307, headers=(("Location", "/elsewhere"),))
+        elif fault == "truncate":
+            reply(handler, data[: len(data) // 2], length=len(data))
+        elif fault == "not-json":
+            reply(handler, b"<html>busy</html>")
+        elif fault == "slow":
+            # Reply only once the client has given up and closed its end.
+            client_closed_within(handler, 10)
+            try:
+                reply(handler, data)
+            except OSError:
+                pass
+        elif fault is None:
+            reply(handler, data)
+        # "drop": the connection closes with no reply.
+
+    return LoopbackServer(answer), attempts
+
+
+def _ner_chunks(url, n, retry_budget, width):
+    """Item i is the chunk of records ri-a and ri-b; a record's outcome is
+    its status."""
+    records = [SurveyRecord(f"r{i}-{part}", "", f"item {i} {part}", FieldType.DESCRIPTIVE)
+               for i in range(n) for part in "ab"]
+    outcomes = annotate_batch(
+        records, HttpNerBackend(url + "/ner", timeout_ms=FAULT_TIMEOUT_MS),
+        BackendConfig(batch_size=2, max_inflight=width, retry_budget=retry_budget),
+    )
+    return [(o.record_id, o.status) for o in outcomes]
+
+
+def _llm_calls(url, n, retry_budget, width):
+    """Item i is the judgment of record ri's mention; its outcome is the verdict kind."""
+    records = [SurveyRecord(f"r{i}", "", f"item {i}", FieldType.DESCRIPTIVE) for i in range(n)]
+    mentions = [NormalizedAnnotation(f"r{i}", TextSpan(0, 4), "item", NONE_CONCEPT,
+                                     Source.NER_BACKEND) for i in range(n)]
+    judged = run_strategy(Corpus(records), mentions,
+                          PromptSpec(Strategy.ZERO_SHOT_CONCEPT_VS_CONCEPT),
+                          HttpLlmBackend(url + "/llm", timeout_ms=FAULT_TIMEOUT_MS),
+                          OntologyStore(make_concepts(10)), retry_budget=retry_budget,
+                          max_inflight=width)
+    return [(a.record_id, v.kind.value) for a, v in judged]
+
+
+def _embedded_texts(url, n, retry_budget, width):
+    """Item i is the text "item i"; its outcome is its unit vector, the i-th
+    of the 4 axes."""
+    provider = RemoteEmbeddingProvider("remote", url + "/embed", 4, timeout_ms=FAULT_TIMEOUT_MS,
+                                       max_inflight=width, retry_budget=retry_budget)
+    return provider.embed_many([f"item {i}" for i in range(n)]).tolist()
+
+
+# stage: (run it, the item a request names, the item's good reply, the
+# outcomes when every item in ``ok`` succeeds)
+FAULTY_STAGES = {
+    "ner-chunk": (_ner_chunks, lambda body: int(body["texts"][0].split()[1]),
+                  lambda i: {"results": [{"annotations": []}] * 2},
+                  lambda ok: [(f"r{i}-{part}", "ok" if good else "failed")
+                              for i, good in enumerate(ok) for part in "ab"]),
+    "llm-call": (_llm_calls, lambda body: int(re.search(r"Answer: item (\d+)", body["prompt"])[1]),
+                 lambda i: {"text": "AGREE"},
+                 lambda ok: [(f"r{i}", "agree" if good else "unparseable")
+                             for i, good in enumerate(ok)]),
+    "embedding-text": (_embedded_texts, lambda body: int(body["texts"][0].split()[1]),
+                       lambda i: {"vectors": [[i + 1.0 if j == i else 0.0 for j in range(4)]]},
+                       lambda ok: [[1.0 if j == i else 0.0 for j in range(4)]
+                                   for i in range(len(ok))]),
+}
+
+
+@pytest.mark.parametrize("stage", list(FAULTY_STAGES))
+@settings(max_examples=20)
+@given(retry_budget=st.integers(0, 2), width=st.integers(1, 3),
+       plans=st.lists(st.lists(st.sampled_from(FAULTS), max_size=3), min_size=1, max_size=4))
+def test_every_http_fault_costs_one_attempt_and_fails_only_its_item(stage, retry_budget, width,
+                                                                      plans):
+    run, item_of, good, expected = FAULTY_STAGES[stage]
+    ok = [len(plan) <= retry_budget for plan in plans]
+    # An item that succeeds is sent once per fault and once more; one that
+    # fails is sent 1 + retry_budget times.
+    needed = [min(len(plan) + 1, 1 + retry_budget) for plan in plans]
+    server, attempts = _faulty_server(plans, item_of, good)
+    with server:
+        if stage == "embedding-text" and not all(ok):
+            # The first text to fail stops the window: no further text
+            # starts, and each text that started made all of its attempts.
+            with pytest.raises(BackendError, match="embedding provider 'remote' failed"):
+                run(server.url, len(plans), retry_budget, width)
+            sent = [attempts[i] for i in range(len(plans))]
+            first = ok.index(False)
+            if width == 1:
+                assert sent == needed[: first + 1] + [0] * (len(plans) - first - 1)
+            assert all(count in (0, need) for count, need in zip(sent, needed))
+            assert any(count == 1 + retry_budget for count, good in zip(sent, ok) if not good)
+        else:
+            assert run(server.url, len(plans), retry_budget, width) == expected(ok)
+            assert [attempts[i] for i in range(len(plans))] == needed
+    assert len(server.seen) == sum(attempts.values())
