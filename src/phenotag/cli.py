@@ -266,7 +266,25 @@ def _load_mock_lexicon(path: Path) -> dict[str, str]:
             raise ValidationError(f"duplicate term {term!r}")
         lexicon[term] = ConceptId.canonical(obj["concept_id"])
 
-    read_jsonl(jsonl_lines(path), "lexicon entry", add)
+    def add_all(entries: list) -> dict[str, str] | None:
+        # What add builds, when every entry is an object (nothing else takes
+        # a string key) with a string term and an id already canonical, and
+        # no term repeats; any other file, ids in other accepted forms
+        # included, goes to add line by line.
+        try:
+            terms = [entry["term"] for entry in entries]
+            ids = [entry["concept_id"] for entry in entries]
+        except (KeyError, TypeError):
+            return None
+        if set(map(type, terms)) != {str} or not ConceptId.all_canonical(ids):
+            return None
+        lexicon.update(zip(terms, ids))
+        if len(lexicon) != len(terms):
+            lexicon.clear()
+            return None
+        return lexicon
+
+    read_jsonl(jsonl_lines(path), "lexicon entry", add, add_all)
     return lexicon
 
 
@@ -493,7 +511,10 @@ _PLAN_SECTIONS = {
 }
 
 
-def _check_plan_entry(section: str, entry: dict) -> None:
+def _check_plan_entry(section: str, entry: dict, remote: dict) -> None:
+    """Check one plan entry's keys, and build an ``endpoint`` entry's
+    provider, which checks the URL and ``remote``'s timeout and sends
+    nothing; so a bad entry stops the plan before any request is sent."""
     where = f"bad report plan: {section!r} entry {json.dumps(entry)}"
     allowed = _PLAN_SECTIONS[section][0]
     for key, value in entry.items():
@@ -506,6 +527,8 @@ def _check_plan_entry(section: str, entry: dict) -> None:
     dimension = entry.get("dimension", 1)
     if type(dimension) is not int or dimension < 1:
         raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
+    if entry.get("endpoint"):
+        _embedding_provider(entry["endpoint"], **remote)
 
 
 def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
@@ -519,6 +542,7 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
         raise ValidationError(f"bad report plan: {exc}") from exc
     if not isinstance(plan, dict):
         raise ValidationError("bad report plan: top level must be an object")
+    remote = cfg.settings("embedding", timeout_ms=int)
     for section, entries in plan.items():
         if section not in _PLAN_SECTIONS:
             raise ValidationError(
@@ -528,9 +552,8 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValidationError(f"bad report plan: {section!r} must be a list of objects")
         for entry in entries:
-            _check_plan_entry(section, entry)
+            _check_plan_entry(section, entry, remote)
     bundle = ReportBundle()
-    remote = cfg.settings("embedding", timeout_ms=int)
 
     def _path(entry: dict, key: str) -> Path:
         if not isinstance(entry.get(key), str):

@@ -103,6 +103,8 @@ class TextSpan:
 # digits. re.ASCII keeps Unicode case folding out ("meſh" is not "mesh").
 MESH_ID = re.compile(r"mesh:D[0-9]+", re.IGNORECASE | re.ASCII)
 _MESH_CANONICAL = re.compile(r"mesh:D[0-9]+")
+# Canonical ids joined by "\n": one fullmatch checks a whole column of ids.
+_MESH_CANONICAL_LINES = re.compile(r"mesh:D[0-9]+(?:\nmesh:D[0-9]+)*")
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,14 @@ class ConceptId:
             if stripped.upper() == "NONE":
                 return NONE_CONCEPT
             raise ValueError(f"cannot parse concept id {text!r}")
-        # The match already proves "D" + digits well formed, so skip the
-        # constructor's second check.
+        return cls._unchecked("D" + stripped[len("mesh:D"):])
+
+    @classmethod
+    def _unchecked(cls, identifier: str) -> "ConceptId":
+        """The ConceptId of an identifier a match already proved to be "D" and
+        ASCII digits, skipping the constructor's second check."""
         concept = object.__new__(cls)
-        object.__setattr__(concept, "identifier", "D" + stripped[len("mesh:D"):])
+        object.__setattr__(concept, "identifier", identifier)
         return concept
 
     @classmethod
@@ -146,6 +152,22 @@ class ConceptId:
         if isinstance(text, str) and _MESH_CANONICAL.fullmatch(text):
             return text
         return cls.parse(text).render()
+
+    @staticmethod
+    def all_canonical(texts: Sequence[Any]) -> bool:
+        """Whether every item is a string already in canonical MeSH form
+        (``canonical`` would return each as it is, and none is NONE); one
+        fullmatch over the ``\\n``-joined column."""
+        if not texts:
+            return True
+        try:
+            joined = "\n".join(texts)
+        except TypeError:  # an item that is not a string
+            return False
+        # The count rejects an item that itself holds a "\n": the item
+        # "mesh:D1\nmesh:D2" would otherwise pass as two canonical ids.
+        return (joined.count("\n") == len(texts) - 1
+                and _MESH_CANONICAL_LINES.fullmatch(joined) is not None)
 
     def render(self) -> str:
         return "NONE" if self.identifier is None else f"mesh:{self.identifier}"
@@ -262,6 +284,7 @@ class Corpus:
 # ---------------------------------------------------------------------------
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
 _DECODER = json.JSONDecoder()
@@ -284,14 +307,30 @@ def jsonl_line(obj: Any) -> str:
     return _ENCODER.encode(obj)
 
 
-def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
+def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T],
+               bulk: Callable[[list[Any]], R | None] | None = None) -> list[T] | R:
     """Decode each non-blank line as JSON and return ``parse(lineno, obj)``
     for each, in file order; line numbers count blank lines too.
 
     A line that is not JSON, that nests too deep to decode, or that
     ``parse`` rejects with a ValidationError, KeyError, TypeError,
     ValueError or IndexError, raises ValidationError("line N: bad <what>: ...").
+
+    ``bulk`` is a fast path for a whole file. When every non-blank line is
+    exactly one JSON value, ``bulk`` gets the decoded values in file order
+    and returns what ``read_jsonl`` returns, or None. On None, or when some
+    line is not exactly one value, the file is read line by line from the
+    top as above, so ``parse`` alone owns every error and its line number.
+    ``bulk`` must therefore return None for every file on which ``parse``
+    would raise, and otherwise leave behind what the per-line read would;
+    where it fills state that ``parse`` also fills, it empties that state
+    before returning None.
     """
+    if bulk is not None:
+        lines = list(lines)  # read twice when the fast path declines
+        objects = _decode_each(lines)
+        if objects is not None and (result := bulk(objects)) is not None:
+            return result
     scan = _DECODER.scan_once
     items = []
     for lineno, line in enumerate(lines, start=1):
@@ -314,6 +353,23 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) 
         except (ValidationError, TypeError, ValueError, IndexError, RecursionError) as exc:
             raise ValidationError(f"line {lineno}: bad {what}: {exc}") from exc
     return items
+
+
+def _decode_each(lines: list[str]) -> list[Any] | None:
+    """The value of each non-blank line, by ``read_jsonl``'s one C call per
+    line; None if any line is not exactly one JSON value."""
+    scan = _DECODER.scan_once
+    objects = []
+    try:
+        for line in lines:
+            if line and not line.isspace():
+                obj, end = scan(line, 0)
+                if end != len(line):
+                    return None
+                objects.append(obj)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return objects
 
 
 _REQUIRED: Any = object()

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import re
@@ -137,7 +138,32 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
             synonyms=tuple(json_field(obj, "synonyms", list[str], [])),
         ))
 
-    read_jsonl(lines, "concept", parse)
+    def parse_all(entries: list) -> OntologyStore | None:
+        # What parse builds, when every entry is an object (nothing else
+        # takes a string key) with a canonical id, a non-empty string name,
+        # a string description and a list of string synonyms, and no id
+        # repeats; any other file goes to parse line by line.
+        try:
+            ids = [entry["concept_id"] for entry in entries]
+            names = [entry["preferred_name"] for entry in entries]
+            descriptions = [entry.get("description", "") for entry in entries]
+            synonyms = [entry.get("synonyms", []) for entry in entries]
+        except (KeyError, TypeError):
+            return None
+        if not (ConceptId.all_canonical(ids) and set(map(type, names)) == {str} and all(names)
+                and set(map(type, descriptions)) == {str} and set(map(type, synonyms)) == {list}
+                and set(map(type, itertools.chain.from_iterable(synonyms))) <= {str}):
+            return None
+        by_id = store._by_id
+        for text, name, description, words in zip(ids, names, descriptions, synonyms):
+            concept_id = ConceptId._unchecked(text[len("mesh:"):])
+            by_id[concept_id] = OntologyConcept(concept_id, name, description, tuple(words))
+        if len(by_id) != len(ids):
+            by_id.clear()
+            return None
+        return store
+
+    read_jsonl(lines, "concept", parse, parse_all)
     return store
 
 
@@ -169,6 +195,12 @@ def stem_token(token: str) -> str:
 
 
 _WORD = re.compile(r"\w+")
+# On ASCII text, _WORD.findall(text.lower()) is text.translate(_ASCII_WORDS).split():
+# A-Z lowercased, 0-9, a-z and _ kept, every other ASCII character a space.
+_ASCII_WORDS = {
+    code: chr(code).lower() if chr(code).isalnum() or chr(code) == "_" else " "
+    for code in range(128)
+}
 
 
 class EmbeddingProvider(Protocol):
@@ -211,7 +243,11 @@ class HashedBagOfWordsProvider:
         """The bucket of each token's stem, in text order; the one tokenizer
         behind ``embed`` and ``embed_many``."""
         buckets = []
-        for token in _WORD.findall(text.lower()):
+        if text.isascii():
+            tokens = text.translate(_ASCII_WORDS).split()
+        else:
+            tokens = _WORD.findall(text.lower())
+        for token in tokens:
             bucket = self._buckets.get(token)
             if bucket is None:
                 bucket = self._buckets[token] = _bucket(stem_token(token), self.dimension)

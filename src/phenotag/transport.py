@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from typing import Callable, Iterable, TypeVar
 from urllib.parse import urlsplit
@@ -21,19 +22,30 @@ from .errors import BackendError
 T = TypeVar("T")
 R = TypeVar("R")
 
+# A bearer token: visible ASCII, "!" to "~".
+_TOKEN = re.compile(r"[!-~]+")
+
 
 def post_json(url: str, payload: dict, timeout_s: float, token_env: str) -> dict:
     """POST ``payload`` as JSON and return the decoded JSON response. The bearer
     token comes from ``token_env`` on every call, never from a config file, and
-    goes to ``url`` alone, never on after a redirect. A non-2xx status raises
-    HTTPError, an OSError; a broken reply or a non-JSON body, BackendError."""
+    goes to ``url`` alone, never on after a redirect; a token that is not
+    visible ASCII raises ValueError, which names ``token_env`` and never the
+    token. A non-2xx status raises HTTPError, an OSError; a broken reply or a
+    non-JSON body, BackendError."""
     # Imported here: at module level it would add ~30 ms to every CLI start.
     import http.client
     import urllib.request
 
+    token = os.environ.get(token_env)
+    # Checked first: http.client's own "Invalid header value" error quotes
+    # the header, so the token would reach stderr.
+    if token and not _TOKEN.fullmatch(token):
+        raise ValueError(f"{token_env} must hold only visible ASCII characters "
+                         "(no space, line break or other control character)")
     request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode(),
                                      {"Content-Type": "application/json"})
-    if token := os.environ.get(token_env):
+    if token:
         request.add_unredirected_header("Authorization", f"Bearer {token}")
     try:
         with urllib.request.urlopen(request, timeout=timeout_s) as response:

@@ -17,6 +17,9 @@ from phenotag.ontology import OntologyConcept, OntologyStore, stem_token
 # limit per example: tier-1 results must not depend on machine load.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+# New random examples, many of them: `pytest --hypothesis-profile=explore`,
+# whose option the hypothesis plugin applies after this file has run.
+settings.register_profile("explore", derandomize=False, max_examples=1000, deadline=None)
 
 _PREFIXES = (
     "bronch", "cardi", "derm", "gastr", "hepat",

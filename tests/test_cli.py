@@ -22,7 +22,7 @@ from phenotag.evaluate import mean_coherence
 from phenotag.ontology import INDEX_FILE, INDEX_SIDECAR, HashedBagOfWordsProvider
 from phenotag.orchestrate import _TEMPLATE_FIELDS, ScriptedLlmBackend, TemplateRegistry
 
-from conftest import write_e2e_workspace
+from conftest import LoopbackServer, reply_json, write_e2e_workspace
 
 
 @pytest.fixture
@@ -990,6 +990,27 @@ def test_report_plan_embeddings_send_timeout_from_config(workspace, monkeypatch,
     result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
     assert result.exit_code == 0, result.output + repr(result.stderr)
     assert timeouts and set(timeouts) == {expected}
+
+
+def test_report_plan_bad_endpoint_stops_before_any_embedding_request(workspace):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    summary = {"candidate": "child has asthma daily", "reference": "asthma daily report"}
+    (root / "summaries.jsonl").write_text(json.dumps(summary) + "\n")
+    reference = HashedBagOfWordsProvider()
+    answer = lambda handler, body: reply_json(  # noqa: E731
+        handler, {"vectors": [reference.embed(text).tolist() for text in body["texts"]]}
+    )
+    with LoopbackServer(answer) as server:
+        plan = {"embeddings": [
+            {"embedding": "loopback", "endpoint": server.url + "/e", "summaries": "summaries.jsonl"},
+            {"embedding": "bad", "endpoint": "embed.host/e", "summaries": "summaries.jsonl"},
+        ]}
+        (root / "plan.json").write_text(json.dumps(plan))
+        result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == 1
+    assert "endpoint must be an http or https URL with a host, got 'embed.host/e'" in result.stderr
+    assert server.seen == []
 
 
 @pytest.mark.parametrize("question, n_distractors, detail", [

@@ -3,13 +3,14 @@ import json
 import re
 import unicodedata
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phenotag import cli
+from phenotag import cli, ontology
 from phenotag.annotate import AnnotationOutcome, read_outcomes, write_outcomes
 from phenotag.corpus import (
     AnnotationSet,
@@ -593,6 +594,25 @@ def test_concept_id_canonical_equals_parse_then_render(text):
         assert ConceptId.canonical(text) is text
 
 
+_CANONICAL_IDS = st.integers(0, 10**7).map(lambda n: f"mesh:D{n:06d}")
+
+
+@given(texts=st.lists(st.one_of(
+    _CONCEPT_ID_INPUTS, _CANONICAL_IDS,
+    st.lists(_CANONICAL_IDS, min_size=2, max_size=3).map("\n".join),
+    _CANONICAL_IDS.map(lambda text: text + "\n"),
+), max_size=4))
+@example(texts=[])
+@example(texts=["mesh:D1\nmesh:D2"])
+@example(texts=["mesh:D1\nmesh:D2", "mesh:D3"])
+@example(texts=["mesh:D1\n", "mesh:D2"])
+@example(texts=["mesh:D1", ""])
+def test_all_canonical_checks_each_id_of_the_column(texts):
+    expected = all(isinstance(text, str) and re.fullmatch(r"mesh:D[0-9]+", text)
+                   for text in texts)
+    assert ConceptId.all_canonical(texts) is expected
+
+
 @pytest.mark.parametrize("identifier", ["bad", "D", "d001", "D12x", "mesh:D001"])
 def test_concept_id_constructor_still_validates(identifier):
     with pytest.raises(ValueError, match="malformed MeSH identifier"):
@@ -733,12 +753,12 @@ _SCANNED_CORES = st.one_of(
     st.sampled_from([1, 2, 40, 100_000]).map(lambda depth: "[" * depth + "]" * depth),
     _json_values().map(json.dumps),
 )
+_SCANNED_LINES = st.tuples(
+    _EDGES, _SCANNED_CORES, _EDGES, st.sampled_from(["", "1", " {}", "x", "true"])
+).map("".join)
 
 
-@given(lines=st.lists(
-    st.tuples(_EDGES, _SCANNED_CORES, _EDGES, st.sampled_from(["", "1", " {}", "x", "true"]))
-    .map("".join), max_size=4,
-))
+@given(lines=st.lists(_SCANNED_LINES, max_size=4))
 def test_read_jsonl_scans_like_per_line_json_loads(lines):
     expected, message = [], None
     for lineno, line in enumerate(lines, start=1):
@@ -756,6 +776,156 @@ def test_read_jsonl_scans_like_per_line_json_loads(lines):
     else:
         assert message is None
         assert repr(got) == repr(expected)
+
+
+@given(lines=st.lists(st.one_of(_jsonl_lines(), _SCANNED_LINES), max_size=4),
+       accept=st.booleans())
+def test_read_jsonl_bulk_gets_each_value_or_defers_to_the_per_line_read(lines, accept):
+    seen = []
+
+    def bulk(objects):
+        seen.append(objects)
+        return "bulk" if accept else None
+
+    per_line = _outcome(lambda: read_jsonl(lines, "thing", lambda _, obj: obj))
+    got = _outcome(lambda: read_jsonl(iter(lines), "thing", lambda _, obj: obj, bulk))
+    # bulk runs exactly when each non-blank line is one JSON value without
+    # edge whitespace, and then gets what the per-line read returns.
+    exact = per_line[0] == "returned" and all(
+        line == line.strip(" \t\r\n") for line in lines if line.strip()
+    )
+    assert len(seen) == exact
+    if seen:
+        assert repr(seen[0]) == repr(per_line[1])
+    assert got == (("returned", "bulk") if seen and accept else per_line)
+
+
+def _per_line_and_bulk(module, read):
+    """``read()``'s outcome with ``module``'s read_jsonl reading line by line
+    only, then as shipped; and whether the bulk path built the result."""
+    took = []
+
+    def per_line(lines, what, parse, bulk):
+        return read_jsonl(lines, what, parse)
+
+    def spying(lines, what, parse, bulk):
+        def spy(objects):
+            result = bulk(objects)
+            took.append(result is not None)
+            return result
+
+        return read_jsonl(lines, what, parse, spy)
+
+    outcomes = []
+    for reader in (per_line, spying):
+        with mock.patch.object(module, "read_jsonl", reader):
+            outcomes.append(_outcome(read))
+    return outcomes, took == [True]
+
+
+# Lines that are not one JSON value: bad JSON and nesting too deep. The
+# planted "line" defect also adds edge whitespace (fine for the per-line
+# read) or extra data after an entry.
+_BAD_LINES = st.sampled_from([
+    "{", "tru", "[1,]", "{} {}", '{"a": 1} x', "\ufeff{}", "[" * 100_000 + "]" * 100_000,
+])
+_ID_FORMS = st.sampled_from([
+    " MESH:d000001 ", "mesh:d000002", "MESH:D000003", "mesh:D000004\n", "NONE", "none",
+    "mesh:D", "D000001", "mesh:D\uff11", "me\u017fh:D1", "mesh:D1\nmesh:D2", "",
+])
+_NOT_STRINGS = st.sampled_from([None, 1, 1.5, True, ["a"], {"a": "b"}])
+_NOT_OBJECTS = st.sampled_from([[], "x", 1, None, ["term", "concept_id"]])
+
+
+_DEFECTS = [None, "not object", "missing", "not string", "id form", "repeat", "line", "optional"]
+# Each bulk-reader property runs once per defect kind, and the kinds share
+# the loaded profile's budget of examples (tests/conftest.py).
+_PER_DEFECT = settings(max_examples=max(1, settings.default.max_examples // len(_DEFECTS)))
+
+
+@st.composite
+def _planted_file(draw, entries, key, optional, defect):
+    """``entries`` as JSONL lines, blank lines between, with ``defect``
+    planted at a random line: an entry that is not an object, a missing or
+    non-string field, another id form (accepted or not), a repeated ``key``,
+    a line the scanner cannot take whole, or a value ``optional`` lists as
+    out of range for a field."""
+    entries = [dict(entry) for entry in entries]
+    at = draw(st.integers(0, len(entries) - 1))
+    fields = sorted(entries[at])
+    if defect == "missing":
+        del entries[at][draw(st.sampled_from(fields))]
+    elif defect == "not string":
+        entries[at][draw(st.sampled_from(fields))] = draw(_NOT_STRINGS)
+    elif defect == "id form":
+        entries[at]["concept_id"] = draw(_ID_FORMS)
+    elif defect == "repeat":
+        entries.insert(draw(st.integers(0, len(entries))),
+                       {**entries[draw(st.integers(0, len(entries) - 1))], key: entries[at][key]})
+    elif defect == "optional":
+        field, values = draw(st.sampled_from(sorted(optional.items())))
+        entries[at][field] = draw(st.sampled_from(values))
+    lines = [json.dumps(entry) for entry in entries]
+    if defect == "not object":
+        lines[at] = json.dumps(draw(_NOT_OBJECTS))
+    elif defect == "line":
+        lines[at] = draw(st.one_of(_BAD_LINES, st.sampled_from(
+            [" " + lines[at] + "\t", lines[at] + " x", lines[at] + lines[at]]
+        )))
+    blanks = draw(st.lists(st.integers(0, len(lines)), max_size=2))
+    for position in sorted(blanks, reverse=True):
+        lines.insert(position, draw(st.sampled_from(["", " "])))
+    return lines
+
+
+_lexicon_entries = st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True).flatmap(
+    lambda terms: st.tuples(*(_CANONICAL_IDS.map(lambda cid, t=t: {"term": t, "concept_id": cid})
+                              for t in terms)).map(list)
+)
+
+
+@pytest.mark.parametrize("defect", _DEFECTS)
+@_PER_DEFECT
+@given(entries=_lexicon_entries, data=st.data())
+def test_mock_lexicon_bulk_read_equals_the_per_line_read(tmp_path_factory, defect, entries,
+                                                         data):
+    lines = data.draw(_planted_file(entries, "term", {"term": ["", "\n", "a\nb"]}, defect))
+    path = tmp_path_factory.mktemp("lexicon") / "lexicon.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (per_line, shipped), took = _per_line_and_bulk(
+        cli, lambda: list(cli._load_mock_lexicon(path).items())
+    )
+    assert shipped == per_line
+    if defect is None:
+        assert took
+
+
+_ontology_entries = st.lists(_CANONICAL_IDS, min_size=1, max_size=6, unique=True).flatmap(
+    lambda ids: st.tuples(*(st.fixed_dictionaries(
+        {"concept_id": st.just(cid), "preferred_name": st.text(min_size=1, max_size=4)},
+        optional={"description": st.text(max_size=4),
+                  "synonyms": st.lists(st.text(max_size=3), max_size=2)},
+    ) for cid in ids)).map(list)
+)
+_ONTOLOGY_OUT_OF_RANGE = {
+    "preferred_name": [""],
+    "description": [None, 1, ["a"]],
+    "synonyms": [None, "a", ["a", 1], [None], {"a": "b"}],
+}
+
+
+@pytest.mark.parametrize("defect", _DEFECTS)
+@_PER_DEFECT
+@given(entries=_ontology_entries, data=st.data())
+def test_ontology_bulk_read_equals_the_per_line_read(defect, entries, data):
+    lines = data.draw(_planted_file(entries, "concept_id", _ONTOLOGY_OUT_OF_RANGE, defect))
+    (per_line, shipped), took = _per_line_and_bulk(
+        ontology, lambda: [(key, type(key.identifier), value)
+                           for key, value in load_ontology(lines)._by_id.items()]
+    )
+    assert shipped == per_line
+    if defect is None:
+        assert took
 
 
 # Raw characters that str.splitlines() breaks a line at, but JSON allows

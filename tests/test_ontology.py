@@ -26,6 +26,7 @@ from phenotag.ontology import (
     OntologyStore,
     RemoteEmbeddingProvider,
     build_rag_document,
+    _ASCII_WORDS,
     _bucket,
     cosine,
     load_ontology,
@@ -677,6 +678,23 @@ def test_embed_many_matches_the_per_text_loop_bytes(texts, dimension):
     provider = HashedBagOfWordsProvider(dimension=dimension)
     rows = provider.embed_many(texts)
     assert rows.shape == (len(texts), dimension)
+    assert rows.tobytes() == loop_embed_many(texts, dimension).tobytes()
+
+
+# Any ASCII text: controls, punctuation, "_", digits and both cases.
+_ascii_texts = st.text(alphabet=st.characters(max_codepoint=127), max_size=40)
+
+
+@given(texts=st.lists(st.one_of(_ascii_texts, _word_texts, st.text(max_size=20)),
+                      min_size=1, max_size=6),
+       dimension=st.sampled_from((1, 16, 256)))
+@example(texts=["".join(map(chr, range(128)))], dimension=256)
+def test_ascii_tokens_and_rows_are_the_regex_ones(texts, dimension):
+    for text in texts:
+        if text.isascii():
+            assert text.translate(_ASCII_WORDS).split() == re.findall(r"\w+", text.lower())
+    texts = [text for text in texts if tokenize(text)]
+    rows = HashedBagOfWordsProvider(dimension=dimension).embed_many(texts)
     assert rows.tobytes() == loop_embed_many(texts, dimension).tobytes()
 
 

@@ -20,7 +20,7 @@ from phenotag.corpus import (
 from phenotag.errors import BackendError
 from phenotag.ontology import OntologyStore, RemoteEmbeddingProvider
 from phenotag.orchestrate import HttpLlmBackend, LlmParams, PromptSpec, Strategy, run_strategy
-from phenotag.transport import call_with_retry, checked_endpoint, send, window_map
+from phenotag.transport import call_with_retry, checked_endpoint, post_json, send, window_map
 
 from conftest import (
     LoopbackServer, client_closed_within, make_concepts, reply, reply_after, reply_json,
@@ -96,13 +96,25 @@ def test_the_token_never_follows_a_redirect(monkeypatch, status, elsewhere):
 
 
 def test_a_token_http_cannot_carry_is_a_bug_not_a_transport_fault(monkeypatch):
-    # http.client refuses a header value with a line break before it
-    # connects; that ValueError must stop the command, not be retried.
+    # A header value cannot hold a line break; that ValueError must stop the
+    # command before anything is sent, not be retried, and not show the token.
     monkeypatch.setenv("PHENOTAG_LLM_TOKEN", "llm-secret\n")
     with LoopbackServer(lambda handler, body: reply_json(handler, {"text": "AGREE"})) as server:
-        with pytest.raises(ValueError, match="Invalid header value"):
+        with pytest.raises(ValueError, match="PHENOTAG_LLM_TOKEN must hold only visible ASCII") \
+                as info:
             HttpLlmBackend(server.url + "/llm").complete("prompt", LlmParams())
+    assert "llm-secret" not in str(info.value)
     assert server.seen == [] and server.accepted == []
+
+
+@pytest.mark.parametrize("token", ["secret\rx", "sec ret", "sec\tret", "s\u00e9cret", "secret\x1b",
+                                   "secret\x7f"])
+def test_a_token_with_other_than_visible_ascii_is_named_not_shown(monkeypatch, token):
+    monkeypatch.setenv("PHENOTAG_EMBED_TOKEN", token)
+    with pytest.raises(ValueError) as info:
+        post_json("http://127.0.0.1:9/embed", {"texts": ["x"]}, 1.0, "PHENOTAG_EMBED_TOKEN")
+    assert str(info.value).startswith("PHENOTAG_EMBED_TOKEN must hold only visible ASCII")
+    assert token not in str(info.value)
 
 
 def test_importing_the_cli_leaves_urllib_request_unloaded():
