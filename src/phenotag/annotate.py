@@ -19,11 +19,12 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .corpus import (
     MESH_ID, ConceptId, NONE_CONCEPT, NormalizedAnnotation, Source, SurveyRecord, json_field,
-    jsonl_line, offsets, read_jsonl,
+    jsonl_line, jsonl_lines, offsets, read_jsonl,
 )
 from .errors import BackendError, ValidationError
 from .transport import call_with_retry, checked_endpoint, post_json, send, window_map
@@ -34,6 +35,7 @@ __all__ = [
     "NerBackend",
     "HttpNerBackend",
     "MockNerBackend",
+    "load_mock_lexicon",
     "submitted_text",
     "parse_backend_response",
     "annotate_batch",
@@ -193,6 +195,38 @@ class MockNerBackend:
             )
             i += length
         return annotations
+
+
+def load_mock_lexicon(path: str | Path) -> dict[str, str]:
+    """Term -> canonical concept id; the one check of the file's ids."""
+    lexicon: dict[str, str] = {}
+
+    def add(_lineno: int, obj) -> None:
+        term = json_field(obj, "term", str)
+        if term in lexicon:
+            raise ValidationError(f"duplicate term {term!r}")
+        lexicon[term] = ConceptId.canonical(obj["concept_id"])
+
+    def add_all(entries: list) -> dict[str, str] | None:
+        # What add builds, when every entry is an object (nothing else takes
+        # a string key) with a string term and an id already canonical, and
+        # no term repeats; any other file, ids in other accepted forms
+        # included, goes to add line by line.
+        try:
+            terms = [entry["term"] for entry in entries]
+            ids = [entry["concept_id"] for entry in entries]
+        except (KeyError, TypeError):
+            return None
+        if set(map(type, terms)) != {str} or not ConceptId.all_canonical(ids):
+            return None
+        lexicon.update(zip(terms, ids))
+        if len(lexicon) != len(terms):
+            lexicon.clear()
+            return None
+        return lexicon
+
+    read_jsonl(jsonl_lines(path), "lexicon entry", add, add_all)
+    return lexicon
 
 
 def submitted_text(record: SurveyRecord) -> tuple[str, int]:

@@ -28,6 +28,7 @@ from .annotate import (
     HttpNerBackend,
     MockNerBackend,
     annotate_batch,
+    load_mock_lexicon,
     read_outcomes,
     submitted_text,
     write_outcomes,
@@ -177,7 +178,7 @@ def _write_results(command: str, cfg: RunConfig, out_dir: Path,
     manifest = RunManifest(command, cfg, out_dir)
     parents: dict[str, str] = {}
     taken = {_realpath(path, parents): "an input" for path in cfg.inputs}
-    if index is not None and index.cache_sidecar is not None:
+    if index is not None:
         for path in (index.cache_sidecar, index.cache_sidecar.with_name(INDEX_FILE)):
             taken[_realpath(path, parents)] = "the ontology index cache"
     for path in [manifest.path, *(path for path, _ in files)]:
@@ -200,8 +201,9 @@ def _write_results(command: str, cfg: RunConfig, out_dir: Path,
 
 
 def _preprocessed_corpus(cfg: RunConfig) -> Corpus:
-    """The [paths] corpus, preprocessed as the config sets."""
-    corpus = load_records(cfg.require_path("paths", "corpus"), cfg.expects_keywords())
+    """The [paths] corpus, preprocessed as the config sets; no command that
+    reads it reads ``expects_disease``, so no keyword scan sets it."""
+    corpus = load_records(cfg.require_path("paths", "corpus"))
     preprocess = cfg.preprocess()
     rewritten = []
     for record in corpus:
@@ -256,38 +258,6 @@ def ingest(cfg: RunConfig) -> None:
 # annotate
 # ---------------------------------------------------------------------------
 
-def _load_mock_lexicon(path: Path) -> dict[str, str]:
-    """Term -> canonical concept id; the one check of the file's ids."""
-    lexicon: dict[str, str] = {}
-
-    def add(_lineno: int, obj) -> None:
-        term = json_field(obj, "term", str)
-        if term in lexicon:
-            raise ValidationError(f"duplicate term {term!r}")
-        lexicon[term] = ConceptId.canonical(obj["concept_id"])
-
-    def add_all(entries: list) -> dict[str, str] | None:
-        # What add builds, when every entry is an object (nothing else takes
-        # a string key) with a string term and an id already canonical, and
-        # no term repeats; any other file, ids in other accepted forms
-        # included, goes to add line by line.
-        try:
-            terms = [entry["term"] for entry in entries]
-            ids = [entry["concept_id"] for entry in entries]
-        except (KeyError, TypeError):
-            return None
-        if set(map(type, terms)) != {str} or not ConceptId.all_canonical(ids):
-            return None
-        lexicon.update(zip(terms, ids))
-        if len(lexicon) != len(terms):
-            lexicon.clear()
-            return None
-        return lexicon
-
-    read_jsonl(jsonl_lines(path), "lexicon entry", add, add_all)
-    return lexicon
-
-
 @main.command()
 @_configured
 @_path_flag("--corpus", "paths__corpus", help="Override the corpus file path.")
@@ -301,7 +271,7 @@ def annotate(cfg: RunConfig, out: str | None) -> None:
     mock_path = cfg.input_path("ner", "mock_lexicon")
     endpoint = cfg.get("ner", "endpoint")
     if mock_path is not None:
-        backend = MockNerBackend(_load_mock_lexicon(mock_path))
+        backend = MockNerBackend(load_mock_lexicon(mock_path))
     elif endpoint:
         backend = HttpNerBackend(endpoint, **cfg.settings("ner", timeout_ms=int))
     else:
@@ -524,6 +494,11 @@ def _check_plan_entry(section: str, entry: dict, remote: dict) -> None:
             )
         if key not in (*_PLAN_FILES, "dimension") and not isinstance(value, str):
             raise ValidationError(f"{where}: {key!r} must be a string")
+    for key in allowed:
+        if key in _PLAN_FILES and not isinstance(entry.get(key), str):
+            raise ValidationError(
+                f"bad report plan: entry {json.dumps(entry)} needs a {key!r} path"
+            )
     dimension = entry.get("dimension", 1)
     if type(dimension) is not int or dimension < 1:
         raise ValidationError(f"{where}: 'dimension' must be an integer >= 1")
@@ -553,26 +528,23 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
             raise ValidationError(f"bad report plan: {section!r} must be a list of objects")
         for entry in entries:
             _check_plan_entry(section, entry, remote)
-    bundle = ReportBundle()
-
-    def _path(entry: dict, key: str) -> Path:
-        if not isinstance(entry.get(key), str):
-            raise ValidationError(
-                f"bad report plan: entry {json.dumps(entry)} needs a {key!r} path"
-            )
-        resolved = plan_path.parent / entry[key]
-        if not resolved.exists():
-            raise FileNotFoundError(f"report plan references missing file {resolved}")
-        cfg.inputs.append(resolved)
-        return resolved
-
+    # Every file is read before any row is built, so a missing or bad file
+    # stops the plan before an earlier entry sends an embedding request.
+    read = []
     for section, (keys, row) in _PLAN_SECTIONS.items():
         for entry in plan.get(section, []):
-            files = {key: _path(entry, key) for key in keys if key in _PLAN_FILES}
+            files = {key: plan_path.parent / entry[key] for key in keys if key in _PLAN_FILES}
+            for path in files.values():
+                if not path.exists():
+                    raise FileNotFoundError(f"report plan references missing file {path}")
+                cfg.inputs.append(path)
             scored = ((*read_verdicts(jsonl_lines(files["verdicts"]), gold_texts), gold_set)
                       if "verdicts" in files else None)
             pairs = _load_summaries(files["summaries"]) if "summaries" in files else None
-            getattr(bundle, section).append(row(entry, scored, pairs, remote))
+            read.append((section, row, entry, scored, pairs))
+    bundle = ReportBundle()
+    for section, row, entry, scored, pairs in read:
+        getattr(bundle, section).append(row(entry, scored, pairs, remote))
     return bundle
 
 

@@ -15,7 +15,7 @@ import json
 import re
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -102,8 +102,7 @@ class TextSpan:
 # The one MeSH id grammar: "mesh:" and "D" in any ASCII case, then ASCII
 # digits. re.ASCII keeps Unicode case folding out ("meſh" is not "mesh").
 MESH_ID = re.compile(r"mesh:D[0-9]+", re.IGNORECASE | re.ASCII)
-_MESH_CANONICAL = re.compile(r"mesh:D[0-9]+")
-# Canonical ids joined by "\n": one fullmatch checks a whole column of ids.
+# The canonical form, of ids joined by "\n": one fullmatch checks a column.
 _MESH_CANONICAL_LINES = re.compile(r"mesh:D[0-9]+(?:\nmesh:D[0-9]+)*")
 
 
@@ -117,7 +116,7 @@ class ConceptId:
     identifier: str | None = None
 
     def __post_init__(self) -> None:
-        if self.identifier is not None and not _MESH_CANONICAL.fullmatch("mesh:" + self.identifier):
+        if self.identifier is not None and not ConceptId.all_canonical(["mesh:" + self.identifier]):
             raise ValueError(f"malformed MeSH identifier {self.identifier!r}")
 
     @property
@@ -149,7 +148,7 @@ class ConceptId:
     def canonical(cls, text: str) -> str:
         """``parse(text).render()``, raising as ``parse`` does; a text that is
         already canonical MeSH is returned as it is, building nothing."""
-        if isinstance(text, str) and _MESH_CANONICAL.fullmatch(text):
+        if ConceptId.all_canonical([text]):
             return text
         return cls.parse(text).render()
 
@@ -486,18 +485,9 @@ class PreprocessConfig:
 
     @classmethod
     def only(cls, *steps: str, **resources) -> "PreprocessConfig":
-        """Config with exactly the named steps enabled."""
-        flags = {
-            name: (name in steps)
-            for name in (
-                "nfc",
-                "lowercase",
-                "expand_acronyms",
-                "normalize_punctuation",
-                "correct_spelling",
-                "collapse_whitespace",
-            )
-        }
+        """Config with exactly the named steps enabled; the steps are the
+        fields whose default is a bool."""
+        flags = {f.name: f.name in steps for f in fields(cls) if type(f.default) is bool}
         unknown = set(steps) - set(flags)
         if unknown:
             raise ValueError(f"unknown preprocessing steps: {sorted(unknown)}")

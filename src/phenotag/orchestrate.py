@@ -353,13 +353,13 @@ class LlmBackend(Protocol):
     def complete(self, prompt: str, params: LlmParams) -> str: ...
 
 
-def _compile_rule(rule) -> tuple[str | re.Pattern, str]:
-    """A scripted rule's (matcher, response): the "contains" needle or the
-    compiled "regex". A missing key raises KeyError, a bad value
+def _compile_rule(rule) -> tuple[re.Pattern, str]:
+    """A scripted rule's (pattern, response): the "regex", or the "contains"
+    needle as a literal pattern. A missing key raises KeyError, a bad value
     ValidationError."""
     response = json_field(rule, "response", str)
     if "regex" not in rule:
-        return json_field(rule, "contains", str), response
+        return re.compile(re.escape(json_field(rule, "contains", str))), response
     try:
         return re.compile(json_field(rule, "regex", str), re.DOTALL), response
     except re.error as exc:
@@ -367,30 +367,30 @@ def _compile_rule(rule) -> tuple[str | re.Pattern, str]:
 
 
 class ScriptedLlmBackend:
-    """Rule-driven backend for tests: first matching rule answers.
+    """Rule-driven backend, the LLM of every offline run: the first rule
+    whose pattern the prompt holds answers.
 
     Rules are {"contains": ...} or {"regex": ...} plus "response"; an empty
     "contains" makes a catch-all. Loadable from a JSONL rule file.
     """
 
-    def __init__(self, rules: Iterable[dict], name: str = "scripted"):
-        self.name = name
+    name = "scripted"
+
+    def __init__(self, rules: Iterable[dict]):
         self._rules = [_compile_rule(rule) for rule in rules]
 
     @classmethod
-    def from_file(cls, path: str | Path, name: str = "scripted") -> "ScriptedLlmBackend":
-        def checked(_lineno: int, rule):
-            _compile_rule(rule)  # a bad rule fails naming its line
-            return rule
-
-        return cls(read_jsonl(jsonl_lines(path), "scripted rule", checked), name=name)
+    def from_file(cls, path: str | Path) -> "ScriptedLlmBackend":
+        backend = cls(())
+        # Each rule is compiled once, as its line is read, so a bad rule
+        # fails naming its line.
+        backend._rules = read_jsonl(jsonl_lines(path), "scripted rule",
+                                    lambda _lineno, rule: _compile_rule(rule))
+        return backend
 
     def complete(self, prompt: str, params: LlmParams) -> str:
-        for matcher, response in self._rules:
-            if isinstance(matcher, str):
-                if matcher in prompt:
-                    return response
-            elif matcher.search(prompt):
+        for pattern, response in self._rules:
+            if pattern.search(prompt):
                 return response
         raise BackendError(f"scripted backend {self.name!r}: no rule matched the prompt")
 

@@ -45,7 +45,7 @@ class NerNenRow:
     task: str
     ner: "object"  # MetricsReport
     nen_accuracy: float | None
-    counts: "object | None" = None  # ConfusionCounts, for the raw-count CSV columns
+    counts: "object"  # ConfusionCounts, for the raw-count CSV columns
 
 
 @dataclass(frozen=True)
@@ -186,8 +186,7 @@ def render_report(bundle: ReportBundle, out_dir: str | Path) -> dict[Path, str]:
         [
             (row.task, row.ner.f1, row.ner.accuracy, row.ner.recall, row.ner.tnr, row.ner.fpr,
              row.ner.fnr, row.nen_accuracy,
-             *((row.counts.tp, row.counts.tn, row.counts.fp, row.counts.fn) if row.counts
-               else (None,) * 4))
+             row.counts.tp, row.counts.tn, row.counts.fp, row.counts.fn)
             for row in bundle.ner_nen
         ],
     )

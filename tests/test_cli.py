@@ -1013,6 +1013,34 @@ def test_report_plan_bad_endpoint_stops_before_any_embedding_request(workspace):
     assert server.seen == []
 
 
+@pytest.mark.parametrize("later_file, exit_code, detail", [
+    (None, 2, "report plan references missing file"),
+    ("{not json\n", 1, "line 1: bad summary pair"),
+], ids=["missing", "malformed"])
+def test_report_plan_bad_later_file_stops_before_any_embedding_request(
+        workspace, later_file, exit_code, detail):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    summary = {"candidate": "child has asthma daily", "reference": "asthma daily report"}
+    (root / "summaries.jsonl").write_text(json.dumps(summary) + "\n")
+    if later_file is not None:
+        (root / "later.jsonl").write_text(later_file)
+    reference = HashedBagOfWordsProvider()
+    answer = lambda handler, body: reply_json(  # noqa: E731
+        handler, {"vectors": [reference.embed(text).tolist() for text in body["texts"]]}
+    )
+    with LoopbackServer(answer) as server:
+        plan = {"embeddings": [
+            {"embedding": "loopback", "endpoint": server.url + "/e", "summaries": "summaries.jsonl"},
+            {"embedding": "default", "summaries": "later.jsonl"},
+        ]}
+        (root / "plan.json").write_text(json.dumps(plan))
+        result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == exit_code
+    assert detail in result.stderr
+    assert server.seen == []
+
+
 @pytest.mark.parametrize("question, n_distractors, detail", [
     ({"question": "What is it?", "concept_id": "mesh:D999999"}, 3,
      "gold concept mesh:D999999 not in the ontology store"),

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phenotag import cli, ontology
+from phenotag import annotate, cli, ontology
 from phenotag.annotate import AnnotationOutcome, read_outcomes, write_outcomes
 from phenotag.corpus import (
     AnnotationSet,
@@ -689,7 +689,7 @@ _READERS = {
     ),
     "mock lexicon": (
         {"term": "asthma", "concept_id": "mesh:D001249"},
-        _file_reader(cli._load_mock_lexicon),
+        _file_reader(annotate.load_mock_lexicon),
     ),
     "summaries": ({"candidate": "a", "reference": "b"}, _file_reader(cli._load_summaries)),
     "raft questions": ({"question": "q?", "concept_id": "mesh:D000001"}, _raft_questions),
@@ -893,7 +893,7 @@ def test_mock_lexicon_bulk_read_equals_the_per_line_read(tmp_path_factory, defec
     path = tmp_path_factory.mktemp("lexicon") / "lexicon.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     (per_line, shipped), took = _per_line_and_bulk(
-        cli, lambda: list(cli._load_mock_lexicon(path).items())
+        annotate, lambda: list(annotate.load_mock_lexicon(path).items())
     )
     assert shipped == per_line
     if defect is None:
@@ -977,7 +977,7 @@ _FILE_READERS = {
     "mock lexicon": (
         # U+0085, U+2028 and U+2029 are whitespace, so this is a four-word term.
         {"term": _SEPARATORS, "concept_id": "mesh:D001249"},
-        lambda tmp_path, path: next(iter(cli._load_mock_lexicon(path))),
+        lambda tmp_path, path: next(iter(annotate.load_mock_lexicon(path))),
     ),
     "summaries": (
         {"candidate": _SEPARATORS, "reference": "b"},

@@ -1,7 +1,9 @@
+import json
 import random
 import re
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -725,6 +727,70 @@ def test_scripted_backend_from_file(tmp_path):
     backend = ScriptedLlmBackend.from_file(path)
     assert backend.complete("about asthma", LlmParams()) == "AGREE"
     assert backend.complete("about eczema", LlmParams()).startswith("DISAGREE")
+
+
+def test_scripted_regex_dot_matches_a_newline_and_a_needle_is_literal():
+    backend = ScriptedLlmBackend([{"contains": "a.b", "response": "literal"},
+                                  {"regex": "a.b", "response": "regex"}])
+    assert backend.complete("xa.by", LlmParams()) == "literal"
+    assert backend.complete("xa\nby", LlmParams()) == "regex"
+
+
+# Needles, patterns and prompts drawn from regex metacharacters and a few
+# plain characters, so a "contains" needle is often not a valid regex and a
+# prompt often holds one.
+_RULE_TEXT = st.text(alphabet=".*(\\$|)[]+?^abA \n", max_size=4)
+
+
+def _compiles(pattern: str) -> bool:
+    """Whether ``pattern`` compiles without a warning (such as a "[[" that a
+    later Python may read as a nested set)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            re.compile(pattern)
+        except (re.error, FutureWarning):
+            return False
+    return True
+
+
+_SCRIPTED_RULE = st.one_of(
+    st.builds(lambda needle: {"contains": needle}, _RULE_TEXT),
+    st.builds(lambda pattern: {"regex": pattern}, _RULE_TEXT.filter(_compiles)),
+)
+
+
+def first_rule_response(rules: list[dict], prompt: str) -> str | None:
+    """The oracle: the response of the first rule whose needle is a
+    substring of the prompt or whose regex searches it."""
+    for rule in rules:
+        if ("regex" in rule and re.search(rule["regex"], prompt, re.DOTALL)
+                or "contains" in rule and rule["contains"] in prompt):
+            return rule["response"]
+    return None
+
+
+@given(data=st.data())
+def test_scripted_backend_answers_with_the_first_matching_rule(tmp_path_factory, data):
+    drawn = data.draw(st.lists(_SCRIPTED_RULE, max_size=5), label="rules")
+    rules = [{**rule, "response": f"response {i}"} for i, rule in enumerate(drawn)]
+    # A prompt made of plain text and the rules' own needles and patterns,
+    # each also with its dots as newlines (a regex dot matches one) and with
+    # its case swapped (no rule ignores case).
+    pieces = [piece for rule in drawn for text in rule.values()
+              for piece in (text, text.replace(".", "\n"), text.swapcase())]
+    prompt = "".join(data.draw(st.lists(
+        _RULE_TEXT | st.sampled_from(pieces) if pieces else _RULE_TEXT, max_size=4
+    ), label="prompt pieces"))
+    path = tmp_path_factory.mktemp("rules") / "rules.jsonl"
+    path.write_text("".join(json.dumps(rule) + "\n" for rule in rules), encoding="utf-8")
+    expected = first_rule_response(rules, prompt)
+    for backend in (ScriptedLlmBackend(rules), ScriptedLlmBackend.from_file(path)):
+        if expected is None:
+            with pytest.raises(BackendError, match="no rule matched the prompt"):
+                backend.complete(prompt, LlmParams())
+        else:
+            assert backend.complete(prompt, LlmParams()) == expected
 
 
 def test_http_llm_backend_wire():
