@@ -106,8 +106,8 @@ _STRATEGY_NAMES = {
 }
 
 
-_EXIT_CODES = ((FileNotFoundError, EXIT_MISSING_INPUT), (BackendError, EXIT_BACKEND),
-               ((ValidationError, ValueError), EXIT_VALIDATION))
+_EXIT_CODES = (((FileNotFoundError, IsADirectoryError), EXIT_MISSING_INPUT),
+               (BackendError, EXIT_BACKEND), ((ValidationError, ValueError), EXIT_VALIDATION))
 
 
 def _configured(command: Callable[..., None]) -> Callable[..., None]:
@@ -128,7 +128,8 @@ def _configured(command: Callable[..., None]) -> Callable[..., None]:
                  for name in [name for name in params if "__" in name]}
         try:
             command(load_config(config_path, flags), **params)
-        except (FileNotFoundError, BackendError, ValidationError, ValueError) as exc:
+        except (FileNotFoundError, IsADirectoryError, BackendError, ValidationError,
+                ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(next(code for kind, code in _EXIT_CODES if isinstance(exc, kind)))
 
@@ -537,6 +538,8 @@ def _bundle_from_plan(plan_path: Path, gold_set: AnnotationSet, gold_texts,
             for path in files.values():
                 if not path.exists():
                     raise FileNotFoundError(f"report plan references missing file {path}")
+                if path.is_dir():
+                    raise IsADirectoryError(f"report plan references {path}, a directory")
                 cfg.inputs.append(path)
             scored = ((*read_verdicts(jsonl_lines(files["verdicts"]), gold_texts), gold_set)
                       if "verdicts" in files else None)

@@ -68,13 +68,19 @@ class RunConfig:
         return None if value is None else self.base_dir / value
 
     def input_path(self, section: str, key: str) -> Path | None:
-        """The file a key names, or None when the key is unset; a named file
-        that does not exist raises FileNotFoundError. A file (not a
-        directory) is added to ``inputs``, which the manifest lists."""
+        """The file a key names, or for ``[paths] templates`` the directory;
+        None when the key is unset. A named path that does not exist raises
+        FileNotFoundError, and a directory named by any other key
+        IsADirectoryError. A file is added to ``inputs``, which the
+        manifest lists."""
         resolved = self.path(section, key)
-        if resolved is not None and not resolved.exists():
+        if resolved is None:
+            return None
+        if not resolved.exists():
             raise FileNotFoundError(f"[{section}] {key}: no such file {resolved}")
-        if resolved is not None and resolved.is_file():
+        if resolved.is_dir() and (section, key) != ("paths", "templates"):
+            raise IsADirectoryError(f"[{section}] {key}: {resolved} is a directory, not a file")
+        if resolved.is_file():
             self.inputs.append(resolved)
         return resolved
 

@@ -11,6 +11,7 @@ indices), never bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import unicodedata
@@ -493,18 +494,28 @@ class PreprocessConfig:
             raise ValueError(f"unknown preprocessing steps: {sorted(unknown)}")
         return cls(**flags, **resources)
 
+    @functools.cached_property
+    def _acronym_pattern(self) -> tuple[re.Pattern, list[str]] | None:
+        """The acronym alternation and each group's expansion, built once per
+        config, or None without acronyms. Longest key first so "b.i.d" style
+        keys beat their prefixes. Each key is its own group because an
+        IGNORECASE match need not be its key lowercased (the key "ſ" matches
+        "s"); the alternative that matched names the key."""
+        if not self.acronyms:
+            return None
+        keys = sorted(self.acronyms, key=lambda k: (-len(k), k))
+        pattern = re.compile(
+            r"\b(?:" + "|".join(f"({re.escape(k)})" for k in keys) + r")\b", re.IGNORECASE
+        )
+        return pattern, [self.acronyms[key] for key in keys]
 
-def _expand_acronyms(text: str, acronyms: Mapping[str, str]) -> str:
-    if not acronyms:
+
+def _expand_acronyms(text: str, config: PreprocessConfig) -> str:
+    compiled = config._acronym_pattern
+    if compiled is None:
         return text
-    # Longest key first so "b.i.d" style keys beat their prefixes. Each key is
-    # its own group because an IGNORECASE match need not be its key lowercased
-    # (the key "ſ" matches "s"); the alternative that matched names the key.
-    keys = sorted(acronyms, key=lambda k: (-len(k), k))
-    pattern = re.compile(
-        r"\b(?:" + "|".join(f"({re.escape(k)})" for k in keys) + r")\b", re.IGNORECASE
-    )
-    return pattern.sub(lambda m: acronyms[keys[m.lastindex - 1]], text)
+    pattern, expansions = compiled
+    return pattern.sub(lambda m: expansions[m.lastindex - 1], text)
 
 
 _PUNCTUATION = str.maketrans({
@@ -571,7 +582,7 @@ def normalize_text(raw: str, config: PreprocessConfig | None = None) -> str:
         # U+03A3 is the only character whose lowercase depends on context.
         text = "".join(c.lower() for c in text) if "\u03a3" in text else text.lower()
     if config.expand_acronyms:
-        text = _expand_acronyms(text, config.acronyms)
+        text = _expand_acronyms(text, config)
     if config.normalize_punctuation:
         text = text.translate(_PUNCTUATION)
     if config.correct_spelling:

@@ -13,12 +13,12 @@ strong scaffold plus few-shot examples.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import random
 import re
 import string
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -31,7 +31,9 @@ from .corpus import (
 )
 from .errors import BackendError, ValidationError
 from .ontology import EmbeddingProvider, OntologyIndex, OntologyStore, RagDocument
-from .transport import call_with_retry, checked_endpoint, post_json, send, window_map
+from .transport import (
+    call_with_retry, checked_endpoint, post_json, send, usable_cpus, window, window_map,
+)
 
 __all__ = [
     "Strategy",
@@ -467,12 +469,18 @@ def run_strategy(
     ``prompt_sink`` sees the prompts. A BackendError that survives its
     retries records an Unparseable verdict with the error detail and the
     run continues; any other exception judges no further annotation and
-    propagates.
+    propagates: the first failure in annotation order, whether retrieval's
+    or the LLM's.
 
     At most ``max_inflight`` LLM calls (retries included) are in flight.
-    With ``max_inflight > 1`` one extra worker retrieves and renders the
-    next prompt while the LLM slots are busy, so a freed slot never waits
-    for a prompt to be built.
+    A retrieval strategy ranks ahead of them in a ``transport.window`` of
+    its own, in annotation order: W rankings run at once, where W is the
+    number of processors this process may run on, and at least
+    ``max_inflight + 1``. Annotation ``i + W + 1`` starts ranking once the
+    judge of annotation ``i`` has taken its documents, so retrieval runs at
+    most W + ``max_inflight`` + 1 annotations ahead of the next verdict.
+    Each ranking is the one serial ranking gives, so verdicts and prompts
+    do not depend on W.
     """
     check_run_settings(spec, example_pool, max_inflight=max_inflight, retry_budget=retry_budget)
     examples: tuple[FewShotExample, ...] = ()
@@ -482,20 +490,23 @@ def run_strategy(
         if provider is None:
             raise ValidationError("retrieval-augmented strategies need an embedding provider")
         index = OntologyIndex(store, provider)
-    llm_slots = threading.BoundedSemaphore(max_inflight)
 
-    def judge(annotation: NormalizedAnnotation) -> tuple[NormalizedAnnotation, LlmVerdict, str]:
-        record = records.get(annotation.record_id)
-        docs: tuple[RagDocument, ...] = ()
-        if spec.rag_enabled:
-            query = " ".join(part for part in (annotation.surface, record.question_text) if part)
-            ranked = index.top_k(query, spec.retrieval_k)
-            docs = tuple(index.document(cid) for cid, _ in ranked)
+    def retrieve(annotation: NormalizedAnnotation) -> tuple[RagDocument, ...]:
+        if not spec.rag_enabled:
+            return ()
+        question = records.get(annotation.record_id).question_text
+        query = " ".join(part for part in (annotation.surface, question) if part)
+        return tuple(index.document(cid) for cid, _ in index.top_k(query, spec.retrieval_k))
+
+    def judge(
+        retrieved: tuple[NormalizedAnnotation, tuple[RagDocument, ...]],
+    ) -> tuple[NormalizedAnnotation, LlmVerdict, str]:
+        annotation, docs = retrieved
         name = None
         if annotation.concept in store:
             name = store.get(annotation.concept).preferred_name
         ctx = PromptContext(
-            record=record,
+            record=records.get(annotation.record_id),
             mention=annotation,
             backend_concept=annotation.concept,
             backend_concept_name=name,
@@ -504,15 +515,17 @@ def run_strategy(
         )
         prompt = build_prompt(spec, ctx, templates)
         try:
-            with llm_slots:
-                text = call_with_retry(lambda: llm.complete(prompt, params), 1 + retry_budget)
+            text = call_with_retry(lambda: llm.complete(prompt, params), 1 + retry_budget)
         except BackendError as exc:
             verdict = LlmVerdict(VerdictKind.UNPARSEABLE, raw_text=f"<llm error: {exc}>")
         else:
             verdict = parse_verdict(text)
         return annotation, flag_hallucination(verdict, store), prompt
 
-    judged = window_map(judge, annotations, max_inflight + 1 if max_inflight > 1 else 1)
+    width = max(usable_cpus(), max_inflight + 1) if spec.rag_enabled else 1
+    # Closing the rankings waits for those still running when judging stops.
+    with contextlib.closing(window(retrieve, annotations, width)) as docs:
+        judged = window_map(judge, zip(annotations, docs), max_inflight)
     if prompt_sink is not None:
         for annotation, _, prompt in judged:
             prompt_sink(annotation, prompt)
@@ -579,21 +592,26 @@ def build_raft_dataset(
     """Build one datapoint per (question, gold concept) pair. Distractors
     are the nearest non-oracle concepts by retrieval (hard negatives): the
     store holds at least n_distractors + 1 concepts, so the top
-    n_distractors + 1 minus the oracle always leaves enough."""
+    n_distractors + 1 minus the oracle always leaves enough.
+
+    Questions are ranked in a ``transport.window`` as wide as the number
+    of processors this process may run on, started in question order, and
+    the datapoints come out in question order; each is the one serial
+    ranking gives, whatever the width."""
     check_raft_inputs(store, questions, n_distractors)
-    datapoints = []
-    for question, gold_id in questions:
+
+    def datapoint(pair: tuple[str, ConceptId]) -> RaftDatapoint:
+        question, gold_id = pair
         ranked = index.top_k(question, n_distractors + 1)
         distractor_ids = [cid for cid, _ in ranked if cid != gold_id][:n_distractors]
-        datapoints.append(
-            RaftDatapoint(
-                question=question,
-                oracle_doc=index.document(gold_id),
-                distractor_docs=tuple(index.document(cid) for cid in distractor_ids),
-                cot_answer=render_cot_answer(store.get(gold_id), question, templates),
-            )
+        return RaftDatapoint(
+            question=question,
+            oracle_doc=index.document(gold_id),
+            distractor_docs=tuple(index.document(cid) for cid in distractor_ids),
+            cot_answer=render_cot_answer(store.get(gold_id), question, templates),
         )
-    return datapoints
+
+    return window_map(datapoint, questions, usable_cpus())
 
 
 def raft_to_jsonl(datapoints: Sequence[RaftDatapoint]) -> list[str]:

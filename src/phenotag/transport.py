@@ -5,16 +5,17 @@ The NER, embedding and LLM backends all POST JSON and read JSON back; each
 binds its own bearer-token variable into ``post_json`` and sends through
 ``send``, which turns a transport fault into a BackendError. Only
 BackendError is retried, so any other exception is a programming error: it
-propagates from the first call, and ``window_map`` starts no further item.
+propagates from the first call, and ``window`` starts no further item.
 """
 
 from __future__ import annotations
 
+import collections
 import json
 import os
 import re
 import threading
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 from urllib.parse import urlsplit
 
 from .errors import BackendError
@@ -91,37 +92,91 @@ def call_with_retry(call: Callable[[], T], attempts: int) -> T:
     return call()
 
 
-def window_map(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
-    """``[fn(item) for item in items]`` in input order, with at most
-    ``width`` calls running at once; a width of 1 runs inline on the calling
-    thread.
+def usable_cpus() -> int:
+    """The number of processors this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
-    Once any call has raised, no further item starts, and the first
-    exception in input order is raised. A Ctrl-C while waiting cancels
-    every queued item; only the calls already running finish.
+
+def window(fn: Callable[[T], R], items: Iterable[T], width: int) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item, in input order, with at most
+    ``width`` calls running at once; a width of 1 runs each call inline on
+    the consuming thread, when its result is asked for.
+
+    The window reads ahead a bounded distance. Beside the ``width`` items
+    it runs, it keeps one more started, for the first worker that frees up,
+    so a call that outlasts later ones stalls no worker; item
+    ``i + width + 1`` starts only once result ``i`` is taken, so a window
+    fed by another window's output never drains it. ``items`` is read on
+    the consuming thread; an exception from reading it counts as the
+    failure of the item it would have given.
+
+    Once a call has raised, no later item starts, and the first exception
+    in input order is raised. Closing the iterator, or a Ctrl-C while it
+    waits, lets only the calls already running finish.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if width == 1:
-        return [fn(item) for item in items]
+        for item in items:
+            yield fn(item)
+        return
     # Imported here: a width of 1 starts no thread, and at module level it
     # would load concurrent.futures and logging on every CLI start.
-    from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import Future, ThreadPoolExecutor
 
-    failed = threading.Event()
+    lock = threading.Lock()
+    failed_at: int | None = None  # the earliest item whose call has raised
 
-    def one(item: T) -> R | None:
-        if failed.is_set():
+    def one(index: int, item: T) -> R | None:
+        nonlocal failed_at
+        # An item after one that raised is skipped; the consumer raises that
+        # failure first, so a skipped item's None is never handed out. An
+        # earlier item still runs: it may hold the first failure.
+        if failed_at is not None and index > failed_at:
             return None
         try:
             return fn(item)
         except BaseException:
-            failed.set()
+            with lock:
+                failed_at = index if failed_at is None else min(failed_at, index)
             raise
 
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        # An item is skipped only after some call has raised, and map raises
-        # that exception before the list is complete, so a skipped item's
-        # None is never returned. When map raises, it cancels every queued
-        # item; the pool then waits only for the calls in flight.
-        return list(pool.map(one, items))
+    source = enumerate(items)
+    started: collections.deque[Future] = collections.deque()
+
+    def start_next() -> None:
+        nonlocal source
+        if failed_at is not None:
+            return
+        try:
+            index, item = next(source)
+        except StopIteration:
+            return
+        except Exception as exc:
+            # Raised in its place, after the results of every item started.
+            source = enumerate(())
+            future: Future = Future()
+            future.set_exception(exc)
+            started.append(future)
+            return
+        started.append(pool.submit(one, index, item))
+
+    pool = ThreadPoolExecutor(max_workers=width)
+    try:
+        for _ in range(width + 1):
+            start_next()
+        while started:
+            result = started.popleft().result()
+            start_next()
+            yield result
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def window_map(fn: Callable[[T], R], items: Iterable[T], width: int) -> list[R]:
+    """``[fn(item) for item in items]``: the list form of ``window``, with
+    its width-1 inline path and its first-failure-in-input-order rule."""
+    return list(window(fn, items, width))

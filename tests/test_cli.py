@@ -512,6 +512,44 @@ def test_configured_input_that_is_missing_exits_2(workspace, case):
     assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
 
 
+# Each configured input that names a file: CONFIGURED_INPUTS but the
+# templates directory, and the corpus.
+CONFIGURED_FILES = {
+    "corpus": ("annotate", [], "paths", "corpus"),
+    **{case: entry for case, entry in CONFIGURED_INPUTS.items() if case != "templates"},
+}
+
+
+@pytest.mark.parametrize("case", list(CONFIGURED_FILES))
+def test_configured_file_that_is_a_directory_exits_2_writing_nothing(workspace, case):
+    root, config = workspace
+    command, args, section, key = CONFIGURED_FILES[case]
+    run_pipeline_through_annotate(config)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    (root / "sub").mkdir()
+    set_config_key(config, section, key, "sub")
+    result = invoke(command, "-c", config, *args)
+    assert result.exit_code == 2, result.output + repr(result.exception)
+    assert f"error: [{section}] {key}: {root / 'sub'} is a directory, not a file" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("embeddings", {"summaries": "sub"}),
+    ("flags", {"verdicts": "sub"}),
+], ids=["summaries", "verdicts"])
+def test_report_plan_file_that_is_a_directory_exits_2_writing_nothing(workspace, section, entry):
+    root, config = workspace
+    run_pipeline_through_annotate(config)
+    before = {p.name: p.read_bytes() for p in (root / "out").iterdir()}
+    (root / "sub").mkdir()
+    (root / "plan.json").write_text(json.dumps({section: [entry]}))
+    result = invoke("eval", "-c", config, "--report-plan", root / "plan.json")
+    assert result.exit_code == 2, result.output + repr(result.exception)
+    assert f"error: report plan references {root / 'sub'}, a directory" in result.stderr
+    assert {p.name: p.read_bytes() for p in (root / "out").iterdir()} == before
+
+
 def test_run_out_and_dump_prompts_naming_one_file_exits_1(workspace):
     root, config = workspace
     run_pipeline_through_annotate(config)

@@ -170,6 +170,15 @@ def test_acronym_expansion_of_a_key_that_is_not_the_match_lowercased(acronyms, r
     assert normalize_text(raw, PreprocessConfig(acronyms=acronyms)) == expected
 
 
+def test_acronym_pattern_is_built_once_per_config():
+    config = PreprocessConfig(acronyms={f"a{i}": f"expansion {i}" for i in range(40)})
+    with mock.patch.object(re, "compile", wraps=re.compile) as compiled:
+        texts = [normalize_text(f"A{i} and a{i + 1}?", config) for i in range(40)]
+    assert compiled.call_count == 1
+    assert texts[:2] == ["expansion 0 and expansion 1?", "expansion 1 and expansion 2?"]
+    assert texts[-1] == "expansion 39 and a40?"  # a40 is past the map's last key
+
+
 # The normalization of the parent implementation, which spliced per-step
 # edit lists (and carried raw offsets through them, dropped here because the
 # text never depended on them). normalize_text must return the same text.

@@ -4,6 +4,7 @@ import re
 import threading
 import time
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from phenotag.orchestrate import (
     LlmVerdict,
     PromptContext,
     PromptSpec,
+    RaftDatapoint,
     ScriptedLlmBackend,
     Strategy,
     TemplateRegistry,
@@ -36,6 +38,7 @@ from phenotag.orchestrate import (
 )
 
 from conftest import make_concepts
+from test_ontology import _phrases, _tied_stores
 
 
 ASTHMA = ConceptId("D001249")
@@ -702,6 +705,165 @@ def test_raft_errors(store10):
         build_raft_dataset(store10, raft_questions(store10, 1), 10, index=index)
     with pytest.raises(ValidationError, match="not in the ontology"):
         build_raft_dataset(store10, [("q?", ConceptId("D999999"))], 2, index=index)
+
+
+# --- the retrieval window ---------------------------------------------------------
+
+class FirstDocumentLlm:
+    """Disagrees, proposing the first retrieved document's concept, so each
+    verdict shows which ranking its prompt got."""
+
+    name = "first-document"
+
+    def complete(self, prompt, params):
+        return "DISAGREE " + re.search(r"^ID: (\S+)$", prompt, re.MULTILINE)[1]
+
+
+def serial_judgments(corpus, annotations, spec, store):
+    """The verdicts and sunk prompts ``run_strategy`` gives when each query
+    is ranked on its own, in annotation order, on a fresh index."""
+    index = OntologyIndex(store, HashedBagOfWordsProvider())
+    verdicts, prompts = [], []
+    for annotation in annotations:
+        record = corpus.get(annotation.record_id)
+        ranked = index.top_k(f"{annotation.surface} {record.question_text}", spec.retrieval_k)
+        prompt = build_prompt(spec, PromptContext(
+            record, annotation, annotation.concept, store.get(annotation.concept).preferred_name,
+            tuple(index.document(cid) for cid, _ in ranked),
+        ))
+        verdict = parse_verdict(FirstDocumentLlm().complete(prompt, LlmParams()))
+        verdicts.append((annotation, flag_hallucination(verdict, store)))
+        prompts.append((annotation, prompt))
+    return verdicts, prompts
+
+
+def serial_raft(store, questions, n_distractors):
+    """The datapoints ``build_raft_dataset`` gives when each question is
+    ranked on its own, in order, on a fresh index."""
+    index = OntologyIndex(store, HashedBagOfWordsProvider())
+    points = []
+    for question, gold_id in questions:
+        ranked = index.top_k(question, n_distractors + 1)
+        distractors = [cid for cid, _ in ranked if cid != gold_id][:n_distractors]
+        points.append(RaftDatapoint(
+            question, index.document(gold_id), tuple(index.document(cid) for cid in distractors),
+            render_cot_answer(store.get(gold_id), question),
+        ))
+    return points
+
+
+@given(store=_tied_stores(), max_inflight=st.sampled_from((1, 2, 4)),
+       cpus=st.sampled_from((1, 2, 4)), data=st.data())
+def test_windowed_retrieval_gives_the_serial_rankings(store, max_inflight, cpus, data):
+    # Mentions and questions are drawn from the tied stores' few words, so
+    # queries repeat and tie exactly or within a few ulps.
+    ids = [concept.concept_id for concept in store.concepts()]
+    cases = data.draw(st.lists(st.tuples(_phrases, _phrases, st.sampled_from(ids)),
+                               min_size=1, max_size=10), label="mentions")
+    records = [SurveyRecord(f"r{i}", f"any {question}?", f"{surface} daily",
+                            FieldType.DESCRIPTIVE) for i, (surface, question, _) in enumerate(cases)]
+    annotations = [NormalizedAnnotation(f"r{i}", TextSpan(0, len(surface)), surface, concept,
+                                        Source.NER_BACKEND)
+                   for i, (surface, _, concept) in enumerate(cases)]
+    spec = PromptSpec(Strategy.RAG_FSI, k=0,
+                      retrieval_k=data.draw(st.integers(1, len(store) + 1), label="retrieval_k"))
+    questions = [(f"{question}?", concept) for _, question, concept in cases]
+    with mock.patch("phenotag.orchestrate.usable_cpus", return_value=cpus):
+        sunk = []
+        verdicts = run_strategy(
+            Corpus(records), annotations, spec, FirstDocumentLlm(), store,
+            index=OntologyIndex(store, HashedBagOfWordsProvider()), max_inflight=max_inflight,
+            prompt_sink=lambda annotation, prompt: sunk.append((annotation, prompt)),
+        )
+        assert (verdicts, sunk) == serial_judgments(Corpus(records), annotations, spec, store)
+        if len(store) >= 2:
+            n_distractors = data.draw(st.integers(1, len(store) - 1), label="n_distractors")
+            points = build_raft_dataset(store, questions, n_distractors,
+                                        OntologyIndex(store, HashedBagOfWordsProvider()))
+            assert points == serial_raft(store, questions, n_distractors)
+
+
+def item_of(text):
+    """The item number in a "Condition N?" question."""
+    return int(re.search(r"Condition (\d+)\?", text)[1])
+
+
+class FailingIndex(OntologyIndex):
+    """Ranks as OntologyIndex does after a short pause, and records the item
+    of each query it starts; item ``fail_at``'s query raises a bug."""
+
+    def __init__(self, store, fail_at):
+        super().__init__(store, HashedBagOfWordsProvider())
+        self.fail_at = fail_at
+        self.started = []
+        self._lock = threading.Lock()
+
+    def top_k(self, query_text, k):
+        item = item_of(query_text)
+        with self._lock:
+            self.started.append(item)
+        if item == self.fail_at:
+            raise TypeError(f"bug in retrieval at item {item}")
+        time.sleep(0.001)
+        return super().top_k(query_text, k)
+
+
+class FailingLlm:
+    """Agrees after a pause, recording each item it is asked about; item
+    ``fail_at``'s prompt raises a bug at once. The pause is long beside the
+    bug, so the bug is seen before any later verdict is taken."""
+
+    name = "failing"
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.started = []
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, params):
+        item = item_of(prompt)
+        with self._lock:
+            self.started.append(item)
+        if item == self.fail_at:
+            raise TypeError(f"bug in LLM at item {item}")
+        time.sleep(0.01)
+        return "AGREE"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("max_inflight", [1, 2, 4])
+@pytest.mark.parametrize("retrieval_fails, llm_fails", [(6, None), (None, 6), (9, 4), (4, 9)],
+                         ids=["retrieval", "llm", "llm-first", "retrieval-first"])
+def test_a_bug_stops_retrieval_within_the_window(store10, cpus, max_inflight, retrieval_fails,
+                                                 llm_fails):
+    corpus, annotations = corpus_with_annotations(store10, 60)
+    index, llm = FailingIndex(store10, retrieval_fails), FailingLlm(llm_fails)
+    first = min(item for item in (retrieval_fails, llm_fails) if item is not None)
+    culprit = "retrieval" if first == retrieval_fails else "LLM"
+    with mock.patch("phenotag.orchestrate.usable_cpus", return_value=cpus):
+        with pytest.raises(TypeError, match=f"bug in {culprit} at item {first}$"):
+            run_strategy(corpus, annotations, PromptSpec(Strategy.RAG_FSI, k=0, retrieval_k=3),
+                         llm, store10, index=index, max_inflight=max_inflight)
+    width = max(cpus, max_inflight + 1)
+    # Retrieval starts in annotation order and stops within its window.
+    assert sorted(index.started) == list(range(len(index.started)))
+    assert first <= max(index.started) <= first + width + max_inflight
+    assert max(llm.started) <= first + max_inflight
+    started = len(index.started)
+    time.sleep(0.01)
+    assert len(index.started) == started  # no retrieval runs on after the raise
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_a_bug_stops_raft_ranking_within_the_window(store10, cpus):
+    concepts = store10.concepts()
+    questions = [(f"Condition {i}?", concepts[i % 10].concept_id) for i in range(40)]
+    index = FailingIndex(store10, 6)
+    with mock.patch("phenotag.orchestrate.usable_cpus", return_value=cpus):
+        with pytest.raises(TypeError, match="bug in retrieval at item 6$"):
+            build_raft_dataset(store10, questions, 3, index)
+    assert sorted(index.started) == list(range(len(index.started)))
+    assert 6 <= max(index.started) <= 6 + cpus
 
 
 def test_render_cot_answer_shape(store10):

@@ -20,7 +20,9 @@ from phenotag.corpus import (
 from phenotag.errors import BackendError
 from phenotag.ontology import OntologyStore, RemoteEmbeddingProvider
 from phenotag.orchestrate import HttpLlmBackend, LlmParams, PromptSpec, Strategy, run_strategy
-from phenotag.transport import call_with_retry, checked_endpoint, post_json, send, window_map
+from phenotag.transport import (
+    call_with_retry, checked_endpoint, post_json, send, usable_cpus, window, window_map,
+)
 
 from conftest import (
     LoopbackServer, client_closed_within, make_concepts, reply, reply_after, reply_json,
@@ -326,6 +328,132 @@ def test_window_map_raises_the_first_failure_in_input_order():
 def test_window_map_rejects_width_below_one():
     with pytest.raises(ValueError, match="width"):
         window_map(str, [1], 0)
+
+
+class Recorder:
+    """``fn`` for a window: records each item it starts, under a lock."""
+
+    def __init__(self, fail_at=None):
+        self.started = []
+        self.lock = threading.Lock()
+        self.fail_at = fail_at
+
+    def __call__(self, item):
+        with self.lock:
+            self.started.append(item)
+        if item == self.fail_at:
+            raise ValueError(f"item {item}")
+        time.sleep(0.001)
+        return item
+
+    def settled(self, n):
+        """The items started, once at least ``n`` have started and no
+        further one has for a few milliseconds."""
+        deadline = time.monotonic() + 10
+        while len(self.started) < n and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.005)
+        with self.lock:
+            return sorted(self.started)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_window_starts_item_i_plus_width_plus_1_only_once_result_i_is_taken(width):
+    fn = Recorder()
+    pulled = []
+
+    def items():
+        for i in range(20):
+            pulled.append(i)
+            yield i
+
+    results = window(fn, items(), width)
+    for i in range(20):
+        assert next(results) == i
+        # Items 0 to i + width + 1 have started; inline, items 0 to i.
+        ahead = min(20, i + 1 + (width + 1 if width > 1 else 0))
+        assert fn.settled(ahead) == list(range(ahead))
+        assert len(pulled) == ahead
+    assert list(results) == []
+
+
+def test_a_window_fed_by_a_window_does_not_drain_it():
+    inner_fn, outer_fn = Recorder(), Recorder()
+    outer = window(outer_fn, window(inner_fn, range(100), 3), 2)
+    assert next(outer) == 0
+    # Taking outer result 0 started outer item 3, so the outer window has
+    # taken inner results 0 to 3; on taking inner result i the inner window
+    # started item i + 4.
+    assert inner_fn.settled(8) == list(range(8))
+    outer.close()
+
+
+def test_a_window_fed_by_a_window_under_frequent_thread_switches():
+    lock = threading.Lock()
+    active = collections.Counter()
+    high_water = collections.Counter()
+
+    def stage(name):
+        def fn(item):
+            with lock:
+                active[name] += 1
+                high_water[name] = max(high_water[name], active[name])
+            with lock:
+                active[name] -= 1
+            return item * 3 if name == "inner" else item + 1
+        return fn
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        # More workers than this machine's processors, in two windows.
+        inner = window(stage("inner"), range(300), usable_cpus() + 3)
+        assert window_map(stage("outer"), inner, 4) == [i * 3 + 1 for i in range(300)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert high_water["inner"] <= usable_cpus() + 3 and high_water["outer"] <= 4
+
+
+def test_window_raises_an_input_failure_after_the_results_before_it():
+    def items():
+        yield from range(3)
+        raise KeyError("input 3")
+
+    fn = Recorder()
+    results = window(fn, items(), 2)
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(KeyError, match="input 3"):
+        next(results)
+    assert fn.started == [0, 1, 2]
+
+
+def test_window_raises_the_earlier_of_a_call_failure_and_an_input_failure():
+    def items():
+        yield from range(3)
+        raise KeyError("input 3")
+
+    with pytest.raises(ValueError, match="item 1"):
+        window_map(Recorder(fail_at=1), items(), 4)
+
+
+def test_closing_a_window_starts_no_further_item_and_waits_for_the_running_ones():
+    fn = Recorder()
+    results = window(fn, range(100), 4)
+    assert next(results) == 0
+    results.close()
+    # Close cancels each item still waiting for a worker: here at most 4 and 5.
+    started = list(fn.started)
+    assert set(range(1)) <= set(started) <= set(range(6))
+    time.sleep(0.01)
+    assert fn.started == started
+
+
+def test_usable_cpus_is_the_affinity_set_or_the_cpu_count():
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert usable_cpus() == expected
+    with mock.patch.object(os, "sched_getaffinity", create=True, side_effect=AttributeError):
+        with mock.patch.object(os, "cpu_count", return_value=None):
+            assert usable_cpus() == 1
 
 
 # --- a bug stops every remote stage at once -------------------------------------
