@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 import unicodedata
 from collections import defaultdict
@@ -292,13 +293,20 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",",
 
 
 def jsonl_lines(path: str | Path) -> list[str]:
-    """The lines of a text file, split on ``\\n`` only: the one line splitter
-    for JSON Lines files, the acronym map and the spelling lexicon.
+    """The lines of a text file, split on ``\\n`` only, with the ``\\r`` of a
+    ``\\r\\n`` dropped: the one line splitter for JSON Lines files, the
+    acronym map and the spelling lexicon.
 
     ``str.splitlines`` would also split on U+0085, U+2028 and U+2029, which
-    JSON allows raw inside strings and which phenotag writes raw.
+    JSON allows raw inside strings and which phenotag writes raw; and a
+    universal-newline read would end a line at a bare ``\\r``, which JSON
+    allows as whitespace between tokens.
     """
-    return Path(path).read_text(encoding="utf-8").split("\n")
+    with open(path, encoding="utf-8", newline="") as handle:
+        text = handle.read()
+    if "\r" in text:  # one memchr; the replace alone scans slower
+        text = text.replace("\r\n", "\n")
+    return text.split("\n")
 
 
 def jsonl_line(obj: Any) -> str:
@@ -324,13 +332,21 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T],
     ``bulk`` must therefore return None for every file on which ``parse``
     would raise, and otherwise leave behind what the per-line read would;
     where it fills state that ``parse`` also fills, it empties that state
-    before returning None.
+    before returning None. A file whose lines are each one JSON object is
+    decoded in one call (see ``_decode_each``), with the same values.
     """
     if bulk is not None:
         lines = list(lines)  # read twice when the fast path declines
         objects = _decode_each(lines)
         if objects is not None and (result := bulk(objects)) is not None:
             return result
+    return _parse_each(lines, what, parse)
+
+
+def _parse_each(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
+    """``read_jsonl`` line by line. It scans at the same call depth as
+    ``_decode_each``'s per-line scan, so a line nested close to the
+    recursion limit decodes in both or in neither."""
     scan = _DECODER.scan_once
     items = []
     for lineno, line in enumerate(lines, start=1):
@@ -355,18 +371,49 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T],
     return items
 
 
+# "}", JSON whitespace, ",", JSON whitespace, "{": how a comma between two
+# objects reads.
+_COMMA_BETWEEN_OBJECTS = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+_FIRST, _LAST = operator.itemgetter(0), operator.itemgetter(-1)
+
+
 def _decode_each(lines: list[str]) -> list[Any] | None:
-    """The value of each non-blank line, by ``read_jsonl``'s one C call per
-    line; None if any line is not exactly one JSON value."""
+    """The value of each non-blank line; None if any line is not exactly
+    one JSON value.
+
+    When every non-blank line starts with "{" and ends with "}", and none
+    holds ``_COMMA_BETWEEN_OBJECTS``, the lines joined by "," into one array
+    are decoded in one C call, which also shares the decoder's key strings
+    across lines. If that array holds exactly one object per line, each
+    line is one object: every top-level comma of the array sits between two
+    objects with only JSON whitespace around it, so one inside a line would
+    show that pattern there, and the N - 1 top-level commas are therefore
+    the N - 1 join commas. Any other file, and one the joined decode
+    rejects, is scanned line by line by ``read_jsonl``'s one C call per
+    line, so both give the same values and decline the same files."""
+    lines = list(filter(str.strip, lines))  # blank: empty or str.isspace()
+    n = len(lines)
+    # Searched joined by "\n", which no join can turn into the pattern.
+    if (n and "".join(map(_FIRST, lines)) == "{" * n and "".join(map(_LAST, lines)) == "}" * n
+            and _COMMA_BETWEEN_OBJECTS.search("\n".join(lines)) is None):
+        # Brackets on the end lines, not around the joined text: no copy of it.
+        items = lines.copy()
+        items[0] = "[" + items[0]
+        items[-1] += "]"
+        try:
+            objects = json.loads(",".join(items))
+        except (ValueError, RecursionError):
+            objects = None
+        if objects is not None and len(objects) == n and set(map(type, objects)) == {dict}:
+            return objects
     scan = _DECODER.scan_once
     objects = []
     try:
         for line in lines:
-            if line and not line.isspace():
-                obj, end = scan(line, 0)
-                if end != len(line):
-                    return None
-                objects.append(obj)
+            obj, end = scan(line, 0)
+            if end != len(line):
+                return None
+            objects.append(obj)
     except (StopIteration, ValueError, RecursionError):
         return None
     return objects

@@ -17,6 +17,7 @@ import hashlib
 import io
 import itertools
 import json
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -64,6 +65,18 @@ class OntologyConcept:
         if not self.preferred_name:
             raise ValueError(f"{self.concept_id}: preferred_name must be non-empty")
 
+    @classmethod
+    def _unchecked(cls, concept_id: ConceptId, preferred_name: str, description: str,
+                   synonyms: tuple[str, ...]) -> "OntologyConcept":
+        """The concept of fields a bulk check already proved valid (a real
+        id, a non-empty name), skipping ``__post_init__``'s second check."""
+        concept = object.__new__(cls)
+        object.__setattr__(concept, "concept_id", concept_id)
+        object.__setattr__(concept, "preferred_name", preferred_name)
+        object.__setattr__(concept, "description", description)
+        object.__setattr__(concept, "synonyms", synonyms)
+        return concept
+
 
 @dataclass(frozen=True)
 class RagDocument:
@@ -75,14 +88,21 @@ class RagDocument:
 
 def build_rag_document(concept: OntologyConcept) -> RagDocument:
     """Render the canonical four-field retrieval document for a concept."""
+    return RagDocument(concept_id=concept.concept_id, body=_document_body(concept))
+
+
+def _document_body(concept: OntologyConcept) -> str:
+    """The body of ``build_rag_document(concept)``: the one renderer."""
     synonyms = "; ".join(concept.synonyms) if concept.synonyms else "(none)"
-    body = (
+    return (
         f"NAME: {concept.preferred_name}\n"
         f"ID: {concept.concept_id.render()}\n"
         f"DESCRIPTION: {concept.description}\n"
         f"SYNONYMS: {synonyms}"
     )
-    return RagDocument(concept_id=concept.concept_id, body=body)
+
+
+_IDENTIFIER = operator.attrgetter("concept_id.identifier")
 
 
 class OntologyStore:
@@ -114,7 +134,9 @@ class OntologyStore:
 
     def concepts(self) -> list[OntologyConcept]:
         """All concepts, ascending by canonical id rendering."""
-        return [self._by_id[cid] for cid in sorted(self._by_id, key=lambda c: c.render())]
+        # Every id is real and renders as "mesh:" + identifier, so ascending
+        # identifiers are ascending renderings.
+        return sorted(self._by_id.values(), key=_IDENTIFIER)
 
 
 def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
@@ -157,7 +179,8 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
         by_id = store._by_id
         for text, name, description, words in zip(ids, names, descriptions, synonyms):
             concept_id = ConceptId._unchecked(text[len("mesh:"):])
-            by_id[concept_id] = OntologyConcept(concept_id, name, description, tuple(words))
+            by_id[concept_id] = OntologyConcept._unchecked(
+                concept_id, name, description, tuple(words))
         if len(by_id) != len(ids):
             by_id.clear()
             return None
@@ -197,10 +220,13 @@ def stem_token(token: str) -> str:
 _WORD = re.compile(r"\w+")
 # On ASCII text, _WORD.findall(text.lower()) is text.translate(_ASCII_WORDS).split():
 # A-Z lowercased, 0-9, a-z and _ kept, every other ASCII character a space.
-_ASCII_WORDS = {
-    code: chr(code).lower() if chr(code).isalnum() or chr(code) == "_" else " "
-    for code in range(128)
-}
+# A 256-byte table, so bytes.translate takes the encoded text in one C pass;
+# str.translate reads the same table (its entries are code points).
+_ASCII_WORDS = bytes(
+    ord(chr(code).lower()) if code < 128 and (chr(code).isalnum() or chr(code) == "_")
+    else ord(" ")
+    for code in range(256)
+)
 
 
 class EmbeddingProvider(Protocol):
@@ -221,9 +247,16 @@ def _check_text(text: str) -> None:
         raise ValidationError("cannot embed empty or whitespace-only text")
 
 
+# The state of an empty 8-byte BLAKE2b: a copy of it updated with the
+# token's bytes is ``hashlib.blake2b(data, digest_size=8)``, built without
+# parsing the constructor's arguments per token.
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
 def _bucket(token: str, dimension: int) -> int:
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % dimension
+    digest = _BLAKE2B_8.copy()
+    digest.update(token.encode("utf-8"))
+    return int.from_bytes(digest.digest(), "big") % dimension
 
 
 class HashedBagOfWordsProvider:
@@ -244,7 +277,7 @@ class HashedBagOfWordsProvider:
         behind ``embed`` and ``embed_many``."""
         buckets = []
         if text.isascii():
-            tokens = text.translate(_ASCII_WORDS).split()
+            tokens = text.encode("ascii").translate(_ASCII_WORDS).decode("ascii").split()
         else:
             tokens = _WORD.findall(text.lower())
         for token in tokens:
@@ -283,7 +316,7 @@ class HashedBagOfWordsProvider:
             flat += buckets
             lengths.append(len(buckets))
         cells = np.repeat(np.arange(len(texts)) * dimension, lengths)
-        cells += np.array(flat, dtype=cells.dtype)
+        cells += np.fromiter(flat, dtype=cells.dtype, count=len(flat))
         counts = np.bincount(
             cells, weights=np.ones(len(flat)), minlength=len(texts) * dimension
         ).reshape(len(texts), dimension)
@@ -454,7 +487,9 @@ class OntologyIndex:
     yields identical vectors. Exhaustive scan is deliberate: at the
     disease-subset scale nothing fancier pays for itself. The index serves
     each concept's retrieval document (``document``) and ranks each
-    distinct query vector once (``top_k``).
+    distinct query vector once (``top_k``). It keeps each document's body,
+    rendered by ``build_rag_document``'s renderer; a build or a cache read
+    makes no ``RagDocument``.
 
     With ``cache_dir``, the matrix is read from ``INDEX_FILE`` there when
     its sidecar holds this store's and provider's key and the matrix's
@@ -472,7 +507,7 @@ class OntologyIndex:
         # Bodies, not RagDocuments: a long-lived document object per concept
         # costs more in garbage-collector passes than one built per
         # ``document`` call.
-        self._bodies = bodies = [build_rag_document(concept).body for concept in concepts]
+        self._bodies = bodies = list(map(_document_body, concepts))
         # (k, query vector bytes) -> that query's ranking; see top_k.
         self._rankings: dict[tuple[int, bytes], tuple[tuple[ConceptId, float], ...]] = {}
         self.cache_sidecar: Path | None = None

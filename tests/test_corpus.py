@@ -1,6 +1,7 @@
 import difflib
 import json
 import re
+import sys
 import unicodedata
 from pathlib import Path
 from unittest import mock
@@ -386,6 +387,12 @@ def test_acronym_map_bad_line_number_counts_only_newlines(tmp_path):
     path.write_text("dx = diagnosis\u2028 rsv = virus\r\nno equals sign\n", encoding="utf-8")
     with pytest.raises(ValidationError, match=r"^line 2: expected 'acronym = expansion'$"):
         load_acronym_map(path)
+
+
+def test_acronym_map_bare_carriage_return_does_not_end_a_line(tmp_path):
+    path = tmp_path / "acronyms.txt"
+    path.write_bytes(b"bid = twice daily\rqid = four times daily\n")
+    assert load_acronym_map(path) == {"bid": "twice daily\rqid = four times daily"}
 
 
 # --- Doccano import/export --------------------------------------------------
@@ -809,6 +816,68 @@ def test_read_jsonl_bulk_gets_each_value_or_defers_to_the_per_line_read(lines, a
     assert got == (("returned", "bulk") if seen and accept else per_line)
 
 
+def _nested_objects(depth):
+    return '{"a":' * depth + "1" + "}" * depth
+
+
+# Lines that decode only when joined to a neighbour (an array or a string
+# split over two lines), lines holding two objects or the object-comma-object
+# pattern (in a string too), a library caller's lines holding "\n", and lines
+# no reader takes whole: a BOM, edge whitespace, extra data and values that
+# are not objects.
+_JOINED_FRAGMENTS = st.sampled_from([
+    '{"a":[1', '2]}', '{"s":"}', '{"}', '{"},1,{"t":"}',
+    '{"b":1},{"c":2}', '{"b":1} ,\t{"c":2}', '{"b":1}\r,\n{"c":2}', '{"s":"x},{y"}',
+    '{"a":1}\n{"b":2}', '{"a":\n1}', '{"a":1}\n', '\n{"a":1}', '{"a":1}{"b":2}',
+    '\ufeff{"a":1}', ' {"a":1}', '{"a":1}\t', '{"a":1} x',
+    '[1]', '"x"', '1', 'null', '{}', '{"a":{}}', '{"k":[{},{}]}',
+])
+_OBJECT_LINES = st.dictionaries(st.text(max_size=3), _json_values(), max_size=3).map(
+    lambda obj: json.dumps(obj, ensure_ascii=False)
+)
+
+
+# An integer k among the lines stands for objects nested k levels deeper
+# than the deepest the per-line read decodes from the test.
+@given(lines=st.lists(st.one_of(_JOINED_FRAGMENTS, _OBJECT_LINES, st.integers(-2, 2)),
+                      max_size=5),
+       accept=st.booleans())
+@example(lines=['{"a":[1', "2]}"], accept=True)
+@example(lines=['{"s":"}', '{"},1,{"t":"}', '{"}'], accept=True)  # a number among objects
+@example(lines=['{"b":1},{"c":2}', '{"s":"}', '{"}'], accept=True)  # two objects on one line
+@example(lines=[' {"a":1}'], accept=True)  # edge whitespace
+@example(lines=[0, '{"a":1}'], accept=True)  # as deep as the per-line read decodes
+@example(lines=[1, '{"a":1}'], accept=True)  # one level deeper
+def test_read_jsonl_joined_decode_gives_the_per_line_read(lines, accept):
+    deepest, too_deep = 1, 2 * sys.getrecursionlimit()
+    while too_deep - deepest > 1:  # read at the depth of the reads below
+        middle = (deepest + too_deep) // 2
+        one = [_nested_objects(middle)]
+        if _outcome(lambda: read_jsonl(one, "thing", lambda _, obj: obj))[0] == "returned":
+            deepest = middle
+        else:
+            too_deep = middle
+    lines = [_nested_objects(deepest + line) if isinstance(line, int) else line
+             for line in lines]
+    seen = []
+
+    def bulk(objects):
+        seen.append(objects)
+        return "bulk" if accept else None
+
+    per_line = _outcome(lambda: read_jsonl(lines, "thing", lambda _, obj: obj))
+    got = _outcome(lambda: read_jsonl(iter(lines), "thing", lambda _, obj: obj, bulk))
+    # As in the property above: bulk runs exactly when each non-blank line
+    # is one JSON value without edge whitespace, and gets those values.
+    exact = per_line[0] == "returned" and all(
+        line == line.strip(" \t\r\n") for line in lines if line.strip()
+    )
+    assert len(seen) == exact
+    if seen:
+        assert repr(seen[0]) == repr(per_line[1])
+    assert got == (("returned", "bulk") if seen and accept else per_line)
+
+
 def _per_line_and_bulk(module, read):
     """``read()``'s outcome with ``module``'s read_jsonl reading line by line
     only, then as shipped; and whether the bulk path built the result."""
@@ -1013,6 +1082,45 @@ def test_jsonl_lines_splits_on_newline_only(tmp_path):
     path = tmp_path / "input.jsonl"
     path.write_text('{"a": "x\u2028y"}\r\n\n{"b": 1}\x85', encoding="utf-8")
     assert jsonl_lines(path) == ['{"a": "x\u2028y"}', "", '{"b": 1}\x85']
+
+
+def test_jsonl_carriage_return_between_tokens_is_whitespace(tmp_path):
+    path = tmp_path / "ontology.jsonl"
+    path.write_bytes(b'{"concept_id":"mesh:D1",\r"preferred_name":"a"}\n')
+    assert load_ontology(path).get(ConceptId("D1")).preferred_name == "a"
+
+
+# File readers, two valid lines for each, and what each read returns.
+_CRLF_READERS = {
+    "records": (record_line("r1"), record_line("r2", answer="no"),
+                lambda path: load_records(path).records),
+    "ontology": (
+        json.dumps({"concept_id": "mesh:D000001", "preferred_name": "asthma"}),
+        json.dumps({"concept_id": "mesh:D000002", "preferred_name": "eczema", "synonyms": ["a"]}),
+        lambda path: load_ontology(path).concepts(),
+    ),
+    "mock lexicon": (
+        json.dumps({"term": "asthma", "concept_id": "mesh:D001249"}),
+        json.dumps({"term": "eczema", "concept_id": "mesh:D004485"}),
+        lambda path: list(annotate.load_mock_lexicon(path).items()),
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", [None, "bad line", "repeat"])
+@pytest.mark.parametrize("reader", sorted(_CRLF_READERS))
+def test_crlf_file_reads_as_its_lf_twin(tmp_path, reader, defect):
+    first, second, read = _CRLF_READERS[reader]
+    lines = [first, "", second] + {None: [], "bad line": ['{"x": '], "repeat": [first]}[defect]
+    outcomes = []
+    for number, newline in enumerate(["\n", "\r\n"]):
+        path = tmp_path / f"input{number}.jsonl"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        outcomes.append(_outcome(lambda: read(path)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == ("returned" if defect is None else ValidationError)
+    if defect is not None:
+        assert outcomes[0][1].startswith("line 4: ")
 
 
 @pytest.mark.parametrize("bad", ['"x"', "5", "null", "[1]", "[" * 100_000 + "]" * 100_000],

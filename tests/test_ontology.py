@@ -9,12 +9,14 @@ import threading
 import time
 from concurrent.futures import Future
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from phenotag.corpus import ConceptId
+from phenotag import ontology
+from phenotag.corpus import ConceptId, read_jsonl
 from phenotag.errors import BackendError, ValidationError
 import phenotag
 from phenotag.ontology import (
@@ -436,6 +438,53 @@ def test_index_documents_are_the_rendered_documents(store10):
     index = OntologyIndex(store10, HashedBagOfWordsProvider())
     for concept in store10.concepts():
         assert index.document(concept.concept_id) == build_rag_document(concept)
+
+
+# Concept fields with and without synonyms or a description, empty ones
+# included, and names beyond ASCII.
+_CONCEPT_FIELDS = st.fixed_dictionaries(
+    {"preferred_name": st.text(min_size=1, max_size=5)},
+    optional={"description": st.text(max_size=5),
+              "synonyms": st.lists(st.text(max_size=4), max_size=2)},
+)
+
+
+@given(entries=st.lists(_CONCEPT_FIELDS, min_size=1, max_size=6))
+@example(entries=[{"preferred_name": "asthma"}])
+@example(entries=[{"preferred_name": "\u00e9cz\u00e9ma", "description": "", "synonyms": []},
+                  {"preferred_name": "\u03a3\u2028x", "synonyms": ["\u0101"]}])
+def test_bulk_built_concepts_and_index_bodies_equal_the_per_line_ones(entries):
+    lines = [json.dumps({"concept_id": f"mesh:D{number:06d}", **entry}, ensure_ascii=False)
+             for number, entry in enumerate(entries, start=1)]
+    took = []
+
+    def spying(lines, what, parse, bulk):
+        def spy(objects):
+            result = bulk(objects)
+            took.append(result is not None)
+            return result
+
+        return read_jsonl(lines, what, parse, spy)
+
+    with mock.patch.object(ontology, "read_jsonl", spying):
+        bulk_store = load_ontology(lines)
+    assert took == [True]
+    with mock.patch.object(ontology, "read_jsonl",
+                           lambda lines, what, parse, bulk: read_jsonl(lines, what, parse)):
+        per_line_store = load_ontology(lines)
+    for built, parsed in zip(bulk_store.concepts(), per_line_store.concepts(), strict=True):
+        assert built == parsed
+        assert hash(built) == hash(parsed)
+        assert repr(built) == repr(parsed)
+    index = OntologyIndex(bulk_store, HashedBagOfWordsProvider(dimension=16))
+    for concept in bulk_store.concepts():
+        assert index.document(concept.concept_id).body == build_rag_document(concept).body
+
+
+@given(token=st.text(max_size=8), dimension=st.sampled_from((1, 16, 256, 1000)))
+def test_bucket_is_the_one_call_blake2b_digest(token, dimension):
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+    assert _bucket(token, dimension) == int.from_bytes(digest, "big") % dimension
 
 
 def test_stemmer_consistency():
