@@ -1,7 +1,10 @@
 """Driving an external NER/NEN backend over a wire protocol.
 
-The wire shape mirrors the public BERN2 response (mention/span/obj/id) so
-the real service drops in unmodified:
+The wire protocol is phenotag's own batch protocol. Only each annotation
+has the shape of a public BERN2 annotation (mention/span/obj/id); the
+request and the response around them do not. A real BERN2 service takes
+one {"text": ...} per request to /plain, so it does not drop in (see
+ROADMAP.md item 14, "Speak the wire protocols that real endpoints speak"):
 
     request:  {"texts": [string, ...]}
     response: {"results": [{"annotations": [{"mention": str,
@@ -88,7 +91,8 @@ class NerBackend(Protocol):
 
 
 class HttpNerBackend:
-    """POSTs {"texts": [...]} to a BERN2-compatible endpoint."""
+    """POSTs phenotag's {"texts": [...]} batch and reads {"results": [...]},
+    whose annotations have BERN2's shape; not BERN2's own /plain protocol."""
 
     def __init__(
         self,
@@ -212,6 +216,7 @@ def load_mock_lexicon(path: str | Path) -> dict[str, str]:
         # a string key) with a string term and an id already canonical, and
         # no term repeats; any other file, ids in other accepted forms
         # included, goes to add line by line.
+        nonlocal lexicon
         try:
             terms = [entry["term"] for entry in entries]
             ids = [entry["concept_id"] for entry in entries]
@@ -219,10 +224,10 @@ def load_mock_lexicon(path: str | Path) -> dict[str, str]:
             return None
         if set(map(type, terms)) != {str} or not ConceptId.all_canonical(ids):
             return None
-        lexicon.update(zip(terms, ids))
-        if len(lexicon) != len(terms):
-            lexicon.clear()
+        built = dict(zip(terms, ids))
+        if len(built) != len(terms):
             return None
+        lexicon = built
         return lexicon
 
     read_jsonl(jsonl_lines(path), "lexicon entry", add, add_all)

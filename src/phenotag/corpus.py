@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-import operator
 import re
 import unicodedata
 from collections import defaultdict
@@ -324,44 +323,30 @@ def read_jsonl(lines: Iterable[str], what: str, parse: Callable[[int, Any], T],
     ``parse`` rejects with a ValidationError, KeyError, TypeError,
     ValueError or IndexError, raises ValidationError("line N: bad <what>: ...").
 
-    ``bulk`` is a fast path for a whole file. When every non-blank line is
-    exactly one JSON value, ``bulk`` gets the decoded values in file order
-    and returns what ``read_jsonl`` returns, or None. On None, or when some
-    line is not exactly one value, the file is read line by line from the
-    top as above, so ``parse`` alone owns every error and its line number.
-    ``bulk`` must therefore return None for every file on which ``parse``
-    would raise, and otherwise leave behind what the per-line read would;
-    where it fills state that ``parse`` also fills, it empties that state
-    before returning None. A file whose lines are each one JSON object is
-    decoded in one call (see ``_decode_each``), with the same values.
+    Each line is scanned once, in one C call, which decodes a line that is
+    exactly one JSON value; ``json.loads`` then decodes any other line, in
+    its turn, and owns its value or message. Without ``bulk``, each line is
+    decoded and parsed before the next is read, and nothing is kept.
+
+    ``bulk`` is a fast path for a whole file, which is then scanned before
+    anything is parsed. When every non-blank line is exactly one JSON value,
+    ``bulk`` gets the values in file order and returns what ``read_jsonl``
+    returns, or None. On None, or when some line is not exactly one value,
+    ``parse`` takes the scanned values line by line from the top as above,
+    so it alone owns every error and its line number. ``bulk`` must
+    therefore return None for every file on which ``parse`` would raise, and
+    change nothing until it returns a result.
     """
+    scanned = _scan_each(lines)
     if bulk is not None:
-        lines = list(lines)  # read twice when the fast path declines
-        objects = _decode_each(lines)
-        if objects is not None and (result := bulk(objects)) is not None:
+        scanned = list(scanned)
+        values = [obj for _, obj, _ in scanned]
+        if _INEXACT not in values and (result := bulk(values)) is not None:
             return result
-    return _parse_each(lines, what, parse)
-
-
-def _parse_each(lines: Iterable[str], what: str, parse: Callable[[int, Any], T]) -> list[T]:
-    """``read_jsonl`` line by line. It scans at the same call depth as
-    ``_decode_each``'s per-line scan, so a line nested close to the
-    recursion limit decodes in both or in neither."""
-    scan = _DECODER.scan_once
     items = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line or line.isspace():
-            continue
+    for lineno, obj, line in scanned:
         try:
-            # One C call for a line that is exactly one JSON value; json.loads
-            # gives the same object and owns every other case (edge
-            # whitespace, a BOM, extra data) and its error message. The
-            # scanner raises StopIteration where no value starts.
-            try:
-                obj, end = scan(line, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(line):
+            if obj is _INEXACT:
                 obj = json.loads(line)
             items.append(parse(lineno, obj))
         except KeyError as exc:
@@ -371,52 +356,25 @@ def _parse_each(lines: Iterable[str], what: str, parse: Callable[[int, Any], T])
     return items
 
 
-# "}", JSON whitespace, ",", JSON whitespace, "{": how a comma between two
-# objects reads.
-_COMMA_BETWEEN_OBJECTS = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
-_FIRST, _LAST = operator.itemgetter(0), operator.itemgetter(-1)
+# The value ``_scan_each`` gives a line that is not exactly one JSON value.
+_INEXACT: Any = object()
 
 
-def _decode_each(lines: list[str]) -> list[Any] | None:
-    """The value of each non-blank line; None if any line is not exactly
-    one JSON value.
-
-    When every non-blank line starts with "{" and ends with "}", and none
-    holds ``_COMMA_BETWEEN_OBJECTS``, the lines joined by "," into one array
-    are decoded in one C call, which also shares the decoder's key strings
-    across lines. If that array holds exactly one object per line, each
-    line is one object: every top-level comma of the array sits between two
-    objects with only JSON whitespace around it, so one inside a line would
-    show that pattern there, and the N - 1 top-level commas are therefore
-    the N - 1 join commas. Any other file, and one the joined decode
-    rejects, is scanned line by line by ``read_jsonl``'s one C call per
-    line, so both give the same values and decline the same files."""
-    lines = list(filter(str.strip, lines))  # blank: empty or str.isspace()
-    n = len(lines)
-    # Searched joined by "\n", which no join can turn into the pattern.
-    if (n and "".join(map(_FIRST, lines)) == "{" * n and "".join(map(_LAST, lines)) == "}" * n
-            and _COMMA_BETWEEN_OBJECTS.search("\n".join(lines)) is None):
-        # Brackets on the end lines, not around the joined text: no copy of it.
-        items = lines.copy()
-        items[0] = "[" + items[0]
-        items[-1] += "]"
-        try:
-            objects = json.loads(",".join(items))
-        except (ValueError, RecursionError):
-            objects = None
-        if objects is not None and len(objects) == n and set(map(type, objects)) == {dict}:
-            return objects
+def _scan_each(lines: Iterable[str]) -> Iterator[tuple[int, Any, str]]:
+    """``(lineno, value, line)`` for each non-blank line: the value one C
+    call scans from a line that is exactly one JSON value, else ``_INEXACT``
+    (edge whitespace, a BOM, extra data, bad JSON, nesting too deep). Both
+    of ``read_jsonl``'s modes scan here, at the same call depth, so a line
+    nested close to the recursion limit decodes in both or in neither."""
     scan = _DECODER.scan_once
-    objects = []
-    try:
-        for line in lines:
+    for lineno, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            continue
+        try:  # the scanner raises StopIteration where no value starts
             obj, end = scan(line, 0)
-            if end != len(line):
-                return None
-            objects.append(obj)
-    except (StopIteration, ValueError, RecursionError):
-        return None
-    return objects
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        yield lineno, (obj if end == len(line) else _INEXACT), line
 
 
 _REQUIRED: Any = object()

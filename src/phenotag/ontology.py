@@ -176,14 +176,14 @@ def load_ontology(source: str | Path | Iterable[str]) -> OntologyStore:
                 and set(map(type, descriptions)) == {str} and set(map(type, synonyms)) == {list}
                 and set(map(type, itertools.chain.from_iterable(synonyms))) <= {str}):
             return None
-        by_id = store._by_id
+        by_id = {}
         for text, name, description, words in zip(ids, names, descriptions, synonyms):
             concept_id = ConceptId._unchecked(text[len("mesh:"):])
             by_id[concept_id] = OntologyConcept._unchecked(
                 concept_id, name, description, tuple(words))
         if len(by_id) != len(ids):
-            by_id.clear()
             return None
+        store._by_id = by_id
         return store
 
     read_jsonl(lines, "concept", parse, parse_all)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from phenotag import annotate, cli, ontology
 from phenotag.annotate import AnnotationOutcome, read_outcomes, write_outcomes
 from phenotag.corpus import (
+    _DECODER,
     AnnotationSet,
     ConceptId,
     FieldType,
@@ -876,6 +877,33 @@ def test_read_jsonl_joined_decode_gives_the_per_line_read(lines, accept):
     if seen:
         assert repr(seen[0]) == repr(per_line[1])
     assert got == (("returned", "bulk") if seen and accept else per_line)
+
+
+@pytest.mark.parametrize("accept", [True, False, None],
+                         ids=["bulk accepts", "bulk declines", "no bulk"])
+def test_read_jsonl_decodes_each_line_once(accept):
+    lines = ['{"a":1}', "", "[1]", " ", '{"b":[2,{"c":3}]}', '"x"', "[1]", "null", "{}"]
+    values = [json.loads(line) for line in lines if line.strip()]
+    decoded = []
+    scan, loads = _DECODER.scan_once, json.loads
+
+    def counted_scan(string, idx):
+        decoded.append(string)
+        return scan(string, idx)
+
+    def counted_loads(string, *args, **kwargs):
+        decoded.append(string)
+        return loads(string, *args, **kwargs)
+
+    def bulk(objects):
+        assert objects == values
+        return "bulk" if accept else None
+
+    with mock.patch.object(_DECODER, "scan_once", counted_scan), \
+            mock.patch.object(json, "loads", counted_loads):
+        got = read_jsonl(lines, "thing", lambda _, obj: obj, None if accept is None else bulk)
+    assert got == ("bulk" if accept else values)
+    assert decoded == [line for line in lines if line.strip()]
 
 
 def _per_line_and_bulk(module, read):
